@@ -37,21 +37,19 @@ Each run appends a dated entry to the ``history`` list in
 
 Each run (quick included) also times the lockstep co-execution harness
 (:func:`repro.verify.coexec_backends`) against a bare parity check on
-the same backend pair; quick mode records that overhead row in its own
-``coexec_quick`` section of ``BENCH_engine.json``.
+the same backend pair.
 
 Each run (quick included) also drives the serving tier with
 :func:`repro.serve.run_load` — concurrent tenants multiplexed over one
 pooled engine — and floors sessions/s while asserting zero shed at
-nominal load; quick mode records that row in its own ``serve_quick``
-section of ``BENCH_engine.json``.
+nominal load.
 
 Each run (quick included) also pins the **telemetry disabled-overhead
 rule**: the instrumented engine facade with no tracer installed must
 cost <= 2% over the bare datapath (floored), with the enabled-tracer
-cost recorded alongside as an informational column; quick mode records
-that row in its own ``telemetry_quick`` section of
-``BENCH_engine.json``.
+cost recorded alongside as an informational column.
+
+Quick mode prints its rows and writes no file.
 
 Run:     pytest benchmarks/bench_engine_speed.py -s
 Quick:   python benchmarks/bench_engine_speed.py --quick
@@ -821,8 +819,7 @@ def run_quick() -> int:
         ber = f"ber={row['ber']:.3f}" if "ber" in row else "spectral"
         print(f"quick scenario {row['scenario']:<14} "
               f"{row['wall_ms']:8.2f} ms  {ber}  ok")
-    # Co-execution overhead vs a bare parity check (informational row,
-    # recorded in its own BENCH_engine.json section).
+    # Co-execution overhead vs a bare parity check (informational row).
     co = results["coexec"]
     print(f"quick coexec {co['symbols']}x{co['n']}: "
           f"bare {co['bare_ms']:.2f} ms -> lockstep {co['coexec_ms']:.2f} ms "
@@ -868,12 +865,6 @@ def run_quick() -> int:
           f"sandwich {ua['cycles_floor']}<={ua['cycles_dual']}"
           f"<={ua['cycles_single']}  w2 {ua['speedup_w2']:.3f}x  "
           f"{'ok' if ua_ok else 'FAIL'}")
-    from repro.cli import record_backend_rows
-
-    record_backend_rows(RESULT_PATH, "coexec_quick", [co])
-    record_backend_rows(RESULT_PATH, "serve_quick", [srv])
-    record_backend_rows(RESULT_PATH, "telemetry_quick", [tel])
-    record_backend_rows(RESULT_PATH, "uarch_quick", [ua])
     return 1 if failed else 0
 
 

@@ -1,23 +1,37 @@
-"""Viterbi decoding: a readable oracle and a vectorised trellis.
+"""Viterbi decoding: a readable oracle and a butterfly trellis.
 
 Mirrors the oracle/compiled split of :mod:`repro.core`: the decoder
 owns two datapaths over the same trellis tables and the fast one is
-**bit-identical** to the slow one, ties included:
+**bit-identical** to the slow one, ties, ``±inf`` and NaN included:
 
 * :meth:`ViterbiDecoder.decode_reference` — the per-step, per-state
   add-compare-select walk, written for readability; the correctness
   oracle.
-* :meth:`ViterbiDecoder.decode` — the numpy datapath: each trellis step
-  is a handful of column operations over all ``2^(K-1)`` states at
-  once (gather predecessor metrics, add branch metrics, compare,
-  select), with an optional leading batch axis so a whole burst of
-  independent blocks (one per OFDM symbol) decodes in one pass.
+* :meth:`ViterbiDecoder.decode` — the butterfly datapath, with an
+  optional leading batch axis so a whole burst of independent blocks
+  (one per OFDM symbol) decodes in one pass.  Three sub-phases:
 
-Both paths use the same floating-point operations in the same order
-(two-term branch-metric sums, one metric add per branch), so their
-results agree bit for bit; the tie rule is also shared: a branch from
-the lower-indexed predecessor wins ties, and the reference applies
-``cand1 > cand0`` exactly like the vectorised ``np.where``.
+  - *branch metrics*: a rate-1/n branch metric is one of only ``2^n``
+    sign patterns correlated with the step's LLRs, so each step gets
+    just the distinct sums (same products, summed in the reference's
+    order), and a table derived from the **live** sign table at call
+    time expands them to every ``(state, branch)`` in bounded
+    time-chunks — memory no longer grows with ``steps × blocks``;
+  - *ACS*: states ``j`` and ``j + S/2`` share the predecessors ``2j``
+    and ``2j + 1``, so both read the same ``metrics.reshape(B, S/2, 2)``
+    view — no predecessor gather — and each step is three in-place
+    ufunc calls on ping-pong buffers (``add``, ``greater``,
+    ``copyto(cand0, cand1, where=...)``) with the ``S/2``-wide state
+    column innermost;
+  - *traceback*: one predecessor table ``((s << 1) & mask) | decision``
+    (``uint8`` up to 256 states, wider above) built in a single
+    vectorised op, walked with one ``take`` per step.
+
+The select is the reference's ``cand1 if cand1 > cand0 else cand0``
+verbatim: a branch from the lower-indexed predecessor wins ties, and a
+NaN candidate is kept or dropped exactly where the reference keeps or
+drops it.  ``np.maximum`` is *not* that select — it propagates NaN —
+and on ``±inf`` LLR grids it picks different survivors.
 
 Metric convention: inputs are per-bit LLRs with **positive meaning
 bit 0** (see :mod:`repro.coding.demap`); the branch metric is the
@@ -34,6 +48,9 @@ from .convolutional import ConvolutionalCode
 from .. import telemetry
 
 __all__ = ["ViterbiDecoder"]
+
+#: branch-table elements expanded per time-chunk (2 MB of float64).
+_CHUNK_ELEMENTS = 1 << 18
 
 
 class ViterbiDecoder:
@@ -53,7 +70,7 @@ class ViterbiDecoder:
         self._state_mask = code.n_states - 1
 
     def decode(self, llr_steps) -> np.ndarray:
-        """Vectorised decode of ``(..., steps, n)`` depunctured LLRs.
+        """Butterfly decode of ``(..., steps, n)`` depunctured LLRs.
 
         Leading axes are independent blocks (the coded chain passes one
         block per OFDM symbol); every add-compare-select runs as column
@@ -71,49 +88,110 @@ class ViterbiDecoder:
             llr = llr[None]
         lead = llr.shape[:-2]
         steps = llr.shape[-2]
-        if steps <= self.code.memory:
+        memory = self.code.memory
+        if steps <= memory:
             raise ValueError(
-                f"need more than {self.code.memory} trellis steps, "
-                f"got {steps}"
+                f"need more than {memory} trellis steps, got {steps}"
             )
         flat = llr.reshape(-1, steps, self.code.n_outputs)
         blocks = flat.shape[0]
+        if not blocks:
+            return np.zeros(lead + (steps - memory,), dtype=np.uint8)
         n_states = self.code.n_states
-        metrics = np.full((blocks, n_states), -np.inf)
-        metrics[:, 0] = 0.0
-        decisions = np.empty((steps, blocks, n_states), dtype=np.uint8)
-        # All branch metrics up front, one broadcast per output bit:
-        # explicit two-term sums — elementwise the same float
-        # operations, in the same order, as the reference walk — so
-        # the sequential loop below is pure gather/add/compare/select.
+        decisions = np.empty((steps, blocks, n_states), dtype=bool)
         with telemetry.span("viterbi.branch-metrics", blocks=blocks,
                             steps=steps, states=n_states):
-            signs = self._signs[None, None, :, :, :]  # (1,1,states,2,n)
-            branch = (signs[..., 0]
-                      * flat[:, :, 0, None, None])    # (blocks, T, S, 2)
-            for j in range(1, self.code.n_outputs):
-                branch = branch + signs[..., j] * flat[:, :, j, None, None]
+            sums, table = self._branch_sums(flat)
         with telemetry.span("viterbi.acs", blocks=blocks, steps=steps,
                             states=n_states):
-            for t in range(steps):
-                cand = metrics[:, self._prev] + branch[:, t]
-                choose = cand[..., 1] > cand[..., 0]  # (blocks, states)
-                decisions[t] = choose
-                metrics = np.where(choose, cand[..., 1], cand[..., 0])
-        # Terminated blocks end in state 0; walk the survivor path back.
+            for _ in self._acs(sums, table, decisions):
+                pass
         with telemetry.span("viterbi.traceback", blocks=blocks,
                             steps=steps):
-            state = np.zeros(blocks, dtype=np.intp)
-            bits = np.empty((blocks, steps), dtype=np.uint8)
-            rows = np.arange(blocks)
-            shift = self.code.memory - 1
-            for t in range(steps - 1, -1, -1):
-                bits[:, t] = (state >> shift).astype(np.uint8)
-                dropped = decisions[t, rows, state]
-                state = ((state << 1) & self._state_mask) | dropped
-            info = bits[:, :steps - self.code.memory]
+            info = self._traceback(decisions)
         info = info.reshape(lead + (info.shape[-1],))
         return info[0] if squeeze else info
+
+    def _branch_sums(self, flat):
+        """Distinct per-step branch metrics and their expansion table.
+
+        Reads the live sign table (fault hooks patch it in place).
+        Returns ``(sums, table)``: ``sums[t]`` holds, block-major, the
+        correlation of each distinct sign row with step ``t``'s LLRs —
+        the reference's products summed in the reference's order — and
+        ``table[x, b, h, j]`` is the index into ``sums[t]`` of block
+        ``b``'s branch ``x`` into state ``h * S/2 + j``.
+        """
+        n = self.code.n_outputs
+        half = self.code.n_states // 2
+        rows, inverse = np.unique(self._signs.reshape(-1, n), axis=0,
+                                  return_inverse=True)
+        llr = flat.transpose(1, 0, 2)                    # (T, B, n)
+        sums = llr[..., 0, None] * rows[:, 0]
+        for j in range(1, n):
+            sums = sums + llr[..., j, None] * rows[:, j]
+        butterfly = inverse.reshape(2, half, 2).transpose(2, 0, 1)
+        offsets = np.arange(flat.shape[0]) * len(rows)
+        table = butterfly[:, None] + offsets[None, :, None, None]
+        return sums.reshape(len(sums), -1), table
+
+    def _acs(self, sums, table, decisions):
+        """The butterfly add-compare-select, one trellis step per yield.
+
+        Writes step ``t``'s survivor choices into ``decisions[t]``
+        (``(steps, blocks, states)`` bool) and yields ``(decisions[t],
+        metrics)``, both ``(blocks, states)`` in natural state order.
+        ``metrics`` lives in a ping-pong buffer: it stays valid until
+        the step after next.
+        """
+        steps, blocks, n_states = decisions.shape
+        half = n_states // 2
+        # cand[x, b, h, j]: branch x into state h*half + j of block b.
+        buffers = np.empty((2, 2, blocks, 2, half))
+        views = []
+        for cand in buffers:
+            c0, c1 = cand.reshape(2, blocks, n_states)
+            shared = c0.reshape(blocks, half, 2).transpose(2, 0, 1)
+            views.append((cand, c0, c1, shared[:, :, None, :]))
+        here, there = views
+        # Step 0 reads there's metrics: every block starts in state 0.
+        start = there[1]
+        start[:] = -np.inf
+        start[:, 0] = 0.0
+        chunk = max(1, _CHUNK_ELEMENTS // table.size)
+        for t0 in range(0, steps, chunk):
+            branch = sums[t0:t0 + chunk].take(table, axis=1)
+            for br, dec in zip(branch, decisions[t0:t0 + chunk]):
+                cand, c0, c1, _ = here
+                np.add(there[3], br, out=cand)
+                np.greater(c1, c0, out=dec)
+                np.copyto(c0, c1, where=dec)
+                yield dec, c0
+                here, there = there, here
+
+    def _traceback(self, decisions):
+        """``(blocks, steps - memory)`` info bits from ``(steps, blocks,
+        states)`` survivor decisions.
+
+        Terminated blocks end in state 0.  Step ``t``'s predecessor of
+        state ``s`` is ``((s << 1) & mask) | decisions[t, b, s]``: one
+        table for the whole trellis, walked back with one ``take`` per
+        step over all blocks.
+        """
+        steps, blocks, n_states = decisions.shape
+        memory = self.code.memory
+        dtype = np.min_scalar_type(self._state_mask)
+        base = (np.arange(n_states, dtype=dtype) << 1) & self._state_mask
+        pred = (base | decisions.view(np.uint8)).reshape(steps, -1)
+        # after[t]: each block's survivor state after step t, whose MSB
+        # is step t's info bit.
+        after = np.zeros((steps, blocks), dtype=dtype)
+        offsets = np.arange(blocks) * n_states
+        index = np.empty_like(offsets)
+        for t in range(steps - 1, 0, -1):
+            np.add(offsets, after[t], out=index)
+            pred[t].take(index, out=after[t - 1], mode="clip")
+        return (after[:steps - memory].T >> (memory - 1)).astype(np.uint8)
 
     def decode_reference(self, llr_steps) -> np.ndarray:
         """The per-step, per-state oracle walk (readable specification).
@@ -124,6 +202,11 @@ class ViterbiDecoder:
         llr = np.asarray(llr_steps, dtype=np.float64)
         if llr.ndim > 2:
             flat = llr.reshape(-1, llr.shape[-2], llr.shape[-1])
+            if not len(flat):
+                return np.zeros(
+                    llr.shape[:-2] + (llr.shape[-2] - self.code.memory,),
+                    dtype=np.uint8,
+                )
             rows = [self.decode_reference(block) for block in flat]
             return np.stack(rows).reshape(
                 llr.shape[:-2] + (rows[0].shape[-1],)

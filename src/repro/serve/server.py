@@ -223,19 +223,30 @@ class SessionServer:
                     f"buffered + {count} requested > {budget}); request "
                     f"shed"
                 )
+            # Admit before feed() can run a chunk (and count it out), then
+            # give back whatever feed() did not queue.
+            state.metrics.record_admitted(count)
+            fed = 0
             try:
                 fed = state.session.feed(
                     blocks, wait=True, timeout=deadline,
                 )
-            except SessionBackpressure:
+            except SessionBackpressure as exc:
+                fed = exc.accepted
                 state.metrics.record_backpressure(count)
                 request_span.set("backpressure", True)
                 raise
             except SessionExecutionTimeout as exc:
+                fed = exc.accepted
                 self.fail_tenant(tenant, str(exc))
                 request_span.set("timeout", True)
                 raise
-            state.metrics.record_admitted(fed)
+            except SessionClosed as exc:
+                fed = exc.accepted
+                raise
+            finally:
+                if fed != count:
+                    state.metrics.record_admitted(fed - count)
             return fed
 
     # Consumption ---------------------------------------------------------

@@ -327,30 +327,42 @@ class StreamSession:
         producer threads need no locking of their own.  Capacity waits
         hold no lock besides the condition variable, so consumers keep
         draining and blocked producers always resolve.
+
+        A :class:`SessionBackpressure`, :class:`SessionClosed` or
+        :class:`SessionExecutionTimeout` raised part-way carries
+        ``accepted``: how many of this call's blocks were queued first.
         """
-        if self._closed or self._closing:
-            raise SessionClosed(f"{self!r} is closed")
-        blocks = np.asarray(blocks, dtype=complex)
-        if blocks.ndim == 1:
-            blocks = blocks[None, :]
-        if blocks.ndim != 2 or blocks.shape[1] != self.n_points:
-            raise ValueError(
-                f"expected an (N,) block or (k, {self.n_points}) batch, "
-                f"got shape {blocks.shape}"
-            )
-        for block in blocks:
-            run_chunk = False
-            with self._cond:
-                # Re-checked under the lock: a close() racing this feed
-                # either wins here (we refuse) or sees our append in
-                # its final flush — symbols are never silently dropped.
-                self._wait_for_room(wait, timeout)
-                self._pending.append(np.array(block))
-                self._symbols_fed += 1
-                run_chunk = len(self._pending) >= self.batch
-            if run_chunk:
-                self._execute_pending()
-        return len(blocks)
+        accepted = 0
+        try:
+            if self._closed or self._closing:
+                raise SessionClosed(f"{self!r} is closed")
+            blocks = np.asarray(blocks, dtype=complex)
+            if blocks.ndim == 1:
+                blocks = blocks[None, :]
+            if blocks.ndim != 2 or blocks.shape[1] != self.n_points:
+                raise ValueError(
+                    f"expected an (N,) block or (k, {self.n_points}) "
+                    f"batch, got shape {blocks.shape}"
+                )
+            for block in blocks:
+                run_chunk = False
+                with self._cond:
+                    # Re-checked under the lock: a close() racing this
+                    # feed either wins here (we refuse) or sees our
+                    # append in its final flush — symbols are never
+                    # silently dropped.
+                    self._wait_for_room(wait, timeout)
+                    self._pending.append(np.array(block))
+                    self._symbols_fed += 1
+                    run_chunk = len(self._pending) >= self.batch
+                accepted += 1
+                if run_chunk:
+                    self._execute_pending()
+        except (SessionBackpressure, SessionClosed,
+                SessionExecutionTimeout) as exc:
+            exc.accepted = accepted
+            raise
+        return accepted
 
     #: default bounded-backoff wait slices: start short (fast reaction
     #: to a drain), double up to the cap (cheap when parked for a

@@ -44,8 +44,9 @@ class Machine:
     pipeline:
         Timing parameters.
     max_instructions:
-        Runaway guard: the run aborts with :class:`RunawayProgram` if HALT
-        is not reached within this budget.
+        Runaway guard: a run aborts with :class:`RunawayProgram` if HALT
+        is not reached within this budget (counted per run, so a
+        long-lived machine never exhausts it across runs).
     """
 
     def __init__(self, memory: MainMemory, cache_config: CacheConfig = None,
@@ -141,8 +142,9 @@ class Machine:
         # dispatches: a fused burst completes before the guard fires, so
         # the abort may land up to one straight-line burst past the limit
         # (stats stay exact; only the abort point is coarser than the
-        # interpreter's).
-        limit = self.max_instructions
+        # interpreter's).  The budget is per run: it starts from the
+        # lifetime count at entry.
+        limit = stats.instructions + self.max_instructions
         instructions = 0
         cycles = 0
         try:
@@ -183,6 +185,7 @@ class Machine:
         self.halted = False
         self._last_load_reg = None
         length = len(program)
+        limit = self.stats.instructions + self.max_instructions
         while not self.halted:
             if not (0 <= self.pc < length):
                 raise SimulationError(
@@ -190,7 +193,7 @@ class Machine:
                 )
             instr = program[self.pc]
             self.step(instr)
-            if self.stats.instructions > self.max_instructions:
+            if self.stats.instructions > limit:
                 raise RunawayProgram(
                     f"exceeded {self.max_instructions} instructions"
                 )

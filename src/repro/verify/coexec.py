@@ -21,10 +21,10 @@ site:
   instruction the PCs, the 32 scalar registers and (when present) the
   CRF banks are compared; localises to the first mismatching dynamic
   instruction.
-* :func:`coexec_viterbi` — the vectorised add-compare-select recursion
-  of one decoder against the per-state oracle walk of another, compared
+* :func:`coexec_viterbi` — the shipped butterfly add-compare-select of
+  one decoder against the per-state oracle walk of another, compared
   per trellis step; localises to the first mismatching (step, state)
-  with both candidate path metrics.
+  with both sides' decisions and path metrics.
 * :func:`coexec_llrs` — two soft demappers over the same symbols;
   localises to the first mismatching (symbol, bit) LLR.
 * :func:`coexec_backends` — end-to-end facade diff between two
@@ -532,11 +532,12 @@ def coexec_viterbi(code="conv-k3", *, a=None, b=None, llrs=None,
                                    "viterbi-reference")) -> CoexecResult:
     """Trellis-lockstep two Viterbi decoders over the same LLR grid.
 
-    Side a runs the vectorised add-compare-select recursion with *its*
-    branch-sign table; side b the per-state oracle walk with *its* own.
-    Path metrics and survivor decisions are compared after every trellis
-    step (both paths are bit-identical by contract), then the traced-back
-    info bits are compared.
+    Side a steps the kernels :meth:`ViterbiDecoder.decode` ships (branch
+    sums, butterfly add-compare-select, predecessor-table traceback)
+    with *its* branch-sign table; side b the per-state oracle walk with
+    *its* own.  Survivor decisions and path metrics are compared after
+    every trellis step (both paths are bit-identical by contract), then
+    the traced-back info bits are compared.
     """
     from ..coding.convolutional import get_code
     from ..coding.viterbi import ViterbiDecoder
@@ -564,44 +565,36 @@ def coexec_viterbi(code="conv-k3", *, a=None, b=None, llrs=None,
     n_states = code.n_states
     start = time.perf_counter()
 
-    # Side a: the vectorised recursion (single block), a's sign table.
-    signs_a = a._signs[None, :, :, :]                # (1, S, 2, n)
-    branch_a = signs_a[..., 0] * llr[:, 0, None, None]
-    for j in range(1, code.n_outputs):
-        branch_a = branch_a + signs_a[..., j] * llr[:, j, None, None]
-    metrics_a = np.full(n_states, -np.inf)
-    metrics_a[0] = 0.0
+    # Side a: the shipped butterfly recursion over one block.
+    decisions_a = np.empty((n_steps, 1, n_states), dtype=bool)
+    sums, table = a._branch_sums(llr[None])
+    steps_a = a._acs(sums, table, decisions_a)
     # Side b: the per-state oracle walk, b's sign table.
     metrics_b = [0.0] + [-np.inf] * (n_states - 1)
-    decisions_a = np.empty((n_steps, n_states), dtype=np.uint8)
     decisions_b = []
 
-    def diverged(t, state, cand_a, cand_b, what):
+    def diverged(t, state, choose_a, metrics_a, cand_b, what):
+        ma, mb = float(metrics_a[state]), float(metrics_b[state])
         report = DivergenceReport(
             kind="viterbi-step",
             backends=names,
             step_index=t,
             location={"step": t, "state": state, "mismatch": what},
             operands={
-                "a_cand0": float(cand_a[state, 0]),
-                "a_cand1": float(cand_a[state, 1]),
+                "a_decision": int(choose_a[state]),
+                "a_metric": ma,
+                "b_decision": decisions_b[t][state],
+                "b_metric": mb,
                 "b_cand0": float(cand_b[state][0]),
                 "b_cand1": float(cand_b[state][1]),
             },
-            max_error=float(
-                max(abs(cand_a[state, 0] - cand_b[state][0]),
-                    abs(cand_a[state, 1] - cand_b[state][1]))
-            ) if np.isfinite(cand_a[state]).all() else 0.0,
+            max_error=abs(ma - mb) if np.isfinite([ma, mb]).all() else 0.0,
         )
         return CoexecResult("viterbi-step", names, t + 1, report,
                             time.perf_counter() - start)
 
-    for t in range(n_steps):
-        cand_a = metrics_a[a._prev] + branch_a[t]     # (S, 2)
-        choose_a = cand_a[:, 1] > cand_a[:, 0]
-        decisions_a[t] = choose_a
-        metrics_a = np.where(choose_a, cand_a[:, 1], cand_a[:, 0])
-
+    for t, (choose_a, metrics_a) in enumerate(steps_a):
+        choose_a, metrics_a = choose_a[0], metrics_a[0]
         step_llr = llr[t]
         new_b = [None] * n_states
         chosen_b = [0] * n_states
@@ -621,31 +614,31 @@ def coexec_viterbi(code="conv-k3", *, a=None, b=None, llrs=None,
         decisions_b.append(chosen_b)
 
         for state in range(n_states):
-            if int(decisions_a[t, state]) != chosen_b[state]:
-                return diverged(t, state, cand_a, cand_b, "decision")
+            if int(choose_a[state]) != chosen_b[state]:
+                return diverged(t, state, choose_a, metrics_a, cand_b,
+                                "decision")
             ma, mb = float(metrics_a[state]), float(metrics_b[state])
-            if ma != mb and not (np.isinf(ma) and np.isinf(mb)
-                                 and ma == mb):
-                return diverged(t, state, cand_a, cand_b, "metric")
+            if ma != mb and not (np.isnan(ma) and np.isnan(mb)):
+                return diverged(t, state, choose_a, metrics_a, cand_b,
+                                "metric")
 
     # Traceback on both sides (decisions already proven equal, so this
-    # only guards the shared traceback conventions).
-    state_a = 0
+    # only guards the traceback conventions): a's shipped table walk
+    # against b's per-step walk, first mismatch in walk order.
+    bits_a = a._traceback(decisions_a)[0]
     state_b = 0
     shift = code.memory - 1
     mask = code.n_states - 1
     for t in range(n_steps - 1, -1, -1):
-        bit_a = state_a >> shift
         bit_b = state_b >> shift
-        if bit_a != bit_b:
+        if t < len(bits_a) and int(bits_a[t]) != bit_b:
             report = DivergenceReport(
                 kind="viterbi-step", backends=names, step_index=t,
                 location={"step": t, "mismatch": "traceback"},
-                operands={"a": bit_a, "b": bit_b},
+                operands={"a": int(bits_a[t]), "b": bit_b},
             )
             return CoexecResult("viterbi-step", names, n_steps, report,
                                 time.perf_counter() - start)
-        state_a = ((state_a << 1) & mask) | int(decisions_a[t, state_a])
         state_b = ((state_b << 1) & mask) | decisions_b[t][state_b]
     return CoexecResult("viterbi-step", names, n_steps, None,
                         time.perf_counter() - start)

@@ -164,6 +164,75 @@ class TestViterbi:
             decoder.decode(np.zeros((4, 2)))
 
 
+def _fast_matches_oracle(decoder, llr):
+    fast = decoder.decode(llr)
+    assert np.array_equal(fast, decoder.decode_reference(llr))
+    return fast
+
+
+class TestViterbiExactness:
+    """``decode`` against ``decode_reference`` where a plausible wrong
+    kernel would diverge: an ``np.maximum`` select, a ``>=`` tie rule, a
+    cached sign table, a fixed ``uint8`` state, batch or chunk
+    arithmetic."""
+
+    @pytest.mark.parametrize("code_name", ("conv-k3", "conv-k7"))
+    def test_inf_and_nan_llr_grids(self, code_name):
+        decoder = ViterbiDecoder(get_code(code_name))
+        rng = np.random.default_rng(17)
+        values = np.array([np.inf, -np.inf, np.nan, 1.0, -1.0, 0.5])
+        with np.errstate(invalid="ignore"):
+            for _ in range(30):
+                llr = rng.standard_normal((2, 16, 2))
+                hit = rng.random(llr.shape) < 0.3
+                llr[hit] = rng.choice(values, size=int(hit.sum()))
+                _fast_matches_oracle(decoder, llr)
+
+    @pytest.mark.parametrize("rate", RATES)
+    @pytest.mark.parametrize("code_name", ("conv-k7", "conv-k3"))
+    def test_integer_tie_heavy_llrs(self, code_name, rate):
+        punct = get_code(code_name).punctured(rate)
+        geom = punct.block_geometry(96)
+        rng = np.random.default_rng(18)
+        llrs = rng.integers(-2, 3, size=(3, geom.coded_bits)).astype(float)
+        grid = punct.depuncture(llrs)
+        _fast_matches_oracle(ViterbiDecoder(punct.base), grid)
+
+    def test_multi_axis_batch(self):
+        decoder = ViterbiDecoder(get_code("conv-k7"))
+        rng = np.random.default_rng(19)
+        llr = rng.standard_normal((2, 3, 30, 2))
+        fast = _fast_matches_oracle(decoder, llr)
+        assert fast.shape == (2, 3, 24)
+        assert np.array_equal(fast[1, 2], decoder.decode(llr[1, 2]))
+
+    def test_reads_the_live_sign_table(self):
+        from repro.verify.faults import branch_metric_flip
+
+        decoder = ViterbiDecoder(get_code("conv-k3"))
+        rng = np.random.default_rng(20)
+        llr = rng.standard_normal((4, 40, 2))
+        clean = decoder.decode(llr)
+        with branch_metric_flip(decoder, state=1, branch=1):
+            faulted = _fast_matches_oracle(decoder, llr)
+        assert not np.array_equal(faulted, clean)
+        assert np.array_equal(decoder.decode(llr), clean)
+
+    def test_state_dtype_follows_state_count(self):
+        code = ConvolutionalCode("k10-test", (0o1167, 0o1545))
+        assert code.n_states == 512
+        rng = np.random.default_rng(21)
+        bits = rng.integers(0, 2, size=(2, 12))
+        llr = (1.0 - 2.0 * code.encode(bits)
+               + 0.8 * rng.standard_normal((2, 21, 2)))
+        _fast_matches_oracle(ViterbiDecoder(code), llr)
+
+    def test_empty_batch(self):
+        decoder = ViterbiDecoder(get_code("conv-k7"))
+        fast = _fast_matches_oracle(decoder, np.zeros((0, 40, 2)))
+        assert fast.shape == (0, 34) and fast.dtype == np.uint8
+
+
 class TestInterleavers:
     def test_block_interleaver_round_trip(self):
         rng = np.random.default_rng(8)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 BENCH = REPO / "benchmarks" / "bench_engine_speed.py"
+TRAJECTORY = REPO / "BENCH_engine.json"
 
 
 def test_quick_benchmark_floors():
@@ -21,6 +22,7 @@ def test_quick_benchmark_floors():
     src = str(REPO / "src")
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+    tracked = TRAJECTORY.read_bytes()
     result = subprocess.run(
         [sys.executable, str(BENCH), "--quick"],
         cwd=REPO, env=env, capture_output=True, text=True, timeout=300,
@@ -28,6 +30,9 @@ def test_quick_benchmark_floors():
     assert result.returncode == 0, (
         f"quick benchmark floors violated:\n{result.stdout}\n{result.stderr}"
     )
+    # The gate runs on every test run, so it must leave the tracked
+    # trajectory file untouched.
+    assert TRAJECTORY.read_bytes() == tracked
     assert "quick" in result.stdout
     # The streaming-session floor, the vectorised-Viterbi floor, the
     # scenario-preset exercise, the co-execution overhead row, the

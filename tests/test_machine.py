@@ -251,6 +251,18 @@ class TestGuards:
         with pytest.raises(RunawayProgram):
             machine.run(assemble("loop: j loop"))
 
+    @pytest.mark.parametrize("path", ("run", "run_interpreted"))
+    def test_runaway_budget_is_per_run(self, path):
+        machine = Machine(MainMemory(64), max_instructions=10)
+        run = getattr(machine, path)
+        # Five 3-instruction runs: 15 over the machine's life, each run
+        # well inside its own budget.
+        for _ in range(5):
+            run(assemble("li r1, 1\nnop\nhalt"))
+        assert machine.stats.instructions == 15
+        with pytest.raises(RunawayProgram):
+            run(assemble("loop: j loop"))
+
     def test_custom_ops_unsupported_on_base_core(self):
         with pytest.raises(UnsupportedInstruction):
             run_source("but4 r1, r2\nhalt")

@@ -230,9 +230,21 @@ class TestAdmissionControl:
                               deadline=0.05)
             health = server.health()
             assert health["tenants"]["alice"]["backpressure"] == 1
+            assert health["tenants"]["alice"]["symbols_in"] == 2
             assert health["tenants"]["bob"]["backpressure"] == 0
             # Bob is untouched and still serving.
             assert server.submit("bob", _blocks(2, 16, seed=11)) == 2
+
+    def test_partly_queued_request_counts_what_was_queued(self):
+        with SessionServer(batch=2, capacity=4) as server:
+            server.open_session("alice", 16)
+            # Four of six blocks fit (and run) before the buffer fills.
+            with pytest.raises(SessionBackpressure) as raised:
+                server.submit("alice", _blocks(6, 16, seed=16),
+                              deadline=0.05)
+            assert raised.value.accepted == 4
+            alice = server.health()["tenants"]["alice"]
+            assert alice["symbols_in"] == alice["symbols_out"] == 4
 
     def test_deadline_met_when_consumer_drains(self):
         with SessionServer(batch=2, capacity=2) as server:
@@ -540,6 +552,25 @@ class TestHealthConcurrency:
         # The last snapshots saw real traffic, not just empty registries.
         final = snapshots[-1]["tenants"]
         assert sum(t["symbols_in"] for t in final.values()) > 0
+
+    def test_request_admitted_before_its_chunks_report(self):
+        """A ``health()`` taken the moment a chunk is recorded already
+        counts the request that chunk came from."""
+        seen = []
+        with SessionServer(batch=2) as server:
+            metrics = server.metrics.tenant("alice")
+            record_chunk = metrics.record_chunk
+
+            def record_then_snapshot(result, seconds):
+                record_chunk(result, seconds)
+                seen.append(server.health()["tenants"]["alice"])
+
+            metrics.record_chunk = record_then_snapshot
+            server.open_session("alice", 16)
+            server.submit("alice", _blocks(4, 16, seed=15))
+        assert len(seen) == 2
+        for tenant in seen:
+            assert tenant["symbols_out"] <= tenant["symbols_in"] == 4
 
 
 class TestLoadGenerator:
