@@ -19,7 +19,6 @@ import pytest
 
 from repro.addressing.epoch import EpochSplit
 from repro.analysis import render_table
-from repro.asip import simulate_fft
 from repro.asip.codegen import generate_fft_program
 from repro.asip.fft_asip import FFTASIP
 from repro.core import ArrayFFT

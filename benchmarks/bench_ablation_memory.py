@@ -13,8 +13,8 @@ Run:  pytest benchmarks/bench_ablation_memory.py --benchmark-only -s
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import render_table
-from repro.asip import simulate_fft
 from repro.baselines import XtensaFFTModel
 from repro.fft import load_store_count
 
@@ -23,7 +23,8 @@ from repro.fft import load_store_count
 def test_memory_traffic_ablation(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    ours = simulate_fft(x).stats
+    with repro.engine(n, backend="asip") as eng:
+        ours = eng.transform(x).stats
     xtensa = XtensaFFTModel(n).simulate()
     standard = load_store_count(n)  # 2 N log2 N single-point ops
 
@@ -49,7 +50,8 @@ def test_cache_latency_sensitivity():
     n = 256
     rng = np.random.default_rng(0)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    free = simulate_fft(x).stats.cycles
+    with repro.engine(n, backend="asip") as eng:
+        free = eng.transform(x).stats.cycles
 
     from repro.asip import FFTASIP, generate_fft_program
 
@@ -70,7 +72,8 @@ def test_bench_ablation(benchmark):
     x = rng.standard_normal(256) + 1j * rng.standard_normal(256)
 
     def run():
-        return simulate_fft(x).stats.loads
+        with repro.engine(256, backend="asip") as eng:
+            return eng.transform(x).stats.loads
 
     loads = benchmark(run)
     assert loads == 256

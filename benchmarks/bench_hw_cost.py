@@ -59,13 +59,14 @@ def test_energy_per_fft():
     """Energy per transform from measured cycles x modelled power."""
     import numpy as np
 
-    from repro.asip import simulate_fft
+    import repro
     from repro.hw import energy_per_fft_nj
 
     rows = []
     for n in (64, 256, 1024):
         x = np.random.default_rng(n).standard_normal(n).astype(complex)
-        cycles = simulate_fft(x).stats.cycles
+        with repro.engine(n, backend="asip") as eng:
+            cycles = eng.transform(x).stats.cycles
         report = energy_per_fft_nj(n, cycles)
         rows.append((
             n, cycles, round(report.time_us, 2),

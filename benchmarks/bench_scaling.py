@@ -75,13 +75,14 @@ def test_cycles_scale_as_n_log_n(wimax_results):
 
 
 def test_bench_2048(benchmark):
-    from repro.asip import simulate_fft
+    import repro
 
     rng = np.random.default_rng(11)
     x = rng.standard_normal(2048) + 1j * rng.standard_normal(2048)
 
     def run():
-        return simulate_fft(x).stats.cycles
+        with repro.engine(2048, backend="asip") as eng:
+            return eng.transform(x).stats.cycles
 
     cycles = benchmark(run)
     assert msamples_per_second(2048, cycles, CLOCK_HZ) > 50

@@ -11,8 +11,8 @@ Run:  pytest benchmarks/bench_table1.py --benchmark-only -s
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import PAPER_TABLE1, render_table, size_sweep, table1_rows
-from repro.asip import simulate_fft
 
 SIZES = [64, 128, 256, 512, 1024]
 
@@ -52,7 +52,8 @@ def test_bench_asip_simulation(benchmark, n):
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
     def run():
-        return simulate_fft(x).stats.cycles
+        with repro.engine(n, backend="asip") as eng:
+            return eng.transform(x).stats.cycles
 
     cycles = benchmark(run)
     assert cycles > 0

@@ -59,7 +59,7 @@ Public API layers underneath the facade:
   issue-width design study (``python -m repro uarch --study``).
 """
 
-from .core import ArrayFFT, array_fft
+from .core import ArrayFFT
 from .core.registry import BackendSpec, UnknownNameError, register_backend
 from .engines import (
     Engine,
@@ -144,7 +144,6 @@ __all__ = [
     "TenantFailed",
     "UnknownTenant",
     "ArrayFFT",
-    "array_fft",
     "telemetry",
     "UarchSpec",
     "UarchResult",

@@ -2,7 +2,7 @@
 
 from .codegen import CodegenLayout, generate_fft_program
 from .fft_asip import FFTASIP, GROUP_SIZE_REG, STOUT_STRIDE_REG, STRIDE_REG
-from .runner import AsipRunResult, simulate_fft
+from .runner import AsipRunResult
 from .streaming import StreamingFFT, StreamStats
 from .throughput import (
     CLOCK_HZ,
@@ -21,7 +21,6 @@ __all__ = [
     "StreamStats",
     "generate_fft_program",
     "CodegenLayout",
-    "simulate_fft",
     "AsipRunResult",
     "CLOCK_HZ",
     "ThroughputReport",

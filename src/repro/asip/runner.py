@@ -1,27 +1,22 @@
-"""End-to-end convenience runner: simulate one FFT on the ASIP.
+"""The record of one simulated FFT run.
 
-:func:`simulate_fft` is the historical entry point and is now a thin
-**deprecation shim** over the unified facade: it builds a fresh
-``backend="asip"`` engine through :func:`repro.engine`, runs one
-transform, and repackages the uniform result as the familiar
-:class:`AsipRunResult` — behaviour (spectra, stats, cycles) is
-unchanged.  New code should use the facade directly.
+:func:`repro.analysis.size_sweep` returns one :class:`AsipRunResult`
+per size: the spectrum, the machine's :class:`SimStats`, the derived
+throughput and the machine itself.  Single transforms run through the
+facade, ``repro.engine(N, backend="asip").transform(x)``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..sim.cache import CacheConfig
-from ..sim.pipeline import PipelineConfig
 from ..sim.stats import SimStats
 from .fft_asip import FFTASIP
-from .throughput import ThroughputReport, throughput_report
+from .throughput import ThroughputReport
 
-__all__ = ["AsipRunResult", "simulate_fft"]
+__all__ = ["AsipRunResult"]
 
 
 @dataclass
@@ -38,39 +33,3 @@ class AsipRunResult:
     def cycles(self) -> int:
         """Total simulated cycles."""
         return self.stats.cycles
-
-
-def simulate_fft(x, fixed_point: bool = False,
-                 cache_config: CacheConfig = None,
-                 pipeline: PipelineConfig = None) -> AsipRunResult:
-    """Run the full ASIP pipeline on input ``x`` and return the result.
-
-    **Deprecated**: delegates to ``repro.engine(N, backend="asip")``.
-    A fresh machine is still built per call, so the returned
-    :class:`SimStats` are absolute for this one run, exactly as before.
-    In fixed-point mode the spectrum is scaled by ``1/N`` (per-stage
-    guard shifts) plus quantisation noise.
-    """
-    warnings.warn(
-        "repro.asip.simulate_fft() is deprecated; use repro.engine(N, "
-        "backend='asip') and Engine.transform(x) instead",
-        DeprecationWarning, stacklevel=2,
-    )
-    from ..engines import engine
-
-    x = np.asarray(x, dtype=complex)
-    n_points = len(x)
-    facade = engine(
-        n_points, backend="asip",
-        precision="q15" if fixed_point else "float",
-        cache_config=cache_config, pipeline=pipeline,
-    )
-    result = facade.transform(x)
-    machine = facade.machine
-    return AsipRunResult(
-        n_points=n_points,
-        spectrum=result.spectrum,
-        stats=machine.stats,
-        throughput=throughput_report(n_points, machine.stats.cycles),
-        asip=machine,
-    )

@@ -54,7 +54,7 @@ from .analysis import (
 from .asip import generate_fft_program
 from .asip.throughput import msamples_per_second, paper_mbps
 from .baselines import PAPER_TABLE2, run_table2
-from .core.registry import backend_names, get_backend
+from .core.registry import UnknownNameError, backend_names
 from .engines import benchmark_backends
 from .engines import engine as build_engine
 from .hw import hardware_report
@@ -432,18 +432,11 @@ def _cmd_bench(sizes: str, symbols: int, backend: str, precision: str,
         size_list = [int(s) for s in sizes.split(",") if s.strip()]
     except ValueError:
         raise SystemExit(f"bad --sizes value {sizes!r}")
-    if backend:
-        try:
-            get_backend(backend)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        names = [backend]
-    else:
-        names = None
     rows = []
     for n in size_list:
         rows.extend(benchmark_backends(
-            n, symbols, precisions=(precision,), backends=names,
+            n, symbols, precisions=(precision,),
+            backends=[backend] if backend else None,
             workers=workers, seed=seed,
         ))
     body = [
@@ -530,13 +523,8 @@ def _scenario_row_table(rows: list, title: str) -> str:
     )
 
 
-def _cmd_run(args) -> str:
-    from .analysis.sweep import scenario_sweep
-    from .core.registry import UnknownNameError
-    from .scenarios import get_scenario, scenario_names
-
-    if args.list:
-        return _scenario_listing()
+def _scenario_overrides(args) -> dict:
+    """The pipeline overrides ``run`` and ``trace`` take from flags."""
     overrides = dict(
         backend=args.backend,
         precision=args.precision,
@@ -545,7 +533,16 @@ def _cmd_run(args) -> str:
         symbols=args.symbols,
         seed=args.seed,
     )
-    overrides = {k: v for k, v in overrides.items() if v is not None}
+    return {k: v for k, v in overrides.items() if v is not None}
+
+
+def _cmd_run(args) -> str:
+    from .analysis.sweep import scenario_sweep
+    from .scenarios import get_scenario, scenario_names
+
+    if args.list:
+        return _scenario_listing()
+    overrides = _scenario_overrides(args)
     if args.all:
         rows = scenario_sweep(**overrides)
         out = _scenario_row_table(rows, "Scenario sweep (pipeline API)")
@@ -555,10 +552,7 @@ def _cmd_run(args) -> str:
                 "run needs a scenario name (or --list / --all); "
                 f"registered: {', '.join(scenario_names())}"
             )
-        try:
-            spec = get_scenario(args.scenario)
-        except UnknownNameError as exc:
-            raise SystemExit(str(exc))
+        spec = get_scenario(args.scenario)
         rows = scenario_sweep(names=[spec.name], **overrides)
         row = rows[0]
         lines = [
@@ -610,28 +604,12 @@ def _cmd_trace(args) -> tuple:
     is reported, not fatal).
     """
     from .analysis.sweep import scenario_sweep
-    from .core.registry import UnknownNameError
     from .scenarios import get_scenario
 
-    try:
-        spec = get_scenario(args.scenario)
-    except UnknownNameError as exc:
-        raise SystemExit(str(exc))
-    try:
-        exporter_spec = telemetry.get_exporter(args.exporter)
-    except UnknownNameError as exc:
-        raise SystemExit(str(exc))
-    overrides = dict(
-        backend=args.backend,
-        precision=args.precision,
-        workers=args.workers,
-        n_points=args.size,
-        symbols=args.symbols,
-        seed=args.seed,
-    )
-    overrides = {k: v for k, v in overrides.items() if v is not None}
+    spec = get_scenario(args.scenario)
+    exporter_spec = telemetry.get_exporter(args.exporter)
     with telemetry.trace(f"trace:{spec.name}") as tracer:
-        rows = scenario_sweep(names=[spec.name], **overrides)
+        rows = scenario_sweep(names=[spec.name], **_scenario_overrides(args))
     extra_events = None
     if args.instructions:
         extra_events = _instruction_timeline(args.instructions)
@@ -700,13 +678,9 @@ def _cmd_verify(args) -> tuple:
         return report.summary(), 0 if report.ok else 1
 
     if args.coexec is not None:
-        from .core.registry import UnknownNameError
         from .scenarios import get_scenario
 
-        try:
-            spec = get_scenario(args.coexec)
-        except UnknownNameError as exc:
-            raise SystemExit(str(exc))
+        spec = get_scenario(args.coexec)
         backends = tuple(
             name.strip() for name in args.backends.split(",") if name.strip()
         )
@@ -789,7 +763,6 @@ def _cmd_serve(args) -> tuple:
 def _cmd_uarch(args) -> tuple:
     """Returns ``(text, exit_code)``; non-zero if the cycle sandwich
     (critical path <= dual-issue <= single-issue) is ever violated."""
-    from .core.registry import UnknownNameError
     from .uarch import (
         critical_path_cycles,
         record_fft_trace,
@@ -802,10 +775,7 @@ def _cmd_uarch(args) -> tuple:
     if n_points is None and args.scenario:
         from .scenarios import get_scenario
 
-        try:
-            n_points = get_scenario(args.scenario).n_points
-        except UnknownNameError as exc:
-            raise SystemExit(str(exc))
+        n_points = get_scenario(args.scenario).n_points
     n_points = n_points or 1024
 
     if args.study:
@@ -882,14 +852,18 @@ def main(argv=None) -> int:
 
     A ``--trace PATH`` flag on ``run`` / ``bench`` / ``serve`` wraps
     the whole command in a fresh tracer and exports the spans as a
-    Chrome trace-event file afterwards.
+    Chrome trace-event file afterwards.  An unknown registry name
+    (scenario, backend, exporter, ...) exits with the registered menu.
     """
     args = build_parser().parse_args(argv)
     trace_path = getattr(args, "trace", "") or ""
-    if not trace_path:
-        return _dispatch(args)
-    with telemetry.trace(args.command) as tracer:
-        code = _dispatch(args)
+    try:
+        if not trace_path:
+            return _dispatch(args)
+        with telemetry.trace(args.command) as tracer:
+            code = _dispatch(args)
+    except UnknownNameError as exc:
+        raise SystemExit(str(exc))
     out = telemetry.get_exporter("chrome-trace").factory().export(
         tracer, Path(trace_path),
     )

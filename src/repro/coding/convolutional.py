@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.registry import UnknownNameError
+from ..core.registry import Registry, UnknownNameError
 
 __all__ = [
     "PUNCTURE_PATTERNS",
@@ -310,46 +310,25 @@ class PuncturedCode:
 
 # Code registry -----------------------------------------------------------
 
-_REGISTRY: dict = {}
-
-
-def register_code(code: ConvolutionalCode, replace: bool = False) -> None:
-    """Register ``code`` under ``code.name`` (loud on duplicates)."""
+def _check_code(name: str, code) -> None:
     if not isinstance(code, ConvolutionalCode):
         raise TypeError(
             f"expected a ConvolutionalCode, got {type(code).__name__}"
         )
-    if not replace and code.name in _REGISTRY:
-        raise ValueError(f"code {code.name!r} is already registered")
-    _REGISTRY[code.name] = code
 
 
-def unregister_code(name: str) -> None:
-    """Remove a code (primarily for tests registering throwaways)."""
-    _REGISTRY.pop(name, None)
+_CODES = Registry("code", _check_code)
 
 
-def get_code(name: str) -> ConvolutionalCode:
-    """Look up a code by name; raises with the registered menu."""
-    code = _REGISTRY.get(name)
-    if code is None:
-        raise UnknownNameError(
-            f"unknown code {name!r}; registered codes: "
-            f"{', '.join(code_names())}"
-        )
-    return code
+def register_code(code: ConvolutionalCode, replace: bool = False) -> None:
+    """Register ``code`` under ``code.name`` (loud on duplicates)."""
+    _CODES.register(code, replace=replace)
 
 
-def code_names() -> list:
-    """Sorted names of every registered code."""
-    return sorted(_REGISTRY)
-
-
-def code_specs() -> dict:
-    """Name-sorted snapshot of the registry (name ->
-    :class:`ConvolutionalCode`), deterministic regardless of
-    registration order."""
-    return {name: _REGISTRY[name] for name in sorted(_REGISTRY)}
+unregister_code = _CODES.unregister
+get_code = _CODES.get
+code_names = _CODES.names
+code_specs = _CODES.specs
 
 
 def resolve_code(code, rate: str = "1/2"):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.registry import UnknownNameError
+from ..core.registry import Registry
 from ..ofdm.modulation import CONSTELLATIONS, Constellation
 
 __all__ = [
@@ -89,46 +89,24 @@ class SoftDemapper:
 
 # Demapper registry -------------------------------------------------------
 
-_REGISTRY: dict = {}
+def _check_demapper(name: str, demapper) -> None:
+    if not hasattr(demapper, "llrs"):
+        raise TypeError(f"demapper for {name!r} has no llrs() method")
+
+
+_DEMAPPERS = Registry("demapper", _check_demapper)
 
 
 def register_demapper(name: str, demapper: SoftDemapper,
                       replace: bool = False) -> None:
     """Register ``demapper`` under ``name`` (loud on duplicates)."""
-    if not hasattr(demapper, "llrs"):
-        raise TypeError(
-            f"demapper for {name!r} has no llrs() method"
-        )
-    if not replace and name in _REGISTRY:
-        raise ValueError(f"demapper {name!r} is already registered")
-    _REGISTRY[name] = demapper
+    _DEMAPPERS.register(demapper, name, replace)
 
 
-def unregister_demapper(name: str) -> None:
-    """Remove a demapper (for tests registering throwaways)."""
-    _REGISTRY.pop(name, None)
-
-
-def get_demapper(name: str) -> SoftDemapper:
-    """Look up a demapper by scheme name; raises with the menu."""
-    demapper = _REGISTRY.get(name)
-    if demapper is None:
-        raise UnknownNameError(
-            f"unknown demapper {name!r}; registered demappers: "
-            f"{', '.join(demapper_names())}"
-        )
-    return demapper
-
-
-def demapper_names() -> list:
-    """Sorted names of every registered demapper."""
-    return sorted(_REGISTRY)
-
-
-def demapper_specs() -> dict:
-    """Name-sorted snapshot of the registry (name -> demapper),
-    deterministic regardless of registration order."""
-    return {name: _REGISTRY[name] for name in sorted(_REGISTRY)}
+unregister_demapper = _DEMAPPERS.unregister
+get_demapper = _DEMAPPERS.get
+demapper_names = _DEMAPPERS.names
+demapper_specs = _DEMAPPERS.specs
 
 
 for _scheme in ("bpsk", "qpsk", "16qam"):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.registry import UnknownNameError
+from ..core.registry import Registry
 
 __all__ = [
     "BlockInterleaver",
@@ -93,43 +93,23 @@ class IdentityInterleaver(BlockInterleaver):
 
 # Interleaver registry ----------------------------------------------------
 
-_REGISTRY: dict = {}
+def _check_interleaver(name: str, factory) -> None:
+    if not callable(factory):
+        raise TypeError(f"interleaver factory for {name!r} is not callable")
+
+
+_INTERLEAVERS = Registry("interleaver", _check_interleaver)
 
 
 def register_interleaver(name: str, factory, replace: bool = False) -> None:
     """Register ``factory(n, **params)`` under ``name``."""
-    if not callable(factory):
-        raise TypeError(f"interleaver factory for {name!r} is not callable")
-    if not replace and name in _REGISTRY:
-        raise ValueError(f"interleaver {name!r} is already registered")
-    _REGISTRY[name] = factory
+    _INTERLEAVERS.register(factory, name, replace)
 
 
-def unregister_interleaver(name: str) -> None:
-    """Remove an interleaver (for tests registering throwaways)."""
-    _REGISTRY.pop(name, None)
-
-
-def get_interleaver(name: str):
-    """Look up an interleaver factory; raises with the registered menu."""
-    factory = _REGISTRY.get(name)
-    if factory is None:
-        raise UnknownNameError(
-            f"unknown interleaver {name!r}; registered interleavers: "
-            f"{', '.join(interleaver_names())}"
-        )
-    return factory
-
-
-def interleaver_names() -> list:
-    """Sorted names of every registered interleaver."""
-    return sorted(_REGISTRY)
-
-
-def interleaver_specs() -> dict:
-    """Name-sorted snapshot of the registry (name -> factory),
-    deterministic regardless of registration order."""
-    return {name: _REGISTRY[name] for name in sorted(_REGISTRY)}
+unregister_interleaver = _INTERLEAVERS.unregister
+get_interleaver = _INTERLEAVERS.get
+interleaver_names = _INTERLEAVERS.names
+interleaver_specs = _INTERLEAVERS.specs
 
 
 def build_interleaver(name: str, n: int, **params):

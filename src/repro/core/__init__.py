@@ -1,6 +1,6 @@
 """The paper's core contribution: the scalable array-structured FFT."""
 
-from .array_fft import ArrayFFT, array_fft
+from .array_fft import ArrayFFT
 from .breaker import CircuitBreaker
 from .butterfly import BUOperands, ButterflyUnit, radix2_butterfly
 from .compiled import CompiledArrayFFT, CompiledStage
@@ -20,7 +20,6 @@ from .schedule import BUOp, horizontal_schedule, interleaved_schedule
 
 __all__ = [
     "ArrayFFT",
-    "array_fft",
     "ShardedEngine",
     "CircuitBreaker",
     "available_workers",

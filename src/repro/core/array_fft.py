@@ -27,7 +27,7 @@ from .compiled import CompiledArrayFFT
 from .fixed_point import FixedPointContext, quantize
 from .plan import ArrayFFTPlan, EpochPlan, build_plan
 
-__all__ = ["ArrayFFT", "array_fft"]
+__all__ = ["ArrayFFT"]
 
 
 class _ExactPreRotation:
@@ -259,35 +259,3 @@ class ArrayFFT:
             "but4": self.plan.total_but4,
             "prerotation": self.plan.prerotation_ops,
         }
-
-
-def array_fft(x, fixed_point: bool = False, workers: int = None) -> np.ndarray:
-    """One-shot wrapper — **deprecated**, delegates to :func:`repro.engine`.
-
-    Accepts a single N-point vector or an ``(n_symbols, N)`` batch and
-    returns the bare spectrum array, exactly as it always did; the work
-    now runs through the unified facade's cached engines (``compiled``,
-    or ``sharded`` when ``workers >= 2`` on a batch, with the usual
-    serial fallback).  New code should call ``repro.engine(...)``
-    directly and use the richer :class:`~repro.engines.TransformResult`.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.array_fft() is deprecated; use repro.engine(N, "
-        "backend='compiled').transform(x) (or backend='sharded' with "
-        "workers) instead",
-        DeprecationWarning, stacklevel=2,
-    )
-    from ..engines import shared_engine
-
-    x = np.asarray(x, dtype=complex)
-    precision = "q15" if fixed_point else "float"
-    if x.ndim == 2:
-        if workers is not None and workers >= 2:
-            facade = shared_engine(x.shape[1], backend="sharded",
-                                   precision=precision, workers=workers)
-        else:
-            facade = shared_engine(x.shape[1], precision=precision)
-        return facade.transform_many(x).spectrum
-    return shared_engine(len(x), precision=precision).transform(x).spectrum

@@ -178,20 +178,6 @@ class ShardedEngine:
         return self.breaker.state != CircuitBreaker.CLOSED
 
     @property
-    def _pool_broken(self) -> bool:
-        # Compatibility spelling of "the breaker is not closed" — older
-        # callers (and the fault-injection hooks) read and write this
-        # flag directly.
-        return self.degraded
-
-    @_pool_broken.setter
-    def _pool_broken(self, value: bool) -> None:
-        if value:
-            self.breaker.force_open("marked broken")
-        else:
-            self.breaker.reset()
-
-    @property
     def n_points(self) -> int:
         """FFT size N."""
         return self.engine.n_points

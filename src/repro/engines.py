@@ -57,7 +57,6 @@ __all__ = [
     "Engine",
     "TransformResult",
     "engine",
-    "shared_engine",
     "concat_results",
     "benchmark_backends",
     "normalize_precision",
@@ -683,34 +682,6 @@ def benchmark_backends(n_points: int, symbols: int,
                 "overflow": result.overflow_count,
             })
     return rows
-
-
-# One-shot wrappers (array_fft & friends) reuse engines across calls:
-# plan compilation, pre-rotation stores and worker pools are expensive,
-# and FFT sizes are powers of two so the cache stays tiny.
-_SHARED_CACHE: dict = {}
-_SHARED_CACHE_LIMIT = 32
-
-
-def shared_engine(n_points: int, backend: str = "compiled",
-                  precision: str = "float", workers: int = None) -> Engine:
-    """A cached facade engine keyed on ``(N, backend, precision, workers)``.
-
-    Used by the one-shot deprecation shims; long-lived callers should
-    own their engine via :func:`engine` (and its context manager).
-    """
-    resolved = normalize_precision(precision)
-    key = (n_points, backend, resolved, workers)
-    cached = _SHARED_CACHE.get(key)
-    if cached is None:
-        if len(_SHARED_CACHE) >= _SHARED_CACHE_LIMIT:
-            for old in _SHARED_CACHE.values():
-                old.close()
-            _SHARED_CACHE.clear()
-        cached = _SHARED_CACHE[key] = engine(
-            n_points, backend=backend, precision=resolved, workers=workers
-        )
-    return cached
 
 
 # Built-in backend registration --------------------------------------------

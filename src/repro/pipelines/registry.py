@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.registry import UnknownNameError
+from ..core.registry import Registry
 
 __all__ = [
     "DATA_KINDS",
@@ -69,51 +69,38 @@ class StageSpec:
     description: str = ""
 
 
-_REGISTRY: dict = {}
-
-
-def register_stage(spec: StageSpec, replace: bool = False) -> None:
-    """Register ``spec`` under ``spec.name`` (loud on duplicates)."""
+def _check_stage(name: str, spec) -> None:
     if not isinstance(spec, StageSpec):
         raise TypeError(f"expected a StageSpec, got {type(spec).__name__}")
-    if not replace and spec.name in _REGISTRY:
-        raise ValueError(f"stage {spec.name!r} is already registered")
     for attr in ("consumes", "produces"):
         kind = getattr(spec, attr)
         valid = DATA_KINDS + (("any",) if attr == "consumes" else ("same",))
         if kind not in valid:
             raise ValueError(
-                f"stage {spec.name!r} declares unknown {attr} kind "
+                f"stage {name!r} declares unknown {attr} kind "
                 f"{kind!r}; valid kinds are {list(valid)}"
             )
-    _REGISTRY[spec.name] = spec
 
 
-def unregister_stage(name: str) -> None:
-    """Remove a stage (primarily for tests registering throwaways)."""
-    _REGISTRY.pop(name, None)
-
-
-def _bootstrap() -> None:
-    """Load the built-in stages (registered on import): the OFDM chain
-    from :mod:`.stages` and the coded chain from
-    :mod:`repro.coding.stages`."""
-    from . import stages  # noqa: F401  (registers on import)
+def _load_stages() -> None:
+    # The built-in stages register on import: the OFDM chain from
+    # .stages and the coded chain from repro.coding.stages.
+    from . import stages  # noqa: F401
     from ..coding import stages as coding_stages  # noqa: F401
 
 
-def get_stage(name: str) -> StageSpec:
-    """Look up a stage by name; raises with the registered menu."""
-    spec = _REGISTRY.get(name)
-    if spec is None:
-        _bootstrap()
-        spec = _REGISTRY.get(name)
-    if spec is None:
-        raise UnknownNameError(
-            f"unknown stage {name!r}; registered stages: "
-            f"{', '.join(stage_names())}"
-        )
-    return spec
+_STAGES = Registry("stage", _check_stage, _load_stages)
+
+
+def register_stage(spec: StageSpec, replace: bool = False) -> None:
+    """Register ``spec`` under ``spec.name`` (loud on duplicates)."""
+    _STAGES.register(spec, replace=replace)
+
+
+unregister_stage = _STAGES.unregister
+get_stage = _STAGES.get
+stage_names = _STAGES.names
+stage_specs = _STAGES.specs
 
 
 def build_stage(name: str, **params):
@@ -129,21 +116,3 @@ def build_stage(name: str, **params):
         if getattr(stage, attr, None) is None:
             setattr(stage, attr, value)
     return stage
-
-
-def stage_names() -> list:
-    """Sorted names of every registered stage."""
-    if not _REGISTRY:
-        _bootstrap()
-    return sorted(_REGISTRY)
-
-
-def stage_specs() -> dict:
-    """Name-sorted snapshot of the registry (name -> :class:`StageSpec`).
-
-    Sorted so listings, error menus and their tests are deterministic
-    regardless of registration (import) order.
-    """
-    if not _REGISTRY:
-        _bootstrap()
-    return {name: _REGISTRY[name] for name in sorted(_REGISTRY)}

@@ -42,11 +42,11 @@ spec under a new name and it is immediately reachable from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core.registry import UnknownNameError
+from .core.registry import Registry
 from .ofdm.channel import MultipathChannel
 from .pipelines import (
     CODED_OFDM_CHAIN,
@@ -126,45 +126,25 @@ class ScenarioSpec:
         return Pipeline(n_points, stages, **options)
 
 
-_REGISTRY: dict = {}
-
-
-def register_scenario(spec: ScenarioSpec, replace: bool = False) -> None:
-    """Register ``spec`` under ``spec.name`` (loud on duplicates)."""
+def _check_scenario(name: str, spec) -> None:
     if not isinstance(spec, ScenarioSpec):
         raise TypeError(
             f"expected a ScenarioSpec, got {type(spec).__name__}"
         )
-    if not replace and spec.name in _REGISTRY:
-        raise ValueError(f"scenario {spec.name!r} is already registered")
-    _REGISTRY[spec.name] = spec
 
 
-def unregister_scenario(name: str) -> None:
-    """Remove a scenario (primarily for tests registering throwaways)."""
-    _REGISTRY.pop(name, None)
+_SCENARIOS = Registry("scenario", _check_scenario)
 
 
-def get_scenario(name: str) -> ScenarioSpec:
-    """Look up a scenario by name; raises with the registered menu."""
-    spec = _REGISTRY.get(name)
-    if spec is None:
-        raise UnknownNameError(
-            f"unknown scenario {name!r}; registered scenarios: "
-            f"{', '.join(scenario_names())}"
-        )
-    return spec
+def register_scenario(spec: ScenarioSpec, replace: bool = False) -> None:
+    """Register ``spec`` under ``spec.name`` (loud on duplicates)."""
+    _SCENARIOS.register(spec, replace=replace)
 
 
-def scenario_names() -> list:
-    """Sorted names of every registered scenario."""
-    return sorted(_REGISTRY)
-
-
-def scenario_specs() -> dict:
-    """Name-sorted snapshot of the registry (name -> :class:`ScenarioSpec`),
-    deterministic regardless of registration order."""
-    return {name: _REGISTRY[name] for name in sorted(_REGISTRY)}
+unregister_scenario = _SCENARIOS.unregister
+get_scenario = _SCENARIOS.get
+scenario_names = _SCENARIOS.names
+scenario_specs = _SCENARIOS.specs
 
 
 def build_scenario(name: str, **overrides) -> Pipeline:

@@ -32,7 +32,7 @@ from .errors import (
     UnknownTenant,
 )
 from .loadgen import run_load
-from .metrics import MetricsRegistry, TenantMetrics, percentile
+from .metrics import MetricsRegistry, TenantMetrics
 from .pool import EngineLease, EnginePool
 from .server import SessionServer, TenantState
 
@@ -43,7 +43,6 @@ __all__ = [
     "EngineLease",
     "MetricsRegistry",
     "TenantMetrics",
-    "percentile",
     "run_load",
     "ServeError",
     "ServerClosed",

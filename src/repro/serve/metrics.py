@@ -14,10 +14,10 @@ import threading
 import time
 
 # The quantile rule and the latency window live in the shared metrics
-# core now; ``percentile`` stays re-exported here for compatibility.
+# core (repro.telemetry).
 from ..telemetry.metrics import Histogram, percentile
 
-__all__ = ["TenantMetrics", "MetricsRegistry", "percentile"]
+__all__ = ["TenantMetrics", "MetricsRegistry"]
 
 
 class TenantMetrics:

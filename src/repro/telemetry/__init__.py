@@ -24,7 +24,7 @@ Submodules:
 * :mod:`repro.telemetry.spans`   — the tracer (thread-local context,
   cross-thread :func:`attach`, the no-op disabled path);
 * :mod:`repro.telemetry.metrics` — counters, histograms and the
-  nearest-rank :func:`percentile` the serve tier re-exports;
+  nearest-rank :func:`percentile` the serve tier uses;
 * :mod:`repro.telemetry.export`  — the exporter registry
   (``chrome-trace`` / ``jsonl`` / ``console``) + trace validation;
 * :mod:`repro.telemetry.regress` — span aggregates vs the

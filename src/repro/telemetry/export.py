@@ -13,8 +13,8 @@ plain span list):
 * ``console`` — an aggregated text tree (count / total / mean per span
   name, nested by parentage) for terminal use.
 
-The registry mirrors the other six (:mod:`repro.core.registry` et al.):
-``register_exporter`` / ``get_exporter`` raising
+The registry is a :class:`~repro.core.registry.Registry` like the
+other seven: ``register_exporter`` / ``get_exporter`` raising
 :class:`~repro.core.registry.UnknownNameError` with the sorted menu /
 ``exporter_names`` / name-sorted ``exporter_specs``.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from ..core.registry import UnknownNameError
+from ..core.registry import Registry
 
 __all__ = [
     "ExporterSpec",
@@ -294,44 +294,25 @@ class ExporterSpec:
     description: str = ""
 
 
-_REGISTRY: dict = {}
-
-
-def register_exporter(spec: ExporterSpec, replace: bool = False) -> None:
-    """Register ``spec`` under ``spec.name`` (loud on shadowing)."""
+def _check_exporter(name: str, spec) -> None:
     if not isinstance(spec, ExporterSpec):
         raise TypeError(
             f"expected an ExporterSpec, got {type(spec).__name__}"
         )
-    if not replace and spec.name in _REGISTRY:
-        raise ValueError(f"exporter {spec.name!r} is already registered")
-    _REGISTRY[spec.name] = spec
 
 
-def unregister_exporter(name: str) -> None:
-    """Remove an exporter (primarily for tests registering throwaways)."""
-    _REGISTRY.pop(name, None)
+_EXPORTERS = Registry("exporter", _check_exporter)
 
 
-def get_exporter(name: str) -> ExporterSpec:
-    """Look up an exporter by name; unknown names get the sorted menu."""
-    spec = _REGISTRY.get(name)
-    if spec is None:
-        raise UnknownNameError(
-            f"unknown exporter {name!r}; registered exporters: "
-            f"{', '.join(exporter_names())}"
-        )
-    return spec
+def register_exporter(spec: ExporterSpec, replace: bool = False) -> None:
+    """Register ``spec`` under ``spec.name`` (loud on shadowing)."""
+    _EXPORTERS.register(spec, replace=replace)
 
 
-def exporter_names() -> list:
-    """Sorted names of every registered exporter."""
-    return sorted(_REGISTRY)
-
-
-def exporter_specs() -> dict:
-    """Name-sorted snapshot of the registry (name -> ExporterSpec)."""
-    return {name: _REGISTRY[name] for name in sorted(_REGISTRY)}
+unregister_exporter = _EXPORTERS.unregister
+get_exporter = _EXPORTERS.get
+exporter_names = _EXPORTERS.names
+exporter_specs = _EXPORTERS.specs
 
 
 register_exporter(ExporterSpec(

@@ -1,8 +1,8 @@
 """Shared metrics core: counters, histograms and the percentile rule.
 
 This is the single home of the nearest-rank :func:`percentile` the
-serving tier's quantiles are built on (``repro.serve.metrics``
-re-exports it), plus two small thread-safe primitives:
+serving tier's quantiles are built on, plus two small thread-safe
+primitives:
 
 * :class:`Counter` — a monotonic counter behind one lock;
 * :class:`Histogram` — a rolling window of float samples with

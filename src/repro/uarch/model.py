@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import telemetry
-from ..core.registry import UnknownNameError
+from ..core.registry import Registry
 from ..sim.cache import CacheConfig, DataCache
 from ..sim.pipeline import PipelineConfig
 from .hazards import Scoreboard, dataflow_critical_path
@@ -113,84 +113,54 @@ class UarchResult:
 
 # --- the eighth name registry ---------------------------------------------
 
-_REGISTRY: dict = {}
-_BOOTSTRAPPED = False
+
+def _check_uarch(name: str, spec) -> None:
+    if not isinstance(spec, UarchSpec):
+        raise TypeError(f"expected a UarchSpec, got {type(spec).__name__}")
+
+
+_UARCHS = Registry("uarch config", _check_uarch)
 
 
 def register_uarch(spec: UarchSpec, replace: bool = False) -> None:
     """Register ``spec`` under ``spec.name`` (loud on duplicates)."""
-    if not isinstance(spec, UarchSpec):
-        raise TypeError(f"expected a UarchSpec, got {type(spec).__name__}")
-    _bootstrap()
-    if not replace and spec.name in _REGISTRY:
-        raise ValueError(f"uarch config {spec.name!r} is already registered")
-    _REGISTRY[spec.name] = spec
+    _UARCHS.register(spec, replace=replace)
 
 
-def unregister_uarch(name: str) -> None:
-    """Remove a config (primarily for tests registering throwaways)."""
-    _REGISTRY.pop(name, None)
+unregister_uarch = _UARCHS.unregister
+get_uarch = _UARCHS.get
+uarch_names = _UARCHS.names
+uarch_specs = _UARCHS.specs
 
-
-def _bootstrap() -> None:
-    """Register the built-in presets on first use."""
-    global _BOOTSTRAPPED
-    if _BOOTSTRAPPED:
-        return
-    _BOOTSTRAPPED = True
-    for preset in (
-        UarchSpec(
-            "base-300mhz",
-            "the oracle's single-issue timing as a preset: default "
-            "pipeline penalties, cache counted but never stalling",
-            charge_cache=False,
+for _preset in (
+    UarchSpec(
+        "base-300mhz",
+        "the oracle's single-issue timing as a preset: default "
+        "pipeline penalties, cache counted but never stalling",
+        charge_cache=False,
+    ),
+    UarchSpec(
+        "no-interlock",
+        "idealised single issue: no branch/load-use/multiply "
+        "penalties, non-blocking cache",
+        pipeline=PipelineConfig(
+            branch_penalty=0, load_use_stall=0, mul_extra=0
         ),
-        UarchSpec(
-            "no-interlock",
-            "idealised single issue: no branch/load-use/multiply "
-            "penalties, non-blocking cache",
-            pipeline=PipelineConfig(
-                branch_penalty=0, load_use_stall=0, mul_extra=0
-            ),
-            charge_cache=False,
-        ),
-        UarchSpec(
-            "single-issue",
-            "one instruction per cycle with a blocking data cache "
-            "(the study baseline)",
-        ),
-        UarchSpec(
-            "dual-issue",
-            "two instructions per cycle across alu/mul/lsu/bu units "
-            "(AGU beside BUT4, LDIN/STOUT beside BUT4), blocking cache",
-            issue_width=2,
-        ),
-    ):
-        _REGISTRY.setdefault(preset.name, preset)
-
-
-def get_uarch(name: str) -> UarchSpec:
-    """Look up a uarch config by name; raises with the sorted menu."""
-    _bootstrap()
-    spec = _REGISTRY.get(name)
-    if spec is None:
-        raise UnknownNameError(
-            f"unknown uarch config {name!r}; registered uarch configs: "
-            f"{', '.join(uarch_names())}"
-        )
-    return spec
-
-
-def uarch_names() -> list:
-    """Sorted names of every registered uarch config."""
-    _bootstrap()
-    return sorted(_REGISTRY)
-
-
-def uarch_specs() -> dict:
-    """Name-sorted snapshot of the registry (name -> :class:`UarchSpec`)."""
-    _bootstrap()
-    return {name: _REGISTRY[name] for name in sorted(_REGISTRY)}
+        charge_cache=False,
+    ),
+    UarchSpec(
+        "single-issue",
+        "one instruction per cycle with a blocking data cache "
+        "(the study baseline)",
+    ),
+    UarchSpec(
+        "dual-issue",
+        "two instructions per cycle across alu/mul/lsu/bu units "
+        "(AGU beside BUT4, LDIN/STOUT beside BUT4), blocking cache",
+        issue_width=2,
+    ),
+):
+    register_uarch(_preset, replace=True)
 
 
 # --- timing ----------------------------------------------------------------

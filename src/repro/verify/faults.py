@@ -244,9 +244,9 @@ def pool_failure(sharded, exc: Exception = None):
             pass
 
     saved_pool = sharded._pool
-    saved_broken = sharded._pool_broken
+    saved_degraded = sharded.degraded
     sharded._pool = _ExplodingPool()
-    sharded._pool_broken = False
+    sharded.breaker.reset()
     try:
         yield InjectedFault(
             kind="pool-failure",
@@ -254,13 +254,11 @@ def pool_failure(sharded, exc: Exception = None):
             location={"error": repr(error)},
         )
     finally:
-        if sharded._pool is not None and not isinstance(
-                sharded._pool, _ExplodingPool):
-            pass  # engine replaced the pool itself; leave it alone
-        else:
-            sharded._pool = saved_pool if not sharded._pool_broken else None
-        if not sharded._pool_broken:
-            sharded._pool_broken = saved_broken
+        # A pool the engine built itself stays; otherwise restore.
+        if sharded._pool is None or isinstance(sharded._pool, _ExplodingPool):
+            sharded._pool = None if sharded.degraded else saved_pool
+        if saved_degraded and not sharded.degraded:
+            sharded.breaker.force_open("marked broken")
 
 
 @contextmanager

@@ -3,6 +3,11 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.registry import backend_names
+from repro.scenarios import scenario_names
+from repro.telemetry import exporter_names
+
+BOGUS = "definitely-not-registered"
 
 
 class TestParser:
@@ -188,3 +193,27 @@ class TestUarch:
         for row in rows:
             assert row["floor_cycles"] <= row["cycles"]
             assert row["energy_uj"] > 0
+
+
+class TestUnknownNames:
+    """``main()`` turns every unknown registry name into one exit path:
+    the registry's own message, sorted menu included."""
+
+    @pytest.mark.parametrize("argv,noun,names", [
+        (["run", BOGUS], "scenario", scenario_names),
+        (["trace", BOGUS], "scenario", scenario_names),
+        (["trace", "spectral", "--exporter", BOGUS], "exporter",
+         exporter_names),
+        (["verify", "--coexec", BOGUS], "scenario", scenario_names),
+        (["uarch", BOGUS], "scenario", scenario_names),
+        (["bench", "--sizes", "16", "--backend", BOGUS, "--record", ""],
+         "backend", backend_names),
+    ], ids=["run", "trace", "trace-exporter", "verify-coexec", "uarch",
+            "bench"])
+    def test_unknown_name_exits_with_menu(self, argv, noun, names):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert str(excinfo.value) == (
+            f"unknown {noun} {BOGUS!r}; registered {noun}s: "
+            f"{', '.join(names())}"
+        )

@@ -38,9 +38,10 @@ class TestOpCounts:
         epochs)."""
         import numpy as np
 
-        from repro.asip import simulate_fft
+        import repro
 
-        result = simulate_fft(np.ones(128, dtype=complex))
+        with repro.engine(128, backend="asip") as eng:
+            result = eng.transform(np.ones(128, dtype=complex))
         assert result.stats.custom_ops["ldin"] == 128
 
 

@@ -10,9 +10,9 @@ instructions with the same statistics as the step interpreter.
 import numpy as np
 import pytest
 
+import repro
 from repro.addressing.coefficients import PreRotationStore
-from repro.core import ArrayFFT, array_fft
-from repro.engines import _SHARED_CACHE
+from repro.core import ArrayFFT
 from repro.core.fixed_point import (
     FixedPointContext,
     quantize,
@@ -166,25 +166,14 @@ class TestLookupMany:
 
 
 class TestEngineCache:
-    def test_one_shot_wrapper_reuses_engines(self):
-        _SHARED_CACHE.clear()
-        x = random_vector(64, seed=3)
-        first = array_fft(x)
-        key = (64, "compiled", "float", None)
-        assert key in _SHARED_CACHE
-        engine = _SHARED_CACHE[key]
-        second = array_fft(x)
-        assert _SHARED_CACHE[key] is engine
-        assert np.allclose(first, second)
-        array_fft(x * 0.2, fixed_point=True)
-        assert (64, "compiled", "q15", None) in _SHARED_CACHE
-        assert len(_SHARED_CACHE) == 2
-
     def test_cached_results_still_correct(self):
-        _SHARED_CACHE.clear()
-        for seed in range(3):
-            x = random_vector(32, seed=seed)
-            assert np.allclose(array_fft(x), np.fft.fft(x), atol=1e-9)
+        # One engine reused across inputs keeps its compiled plan.
+        with repro.engine(32) as eng:
+            for seed in range(3):
+                x = random_vector(32, seed=seed)
+                assert np.allclose(
+                    eng.transform(x).spectrum, np.fft.fft(x), atol=1e-9
+                )
 
 
 class TestPredecodedMachine:

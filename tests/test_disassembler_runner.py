@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from repro.asip import generate_fft_program, simulate_fft
+from repro.analysis import size_sweep
+from repro.asip import generate_fft_program
 from repro.isa import encode_program
 from repro.isa.disassembler import disassemble, disassemble_word
 
@@ -55,8 +56,7 @@ class TestDisassembler:
 
 class TestRunResult:
     def test_result_fields(self):
-        x = np.random.default_rng(0).standard_normal(16).astype(complex)
-        result = simulate_fft(x)
+        result = size_sweep([16])[16]
         assert result.n_points == 16
         assert result.cycles == result.stats.cycles
         assert result.throughput.n_points == 16

@@ -1,13 +1,10 @@
-"""The unified facade: registry, backend parity, shims, lifecycle.
+"""The unified facade: registry, backend parity, lifecycle.
 
 The load-bearing guarantee: every registered backend, fed identical
 vectors through the *same* uniform API, produces bit-identical Q1.15
 spectra (overflow counts included) and float spectra within rounding
-noise — so callers can swap backends freely and the old entry points
-can delegate without behaviour change.
+noise — so callers can swap backends freely.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -266,56 +263,6 @@ class TestLifecycle:
                 eng.transform(np.zeros(16))
             with pytest.raises(ValueError):
                 eng.transform_many(np.zeros((2, 16)))
-
-
-class TestDeprecationShims:
-    def test_array_fft_warns_and_matches_facade(self):
-        x = random_blocks(1, 64, seed=11)[0]
-        with repro.engine(64) as eng:
-            want = eng.transform(x).spectrum
-        with pytest.warns(DeprecationWarning, match="repro.engine"):
-            got = repro.array_fft(x)
-        assert np.array_equal(got, want)
-
-    def test_array_fft_fixed_point_bit_identical(self):
-        x = random_blocks(1, 64, seed=12, scale=0.3)[0]
-        with repro.engine(64, precision="q15") as eng:
-            want = eng.transform(x).spectrum
-        with pytest.warns(DeprecationWarning):
-            got = repro.array_fft(x, fixed_point=True)
-        assert np.array_equal(got, want)
-
-    def test_array_fft_batch_and_workers(self):
-        blocks = random_blocks(8, 32, seed=13)
-        with pytest.warns(DeprecationWarning):
-            serial = repro.array_fft(blocks)
-        with pytest.warns(DeprecationWarning):
-            sharded = repro.array_fft(blocks, workers=2)
-        assert np.array_equal(serial, sharded)
-
-    def test_simulate_fft_warns_with_unchanged_behaviour(self):
-        from repro.asip import simulate_fft
-
-        x = random_blocks(1, 64, seed=14)[0]
-        with pytest.warns(DeprecationWarning, match="repro.engine"):
-            result = simulate_fft(x)
-        with repro.engine(64, backend="asip") as eng:
-            facade = eng.transform(x)
-        # Fresh machine per shim call: absolute stats equal the delta.
-        assert np.array_equal(result.spectrum, facade.spectrum)
-        assert result.stats.as_dict() == facade.stats.as_dict()
-        assert result.cycles == facade.total_cycles
-        assert result.asip.n_points == 64
-
-    def test_simulate_fft_q15_bit_identical(self):
-        from repro.asip import simulate_fft
-
-        x = random_blocks(1, 32, seed=15, scale=0.25)[0]
-        with pytest.warns(DeprecationWarning):
-            result = simulate_fft(x, fixed_point=True)
-        with repro.engine(32, backend="asip", precision="q15") as eng:
-            facade = eng.transform(x)
-        assert np.array_equal(result.spectrum, facade.spectrum)
 
 
 class TestOfdmLinkOnFacade:

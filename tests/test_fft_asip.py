@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.asip import (
-    FFTASIP,
-    GROUP_SIZE_REG,
-    generate_fft_program,
-    simulate_fft,
-)
+import repro
+from repro.asip import FFTASIP, GROUP_SIZE_REG, generate_fft_program, paper_mbps
 from repro.isa import Opcode, ProgramBuilder
 from repro.sim.errors import SimulationError
 
@@ -19,24 +15,34 @@ def random_vector(n, seed):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def run_asip(x, precision="float"):
+    """One transform on a fresh instruction-level engine.
+
+    Returns ``(result, machine)``; on a fresh machine the result's stats
+    delta is the whole run.
+    """
+    with repro.engine(len(x), backend="asip", precision=precision) as eng:
+        return eng.transform(x), eng.machine
+
+
 class TestEndToEnd:
     @given(st.sampled_from([8, 16, 32, 64, 128, 256]),
            st.integers(0, 1000))
     @settings(deadline=None, max_examples=12)
     def test_spectrum_matches_numpy(self, n, seed):
         x = random_vector(n, seed)
-        result = simulate_fft(x)
+        result, _ = run_asip(x)
         assert np.allclose(result.spectrum, np.fft.fft(x), atol=1e-8 * n)
 
     def test_1024_point(self):
         x = random_vector(1024, 42)
-        result = simulate_fft(x)
+        result, _ = run_asip(x)
         assert np.allclose(result.spectrum, np.fft.fft(x), atol=1e-6)
 
     def test_fixed_point_mode(self):
         n = 64
         x = random_vector(n, 7) * 0.2
-        result = simulate_fft(x, fixed_point=True)
+        result, _ = run_asip(x, precision="q15")
         reference = np.fft.fft(x) / n
         from repro.core import snr_db
 
@@ -46,15 +52,15 @@ class TestEndToEnd:
 class TestStatistics:
     def test_custom_op_counts_match_plan(self):
         x = random_vector(256, 1)
-        result = simulate_fft(x)
-        plan = result.asip.plan
+        result, machine = run_asip(x)
+        plan = machine.plan
         ops = result.stats.custom_ops
         assert ops["ldin"] == plan.total_ldin == 256
         assert ops["stout"] == plan.total_stout == 256
         assert ops["but4"] == plan.total_but4
 
     def test_ldin_stout_count_as_loads_stores(self):
-        result = simulate_fft(random_vector(64, 2))
+        result, _ = run_asip(random_vector(64, 2))
         assert result.stats.loads == 64
         assert result.stats.stores == 64
 
@@ -62,7 +68,7 @@ class TestStatistics:
         """Within 15% of every published Table I row."""
         paper = {64: 197, 128: 402, 256: 851, 512: 1828, 1024: 4168}
         for n, expected in paper.items():
-            result = simulate_fft(random_vector(n, n))
+            result, _ = run_asip(random_vector(n, n))
             assert abs(result.stats.cycles - expected) / expected < 0.15, (
                 n, result.stats.cycles
             )
@@ -71,13 +77,13 @@ class TestStatistics:
         """Table I's qualitative claim."""
         rates = []
         for n in (64, 128, 256, 512, 1024):
-            result = simulate_fft(random_vector(n, n))
-            rates.append(result.throughput.mbps_paper_convention)
+            result, _ = run_asip(random_vector(n, n))
+            rates.append(paper_mbps(n, result.stats.cycles))
         assert rates == sorted(rates, reverse=True)
 
     def test_bu_op_count(self):
-        result = simulate_fft(random_vector(64, 3))
-        assert result.asip.bu.op_count == result.asip.plan.total_but4
+        _, machine = run_asip(random_vector(64, 3))
+        assert machine.bu.op_count == machine.plan.total_but4
 
 
 class TestCustomOpSemantics:
@@ -151,7 +157,7 @@ class TestProgramShape:
     def test_non_square_sizes_work(self):
         for n in (8, 32, 128, 512, 2048):
             x = random_vector(n, n)
-            result = simulate_fft(x)
+            result, _ = run_asip(x)
             assert np.allclose(
                 result.spectrum, np.fft.fft(x), atol=1e-7 * n
             )

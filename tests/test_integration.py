@@ -8,7 +8,8 @@ stack at once.
 import numpy as np
 import pytest
 
-from repro.asip import FFTASIP, generate_fft_program, simulate_fft
+import repro
+from repro.asip import FFTASIP, generate_fft_program
 from repro.core import ArrayFFT
 from repro.fft import cached_fft
 from repro.isa import Program, decode, encode
@@ -24,7 +25,8 @@ class TestThreeLevelAgreement:
     def test_algorithm_equals_asip_equals_numpy(self, n):
         x = random_vector(n, n)
         algorithm = ArrayFFT(n).transform(x)
-        asip = simulate_fft(x).spectrum
+        with repro.engine(n, backend="asip") as eng:
+            asip = eng.transform(x).spectrum
         reference = np.fft.fft(x)
         assert np.allclose(algorithm, reference, atol=1e-9 * n)
         assert np.allclose(asip, reference, atol=1e-9 * n)
@@ -50,7 +52,8 @@ class TestThreeLevelAgreement:
         n = 64
         x = random_vector(n, 5) * 0.2
         algorithm = ArrayFFT(n, fixed_point=True).transform(x)
-        asip = simulate_fft(x, fixed_point=True).spectrum
+        with repro.engine(n, backend="asip", precision="q15") as eng:
+            asip = eng.transform(x).spectrum
         assert np.allclose(asip, algorithm, atol=2e-4)
 
 
@@ -96,11 +99,12 @@ class TestSystemLevel:
         assert result.fft_cycles > 0
 
     def test_back_to_back_symbols_are_independent(self):
-        """Repeated ASIP runs on one machine family stay correct (no
-        state leaks between symbols)."""
+        """Repeated ASIP runs on one machine stay correct (no state
+        leaks between symbols)."""
         n = 32
-        for seed in range(4):
-            x = random_vector(n, seed)
-            assert np.allclose(
-                simulate_fft(x).spectrum, np.fft.fft(x), atol=1e-9
-            )
+        with repro.engine(n, backend="asip") as eng:
+            for seed in range(4):
+                x = random_vector(n, seed)
+                assert np.allclose(
+                    eng.transform(x).spectrum, np.fft.fft(x), atol=1e-9
+                )

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from repro.asip.streaming import StreamingFFT
-from repro.core import ArrayFFT, CircuitBreaker, ShardedEngine, array_fft, \
-    stream_sharded
-from repro.engines import _SHARED_CACHE
+from repro.core import ArrayFFT, CircuitBreaker, ShardedEngine, stream_sharded
 from repro.core.parallel import available_workers
 from repro.ofdm import MultipathChannel, OfdmLink
 
@@ -79,7 +77,6 @@ class TestShardedEngine:
         )
         with pytest.warns(RuntimeWarning, match="falling back"):
             got = engine.transform_many(blocks)
-        assert engine._pool_broken
         assert engine.degraded
         assert "no processes for you" in engine.degraded_reason
         assert np.array_equal(got, ArrayFFT(n).transform_many(blocks))
@@ -103,7 +100,6 @@ class TestShardedEngine:
         engine._pool = ExplodingPool()
         with pytest.warns(RuntimeWarning, match="falling back"):
             got = engine.transform_many(blocks)
-        assert engine._pool_broken
         assert engine.degraded
         assert np.array_equal(got, ArrayFFT(n).transform_many(blocks))
         engine.close()
@@ -114,7 +110,7 @@ class TestShardedEngine:
         n, symbols = 64, 16
         blocks = random_blocks(symbols, n, seed=16)
         engine = ShardedEngine(n, workers=2, min_parallel_symbols=8)
-        engine._pool_broken = False
+        engine.breaker.reset()
         with pytest.warns(RuntimeWarning, match="first failure"):
             engine._mark_broken("first failure")  # the single warning
         with warnings.catch_warnings():
@@ -130,20 +126,16 @@ class TestShardedEngine:
         reason="worker-kill race needs >= 2 CPUs (mirrors the sharded "
                "bench gate)",
     )
-    def test_sigkilled_worker_degrades_to_serial(self):
-        import os
-        import signal
-
+    def test_sigkilled_worker_degrades_to_serial(self, kill_pool_worker):
         n, symbols = 64, 32
         blocks = random_blocks(symbols, n, seed=17)
         engine = ShardedEngine(n, workers=2, min_parallel_symbols=8)
         warm = engine.transform_many(blocks)  # spins the pool up
         assert engine._pool is not None and not engine.degraded
-        victim = next(iter(engine._pool._processes))
-        os.kill(victim, signal.SIGKILL)
+        kill_pool_worker(engine)
         with pytest.warns(RuntimeWarning, match="falling back"):
             got = engine.transform_many(blocks)
-        assert engine.degraded and engine._pool_broken
+        assert engine.degraded
         assert np.array_equal(got, warm)
         assert np.array_equal(got, ArrayFFT(n).transform_many(blocks))
         engine.close()
@@ -332,18 +324,14 @@ class TestPoolSelfHealing:
         reason="worker-kill recovery needs >= 2 CPUs (mirrors the "
                "sharded bench gate)",
     )
-    def test_sigkilled_worker_then_probe_recovers(self):
-        import os
-        import signal
-
+    def test_sigkilled_worker_then_probe_recovers(self, kill_pool_worker):
         n, symbols = 64, 32
         blocks = random_blocks(symbols, n, seed=32)
         engine = ShardedEngine(n, workers=2, min_parallel_symbols=8,
                                breaker_backoff_initial=0.05)
         try:
             warm = engine.transform_many(blocks)
-            victim = next(iter(engine._pool._processes))
-            os.kill(victim, signal.SIGKILL)
+            kill_pool_worker(engine)
             with pytest.warns(RuntimeWarning, match="falling back"):
                 got = engine.transform_many(blocks)
             assert engine.degraded
@@ -401,24 +389,6 @@ class TestDegradedMarker:
         assert merged.degraded
         clean = repro.concat_results([a, b], engine=eng)
         assert clean.degraded is False
-
-
-class TestArrayFftWrapper:
-    def test_batch_input(self):
-        blocks = random_blocks(5, 64, seed=9)
-        got = array_fft(blocks)
-        assert np.allclose(got, np.fft.fft(blocks, axis=1), atol=1e-8)
-
-    def test_batch_with_workers_matches_serial(self):
-        blocks = random_blocks(72, 64, seed=10)
-        want = array_fft(blocks)
-        got = array_fft(blocks, workers=2)
-        assert np.array_equal(got, want)
-        assert (64, "sharded", "float", 2) in _SHARED_CACHE
-
-    def test_vector_input_unchanged(self):
-        x = random_blocks(1, 64, seed=11)[0]
-        assert np.allclose(array_fft(x), np.fft.fft(x), atol=1e-8)
 
 
 class TestStreamSharded:

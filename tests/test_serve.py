@@ -15,8 +15,6 @@ The acceptance spine of the serve subsystem:
   half-open probe restores parallel execution.
 """
 
-import os
-import signal
 import threading
 import time
 
@@ -35,8 +33,9 @@ from repro.serve import (
     UnknownTenant,
     run_load,
 )
-from repro.serve.metrics import TenantMetrics, percentile
+from repro.serve.metrics import TenantMetrics
 from repro.sessions import SessionBackpressure, SessionExecutionTimeout
+from repro.telemetry import percentile
 from repro.verify import engine_stall, pool_failure, worker_shard_corruption
 
 
@@ -427,7 +426,8 @@ class TestBreakerUnderLiveServer:
         reason="worker-kill recovery needs >= 2 CPUs (mirrors the "
                "sharded bench gate)",
     )
-    def test_sigkilled_worker_under_live_server_self_heals(self):
+    def test_sigkilled_worker_under_live_server_self_heals(
+            self, kill_pool_worker):
         n, symbols = 16, 6
         blocks = _blocks(symbols, n, seed=21)
         want = ArrayFFT(n).transform_many(blocks)
@@ -440,8 +440,7 @@ class TestBreakerUnderLiveServer:
             server.submit("alice", blocks)  # spins the pool up
             (warm,) = server.drain("alice")
             assert not warm.degraded and np.array_equal(warm.spectrum, want)
-            victim = next(iter(sharded._pool._processes))
-            os.kill(victim, signal.SIGKILL)
+            kill_pool_worker(sharded)
             with pytest.warns(RuntimeWarning, match="falling back"):
                 server.submit("alice", blocks)
             (fallen,) = server.drain("alice")

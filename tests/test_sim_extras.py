@@ -73,15 +73,17 @@ class TestEnergy:
 
     def test_energy_per_point_improves_with_size(self):
         """Larger transforms amortise fixed overhead per point."""
-        from repro.asip import simulate_fft
         import numpy as np
 
-        small = simulate_fft(
-            np.random.default_rng(0).standard_normal(64).astype(complex)
-        ).stats.cycles
-        large = simulate_fft(
-            np.random.default_rng(0).standard_normal(1024).astype(complex)
-        ).stats.cycles
+        import repro
+
+        def cycles(n):
+            x = np.random.default_rng(0).standard_normal(n).astype(complex)
+            with repro.engine(n, backend="asip") as eng:
+                return eng.transform(x).stats.cycles
+
+        small = cycles(64)
+        large = cycles(1024)
         e_small = energy_per_fft_nj(64, small).nj_per_point
         e_large = energy_per_fft_nj(1024, large).nj_per_point
         # per-point energy grows only with the log2(N)/8 compute term

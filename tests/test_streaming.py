@@ -26,12 +26,12 @@ class TestStreamingFFT:
         assert len(stats.per_symbol_cycles) == 4
 
     def test_sustained_rate_matches_single_shot(self):
-        from repro.asip import simulate_fft
+        import repro
 
         n = 64
-        single = simulate_fft(
-            np.random.default_rng(1).standard_normal(n).astype(complex)
-        ).stats.cycles
+        x = np.random.default_rng(1).standard_normal(n).astype(complex)
+        with repro.engine(n, backend="asip") as eng:
+            single = eng.transform(x).stats.cycles
         stats = StreamingFFT(n).process(blocks(n, 3, seed=1))
         # the stream re-runs the identical program; rates agree closely
         assert abs(stats.cycles_per_symbol - single) / single < 0.02

@@ -79,11 +79,6 @@ class TestPercentile:
         for q in (1.0, 50.0, 90.0, 99.0):
             assert percentile(data, q) == percentile(shuffled, q)
 
-    def test_serve_reexport_is_the_same_function(self):
-        from repro.serve.metrics import percentile as serve_percentile
-
-        assert serve_percentile is percentile
-
 
 class TestMetricsPrimitives:
     def test_counter(self):
