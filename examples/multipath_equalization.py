@@ -33,7 +33,7 @@ def main():
 
     # BER waterfall with the fast algorithm-level engine: the whole
     # sweep is one batched burst through the link's facade engine (add
-    # workers=2 to shard the curve across a process pool).
+    # workers=2 to shard the curve across a thread pool).
     curve = ber_sweep(snr_dbs=(8, 12, 16, 20, 24, 28), symbols=8,
                       scenario="multipath-eq", seed=3)
     rows = [(int(snr), f"{ber:.4f}") for snr, ber in curve.items()]

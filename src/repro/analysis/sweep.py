@@ -3,7 +3,7 @@
 All sweeps run through the unified facade (:func:`repro.engine`):
 :func:`size_sweep` drives an instruction-level backend per size, and
 :func:`ber_sweep` pushes a whole BER curve through one link whose
-engine may shard the burst across worker processes.
+engine may shard the burst across worker threads.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def ber_sweep(n_points: int = None, snr_dbs=None, symbols: int = 10,
     The entire sweep (every SNR point's symbol burst) is batched
     through the link's engine in one pass per direction, so
     ``workers >= 2`` shards the curve across a
-    :class:`~repro.core.parallel.ShardedEngine` process pool (serial
+    :class:`~repro.core.parallel.ShardedEngine` thread pool (serial
     fallback as usual).  ``scenario=`` names a registered preset to
     supply the link parameters (size, scheme, channel) instead of the
     explicit arguments.  Returns ``{snr_db: ber}``.

@@ -77,7 +77,9 @@ def _engine_flags() -> argparse.ArgumentParser:
                              "q15; default float, or the scenario's own "
                              "for `run`)")
     common.add_argument("--workers", type=int, default=None,
-                        help="process-pool size for sharding backends")
+                        help="shard count: threads for the sharded "
+                             "backend, processes for `stream` on the "
+                             "ASIP backends")
     return common
 
 

@@ -1,43 +1,45 @@
-"""Sharded parallel batch engine: ``transform_many`` across a process pool.
+"""Sharded parallel batch engine: ``transform_many`` across threads.
 
 One :class:`ShardedEngine` owns a serial :class:`~repro.core.ArrayFFT`
-and, lazily, a worker pool.  Large ``(n_symbols, N)`` batches are split
-into one shard per worker and transformed concurrently; each worker
-process builds its engine (plan, ROM, pre-rotation store, compiled
-tables) exactly once via the pool initializer, so per-call traffic is
-only the shard data.  The compiled datapaths are deterministic
-element-wise per symbol, so sharded output is bit-identical to the
-serial path — asserted in ``tests/test_parallel.py``.
+and, lazily, a thread pool.  Large ``(n_symbols, N)`` batches are split
+into one shard per worker and transformed concurrently.  Each worker
+thread builds its own engine (plan, ROM, pre-rotation store, compiled
+tables, ``FixedPointContext``, ``ButterflyUnit``) on its first shard,
+so shards that run at the same time share no mutable state.  numpy
+releases the GIL inside the compiled column ops, so the shards overlap
+without copying any data between processes.  The compiled datapaths
+are deterministic element-wise per symbol, so sharded output is
+bit-identical to the serial path — asserted in ``tests/test_parallel.py``.
 
 Robustness rules (all covered by tests):
 
 * batches below ``min_parallel_symbols`` run serially — fan-out overhead
   would swamp the win;
 * ``workers < 2`` never builds a pool;
-* any pool failure (spawn refusal, broken pool, a SIGKILLed worker,
-  pickling error) opens a :class:`~repro.core.breaker.CircuitBreaker`
-  and falls back to the serial engine — results are always produced.
-  The first failure of an episode emits a single
-  :class:`RuntimeWarning` and the engine carries ``degraded=True``
-  while the breaker is open; the facade
+* any pool failure (a worker thread that cannot start, an exception
+  raised inside a shard, an executor that has already been shut down)
+  opens a :class:`~repro.core.breaker.CircuitBreaker` and falls back to
+  the serial engine — results are always produced.  The first failure
+  of an episode emits a single :class:`RuntimeWarning` and the engine
+  carries ``degraded=True`` while the breaker is open; the facade
   (:class:`repro.engines.Engine`) copies that marker onto every
-  :class:`~repro.engines.TransformResult` produced meanwhile.  Unlike
-  the original broken-for-life flag, the breaker *self-heals*: after a
-  capped exponential backoff one batch is admitted as a half-open
-  probe on a freshly spawned pool, and a successful probe restores
-  parallel execution (clearing ``degraded``).  There is still no retry
-  storm — refused attempts inside the backoff window cost one clock
-  read and run serially.
+  :class:`~repro.engines.TransformResult` produced meanwhile.  The
+  breaker *self-heals*: after a capped exponential backoff one batch is
+  admitted as a half-open probe on a fresh pool, and a successful probe
+  restores parallel execution (clearing ``degraded``).  There is no
+  retry storm — refused attempts inside the backoff window cost one
+  clock read and run serially.
 
-Fixed-point bookkeeping survives sharding: workers report their
-overflow-count deltas, which are folded into the parent engine's
+Fixed-point bookkeeping survives sharding: each shard reports its
+overflow-count delta, which is folded into the parent engine's
 :class:`FixedPointContext`, and the parent's ``ButterflyUnit`` op count
 advances by the plan total per symbol exactly as the serial path does.
 
 The module also shards the *instruction-level* streaming workload:
-:func:`stream_sharded` splits a symbol stream across worker processes
-each streaming through a facade ``asip-batch`` engine; the per-shard
-:class:`~repro.engines.TransformResult`\\ s merge through
+:func:`stream_sharded` splits a symbol stream across worker
+**processes**, each streaming through a facade ``asip-batch`` engine —
+the ASIP interpreter holds the GIL, so threads would serialise it.  The
+per-shard :class:`~repro.engines.TransformResult`\\ s merge through
 :func:`repro.engines.concat_results` (cycle counts are deterministic,
 so the merged totals equal a single-machine run).
 """
@@ -46,8 +48,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -75,57 +79,16 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
-# Per-worker-process state, installed once by the pool initializer.
-_WORKER_ENGINE = None
-_WORKER_STREAM = None
-
-
-def _init_transform_worker(n_points: int, fixed_point: bool) -> None:
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = ArrayFFT(n_points, fixed_point=fixed_point)
-    _WORKER_ENGINE.compiled_engine()  # build the plan tables once
-
-
-def _run_transform_shard(task):
-    direction, blocks = task
-    engine = _WORKER_ENGINE
-    before = engine.fx.overflow_count if engine.fixed_point else 0
-    if direction == "inverse":
-        out = engine.inverse_many(blocks)
-    else:
-        out = engine.transform_many(blocks)
-    overflow = (
-        engine.fx.overflow_count - before if engine.fixed_point else 0
-    )
-    return out, overflow
-
-
-def _init_stream_worker(n_points: int, fixed_point: bool) -> None:
-    global _WORKER_STREAM
-    from ..engines import engine as build_engine
-
-    _WORKER_STREAM = build_engine(
-        n_points, backend="asip-batch",
-        precision="q15" if fixed_point else "float",
-    )
-
-
-def _run_stream_shard(task):
-    """Stream one shard; returns the facade's uniform TransformResult."""
-    blocks, verify, batch = task
-    return _WORKER_STREAM.stream(blocks, batch=batch, verify=verify)
-
-
 class ShardedEngine:
-    """Batch FFT engine that shards ``transform_many`` across processes.
+    """Batch FFT engine that shards ``transform_many`` across threads.
 
     Parameters
     ----------
     n_points, fixed_point:
         As for :class:`ArrayFFT`.
     workers:
-        Pool size; defaults to :func:`available_workers`.  Values below 2
-        disable the pool entirely.
+        Thread-pool size; defaults to :func:`available_workers`.  Values
+        below 2 disable the pool entirely.
     min_parallel_symbols:
         Smallest batch worth fanning out (default
         :attr:`MIN_PARALLEL_SYMBOLS`); smaller batches run serially.
@@ -156,6 +119,8 @@ class ShardedEngine:
             else max(int(min_parallel_symbols), 1)
         )
         self._pool = None
+        # Each pool thread's own ArrayFFT, built on its first shard.
+        self._local = threading.local()
         # Pool health lives in a circuit breaker: a failure opens it
         # (single warning, ``degraded=True``, serial fallback), a capped
         # exponential backoff later one batch probes a fresh pool, and a
@@ -221,9 +186,13 @@ class ShardedEngine:
             # Open breaker inside its backoff window, or another thread
             # already holds the half-open probe slot: stay serial.
             return self._run_serial(blocks, direction)
-        pool = self._ensure_pool()
-        if pool is None:
-            return self._run_serial(blocks, direction)
+        if self._pool is None:
+            # First use, or a half-open probe after `_mark_broken` tore
+            # the failed pool down.
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="sharded",
+            )
+        pool = self._pool
         shards = [
             shard for shard in np.array_split(blocks, self.workers)
             if len(shard)
@@ -234,14 +203,13 @@ class ShardedEngine:
                 shards=len(shards), symbols=len(blocks),
                 direction=direction,
             ):
-                results = list(
-                    pool.map(_run_transform_shard,
-                             [(direction, shard) for shard in shards])
-                )
+                run = partial(self._run_shard, direction,
+                              telemetry.current_span())
+                results = list(pool.map(run, shards))
         except Exception as exc:
-            # Broken pool / worker death / pickling trouble: never
-            # fail — degrade to the serial path until the breaker's
-            # backoff admits a fresh-pool probe.
+            # Thread start refused / a shard raised / executor already
+            # shut down: never fail — degrade to the serial path until
+            # the breaker's backoff admits a fresh-pool probe.
             self._mark_broken(f"{type(exc).__name__}: {exc}")
             return self._run_serial(blocks, direction)
         self.breaker.record_success()
@@ -254,28 +222,35 @@ class ShardedEngine:
         self.engine.bu.op_count += len(blocks) * self.plan.total_but4
         return out
 
-    def _run_serial(self, blocks: np.ndarray, direction: str) -> np.ndarray:
+    def _run_shard(self, direction: str, parent, shard: np.ndarray):
+        """One shard on the calling pool thread's own engine.
+
+        Returns ``(spectra, overflow delta)``; ``parent`` is the caller's
+        ``sharded.dispatch`` span, adopted so the shard span nests under it.
+        """
+        with telemetry.attach(parent), telemetry.span(
+            "sharded.shard", symbols=len(shard), direction=direction,
+        ):
+            engine = getattr(self._local, "engine", None)
+            if engine is None:
+                engine = self._local.engine = ArrayFFT(
+                    self.n_points, fixed_point=self.fixed_point,
+                )
+            before = engine.fx.overflow_count if self.fixed_point else 0
+            out = self._run_serial(shard, direction, engine)
+            overflow = (
+                engine.fx.overflow_count - before if self.fixed_point else 0
+            )
+        return out, overflow
+
+    def _run_serial(self, blocks: np.ndarray, direction: str,
+                    engine: ArrayFFT = None) -> np.ndarray:
+        engine = self.engine if engine is None else engine
         if direction == "inverse":
-            return self.engine.inverse_many(blocks)
-        return self.engine.transform_many(blocks)
+            return engine.inverse_many(blocks)
+        return engine.transform_many(blocks)
 
     # Pool lifecycle -------------------------------------------------------
-
-    def _ensure_pool(self):
-        # The breaker already admitted this attempt: build a pool
-        # whenever one is missing (first use, or a half-open probe
-        # after `_mark_broken` tore the dead one down).
-        if self._pool is None:
-            try:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=_pool_context(),
-                    initializer=_init_transform_worker,
-                    initargs=(self.n_points, self.fixed_point),
-                )
-            except Exception as exc:
-                self._mark_broken(f"pool spawn failed: {exc}")
-        return self._pool
 
     def _mark_broken(self, reason: str = "pool failure") -> None:
         # `record_failure` is True only on the fresh closed->open
@@ -328,6 +303,20 @@ def _result_to_stream_stats(result, n_points: int):
     )
 
 
+def _stream_shard(n_points: int, precision: str, blocks, verify: bool,
+                  batch: int):
+    """Stream one shard through a fresh ``asip-batch`` facade engine.
+
+    The pool task of :func:`stream_sharded` (it runs in the worker
+    process) and, for the whole stream, its local fallback.
+    """
+    from ..engines import engine as build_engine
+
+    with build_engine(n_points, backend="asip-batch",
+                      precision=precision) as eng:
+        return eng.stream(blocks, batch=batch, verify=verify)
+
+
 def stream_sharded(n_points: int, blocks, workers: int = None,
                    fixed_point: bool = False, verify: bool = True,
                    batch: int = None, as_result: bool = False):
@@ -349,7 +338,6 @@ def stream_sharded(n_points: int, blocks, workers: int = None,
     deltas included).
     """
     from ..engines import concat_results
-    from ..engines import engine as build_engine
 
     blocks = np.asarray(blocks, dtype=complex)
     if blocks.ndim != 2 or blocks.shape[1] != n_points:
@@ -358,32 +346,22 @@ def stream_sharded(n_points: int, blocks, workers: int = None,
             f"got shape {blocks.shape}"
         )
     precision = "q15" if fixed_point else "float"
-
-    def run_local():
-        with build_engine(n_points, backend="asip-batch",
-                          precision=precision) as eng:
-            return eng.stream(blocks, batch=batch, verify=verify)
-
+    run_shard = partial(_stream_shard, n_points, precision,
+                        verify=verify, batch=batch)
     workers = available_workers() if workers is None else max(int(workers), 0)
     if workers < 2 or len(blocks) < 2 * workers:
-        merged = run_local()
+        merged = run_shard(blocks)
     else:
         shards = [s for s in np.array_split(blocks, workers) if len(s)]
         try:
             with ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=_pool_context(),
-                initializer=_init_stream_worker,
-                initargs=(n_points, fixed_point),
+                max_workers=workers, mp_context=_pool_context(),
             ) as pool:
-                results = list(
-                    pool.map(_run_stream_shard,
-                             [(shard, verify, batch) for shard in shards])
-                )
+                results = list(pool.map(run_shard, shards))
             merged = concat_results(
                 results, n_points=n_points, backend="asip-batch",
                 precision=precision,
             )
         except Exception:
-            merged = run_local()
+            merged = run_shard(blocks)
     return merged if as_result else _result_to_stream_stats(merged, n_points)

@@ -11,7 +11,7 @@ backend     implementation
 compiled    compiled-plan vectorised :class:`~repro.core.ArrayFFT`
             (the default)
 reference   the readable per-butterfly oracle datapath
-sharded     :class:`~repro.core.parallel.ShardedEngine` process pool
+sharded     :class:`~repro.core.parallel.ShardedEngine` thread shards
 asip        instruction-level :class:`~repro.asip.FFTASIP`, one
             persistent machine, serial per-symbol execution
 asip-batch  the same machine driven through
@@ -472,7 +472,7 @@ class _ArrayBackend:
 
 
 class _ShardedBackend:
-    """Process-pool sharded batches via :class:`ShardedEngine`."""
+    """Thread-sharded batches via :class:`ShardedEngine`."""
 
     machine = None
     sim_stats = None
@@ -577,7 +577,7 @@ def engine(n_points: int, *, backend: str = "compiled",
         ``"float"`` (default) or ``"q15"`` (``"fixed"`` is accepted as
         an alias), checked against the backend's declared support.
     workers:
-        Process-pool size for backends declaring worker support
+        Thread-pool size for backends declaring worker support
         (``"sharded"``); passing ``workers >= 2`` to any other backend
         is an error rather than a silent serial run.
     batch:
@@ -597,7 +597,7 @@ def engine(n_points: int, *, backend: str = "compiled",
     if workers is not None and workers >= 2 and not spec.supports_workers:
         raise ValueError(
             f"backend {backend!r} does not take workers; use "
-            f"backend='sharded' for process-pool sharding"
+            f"backend='sharded' for thread-pool sharding"
         )
     impl = spec.factory(
         n_points, fixed_point=(resolved == "q15"), workers=workers,
@@ -740,7 +740,7 @@ def _register_builtin_backends() -> None:
         ),
         BackendSpec(
             name="sharded", factory=_make_sharded,
-            description="process-pool sharded batch ArrayFFT",
+            description="thread-sharded batch ArrayFFT",
             supports_workers=True,
         ),
         BackendSpec(

@@ -68,9 +68,9 @@ class OfdmLink:
         ``workers >= 2`` shards the batched transmitter IFFT and
         (non-ASIP) receiver FFT of :meth:`run_symbols` /
         :meth:`measure_ber` / :meth:`measure_ber_sweep` across a
-        process pool; the engine falls back to serial execution for
-        small bursts or when worker processes are unavailable, so
-        results are identical either way.
+        thread pool; the engine falls back to serial execution for
+        small bursts or when the pool fails, so results are identical
+        either way.
     """
 
     def __init__(self, n_subcarriers: int, scheme: str = "qpsk",
@@ -261,7 +261,7 @@ class OfdmLink:
         All ``len(snr_dbs) * symbols`` symbols are transmitted and
         received in **one** facade batch per direction, so a
         ``workers >= 2`` link shards the entire BER curve row-wise
-        across its process pool (``ShardedEngine`` underneath) instead
+        across its thread pool (``ShardedEngine`` underneath) instead
         of running SNR points one by one — with the usual serial
         fallback when the pool is unavailable or the burst is small.
         Noise is drawn per SNR point (per-symbol noise power), then the

@@ -195,6 +195,28 @@ def compare_aggregates(current: dict, baseline: dict,
     return flagged
 
 
+def _measured_run(source):
+    """The spans under the last top-level ``pipeline.run`` span.
+
+    ``repro trace`` runs a warm-up before the measured run, each under
+    its own ``pipeline.run``; only the last one is comparable with the
+    per-run ``stage_seconds`` history.  With fewer than two runs the
+    source is returned unchanged.
+    """
+    spans = source.finished() if hasattr(source, "finished") else list(source)
+    run_of = {}
+    # Span ids are issued at start, so a parent precedes its children.
+    for record in sorted(spans, key=lambda s: s.span_id):
+        run = run_of.get(record.parent_id)
+        if run is None and record.name == "pipeline.run":
+            run = record.span_id
+        run_of[record.span_id] = run
+    runs = sorted({run for run in run_of.values() if run is not None})
+    if len(runs) < 2:
+        return source
+    return [record for record in spans if run_of[record.span_id] == runs[-1]]
+
+
 def compare_with_history(source, scenario: str, path,
                          threshold: float = 2.0,
                          min_seconds: float = 2e-3) -> RegressionReport:
@@ -202,8 +224,11 @@ def compare_with_history(source, scenario: str, path,
 
     ``source`` is a tracer or span list; span names ``stage.<name>``
     map onto the ``stage_seconds`` keys recorded in
-    ``BENCH_engine.json`` for ``scenario``.  Informational by design —
-    the caller decides whether a flagged stage is fatal.
+    ``BENCH_engine.json`` for ``scenario``.  When the source holds
+    several top-level ``pipeline.run`` spans (a warm-up, then the
+    measured run), only the last run's stages are compared.
+    Informational by design — the caller decides whether a flagged
+    stage is fatal.
     """
     baseline_rows = stage_history(path, scenario)
     report = RegressionReport(scenario=scenario)
@@ -211,7 +236,7 @@ def compare_with_history(source, scenario: str, path,
         report.missing_baseline = True
         return report
     current = {}
-    for name, row in span_aggregates(source).items():
+    for name, row in span_aggregates(_measured_run(source)).items():
         if name.startswith("stage."):
             current[name[len("stage."):]] = row
     baseline = {stage: row["seconds"]

@@ -32,8 +32,9 @@ Fault classes
   instruction of one machine (instance-level ``step`` patch, honoured by
   ``Machine.run`` via its instrumentation seam).
 * :func:`pool_failure` — the sharded pool raises mid-``map`` (models a
-  worker death / pickling failure; the engine's circuit breaker opens
-  and later self-heals).
+  shard raising in a worker thread, a thread that cannot start or a
+  shut-down executor; the engine's circuit breaker opens and later
+  self-heals).
 * :func:`engine_stall` — one engine/lease's ``transform_many`` hangs
   (models a wedged pool or pathological input); the serving tier's
   watchdog must convert it into a structured timeout localized to the
@@ -231,12 +232,10 @@ def pool_failure(sharded, exc: Exception = None):
     """Install a pool whose ``map`` raises — the next parallel-eligible
     ``transform_many`` hits the graceful-degradation path (single
     warning, serial fallback, ``degraded`` marker).  Works on 1-CPU
-    containers because the fake pool never spawns processes."""
+    hosts because the fake pool never starts threads."""
     error = exc if exc is not None else RuntimeError("worker died")
 
     class _ExplodingPool:
-        _processes = {}
-
         def map(self, *args, **kwargs):
             raise error
 

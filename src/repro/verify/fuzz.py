@@ -444,10 +444,10 @@ def _run_serve(config) -> DivergenceReport:
         for index, name in enumerate(names):
             if index == 0 and inject != "none":
                 # min_parallel_symbols=1 only for the pool-death case:
-                # the exploding pool never spawns processes, while the
+                # the exploding pool never starts threads, while the
                 # shard corruption wraps `transform_many` outermost and
                 # shows identically on the serial path — so the fuzzer
-                # never forks real worker pools.
+                # never starts real worker pools.
                 server.open_session(
                     name, n, backend="sharded", workers=2,
                     min_parallel_symbols=(

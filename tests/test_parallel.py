@@ -1,6 +1,9 @@
 """Sharded parallel batch engine: bit-identity, fallback and self-healing."""
 
+import threading
 import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +12,15 @@ from repro.asip.streaming import StreamingFFT
 from repro.core import ArrayFFT, CircuitBreaker, ShardedEngine, stream_sharded
 from repro.core.parallel import available_workers
 from repro.ofdm import MultipathChannel, OfdmLink
+
+
+def refuse_thread_start(monkeypatch):
+    """Make every ``Thread.start`` fail the way an exhausted host does."""
+
+    def refuse(thread):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
 
 
 def random_blocks(symbols, n, seed=0, scale=1.0):
@@ -40,6 +52,23 @@ class TestShardedEngine:
             assert engine.engine.fx.overflow_count == serial.fx.overflow_count
         assert np.array_equal(got, want)
 
+    def test_more_threads_than_cpus_keep_their_own_accounting(self):
+        # Overlapping shards on per-thread engines: a shared engine would
+        # mix the threads' overflow deltas and miscount the total.
+        n, symbols = 256, 96
+        blocks = random_blocks(symbols, n, seed=10, scale=0.9)
+        serial = ArrayFFT(n, fixed_point=True)
+        with ShardedEngine(n, fixed_point=True,
+                           workers=available_workers() + 2,
+                           min_parallel_symbols=8) as engine:
+            for _ in range(3):
+                got = engine.transform_many(blocks)
+                assert np.array_equal(got, serial.transform_many(blocks))
+            assert not engine.degraded
+            assert serial.fx.overflow_count > 0
+            assert engine.engine.fx.overflow_count == serial.fx.overflow_count
+            assert engine.engine.bu.op_count == serial.bu.op_count
+
     def test_inverse_many_roundtrip(self):
         n = 64
         blocks = random_blocks(20, n, seed=3)
@@ -68,17 +97,11 @@ class TestShardedEngine:
         n, symbols = 64, 32
         blocks = random_blocks(symbols, n, seed=6)
         engine = ShardedEngine(n, workers=2, min_parallel_symbols=8)
-
-        def refuse(*args, **kwargs):
-            raise OSError("no processes for you")
-
-        monkeypatch.setattr(
-            "repro.core.parallel.ProcessPoolExecutor", refuse
-        )
+        refuse_thread_start(monkeypatch)
         with pytest.warns(RuntimeWarning, match="falling back"):
             got = engine.transform_many(blocks)
         assert engine.degraded
-        assert "no processes for you" in engine.degraded_reason
+        assert "can't start new thread" in engine.degraded_reason
         assert np.array_equal(got, ArrayFFT(n).transform_many(blocks))
         # And it stays serial (no retry storm) while still being correct.
         again = engine.transform_many(blocks)
@@ -104,9 +127,19 @@ class TestShardedEngine:
         assert np.array_equal(got, ArrayFFT(n).transform_many(blocks))
         engine.close()
 
-    def test_degradation_warns_exactly_once(self):
-        import warnings
+    def test_shut_down_executor_falls_back(self):
+        n, symbols = 64, 32
+        blocks = random_blocks(symbols, n, seed=9)
+        engine = ShardedEngine(n, workers=2, min_parallel_symbols=8)
+        engine._pool = ThreadPoolExecutor(max_workers=2)
+        engine._pool.shutdown()
+        with pytest.warns(RuntimeWarning, match="after shutdown"):
+            got = engine.transform_many(blocks)
+        assert engine.degraded and engine._pool is None
+        assert np.array_equal(got, ArrayFFT(n).transform_many(blocks))
+        engine.close()
 
+    def test_degradation_warns_exactly_once(self):
         n, symbols = 64, 16
         blocks = random_blocks(symbols, n, seed=16)
         engine = ShardedEngine(n, workers=2, min_parallel_symbols=8)
@@ -118,25 +151,6 @@ class TestShardedEngine:
             engine._mark_broken("second failure")
             got = engine.transform_many(blocks)
         assert engine.degraded_reason == "first failure"
-        assert np.array_equal(got, ArrayFFT(n).transform_many(blocks))
-        engine.close()
-
-    @pytest.mark.skipif(
-        available_workers() < 2,
-        reason="worker-kill race needs >= 2 CPUs (mirrors the sharded "
-               "bench gate)",
-    )
-    def test_sigkilled_worker_degrades_to_serial(self, kill_pool_worker):
-        n, symbols = 64, 32
-        blocks = random_blocks(symbols, n, seed=17)
-        engine = ShardedEngine(n, workers=2, min_parallel_symbols=8)
-        warm = engine.transform_many(blocks)  # spins the pool up
-        assert engine._pool is not None and not engine.degraded
-        kill_pool_worker(engine)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            got = engine.transform_many(blocks)
-        assert engine.degraded
-        assert np.array_equal(got, warm)
         assert np.array_equal(got, ArrayFFT(n).transform_many(blocks))
         engine.close()
 
@@ -292,25 +306,18 @@ class TestPoolSelfHealing:
             engine.close()
 
     def test_failed_probe_reopens_without_second_warning(self, monkeypatch):
-        import warnings
-
         n, symbols = 64, 24
         blocks = random_blocks(symbols, n, seed=31)
         want = ArrayFFT(n).transform_many(blocks)
         engine = ShardedEngine(n, workers=2, min_parallel_symbols=8,
                                breaker_backoff_initial=0.05)
-
-        def refuse(*args, **kwargs):
-            raise OSError("still no processes")
-
-        monkeypatch.setattr(
-            "repro.core.parallel.ProcessPoolExecutor", refuse
-        )
+        refuse_thread_start(monkeypatch)
         with pytest.warns(RuntimeWarning, match="falling back"):
             got = engine.transform_many(blocks)
         assert np.array_equal(got, want)
         time.sleep(0.06)
-        # The probe's spawn fails again: silent re-open, serial result.
+        # The probe's thread start fails again: silent re-open, serial
+        # result.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             again = engine.transform_many(blocks)
@@ -319,26 +326,34 @@ class TestPoolSelfHealing:
         assert engine.breaker.failures == 2
         engine.close()
 
-    @pytest.mark.skipif(
-        available_workers() < 2,
-        reason="worker-kill recovery needs >= 2 CPUs (mirrors the "
-               "sharded bench gate)",
-    )
-    def test_sigkilled_worker_then_probe_recovers(self, kill_pool_worker):
+    def test_shard_raising_in_worker_thread_then_probe_recovers(
+            self, monkeypatch):
         n, symbols = 64, 32
         blocks = random_blocks(symbols, n, seed=32)
+        want = ArrayFFT(n).transform_many(blocks)
+        real_transform_many = ArrayFFT.transform_many
+
+        def explode_off_main_thread(fft, shard):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("shard exploded")
+            return real_transform_many(fft, shard)
+
         engine = ShardedEngine(n, workers=2, min_parallel_symbols=8,
                                breaker_backoff_initial=0.05)
         try:
-            warm = engine.transform_many(blocks)
-            kill_pool_worker(engine)
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                got = engine.transform_many(blocks)
+            with monkeypatch.context() as patch:
+                patch.setattr(ArrayFFT, "transform_many",
+                              explode_off_main_thread)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    got = engine.transform_many(blocks)
+            assert [w.category for w in caught] == [RuntimeWarning]
+            assert "shard exploded" in str(caught[0].message)
             assert engine.degraded
-            assert np.array_equal(got, warm)
+            assert np.array_equal(got, want)
             time.sleep(0.06)
             healed = engine.transform_many(blocks)
-            assert np.array_equal(healed, warm)
+            assert np.array_equal(healed, want)
             assert not engine.degraded
             assert engine.breaker.recovered_count == 1
         finally:

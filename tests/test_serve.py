@@ -23,7 +23,6 @@ import pytest
 
 import repro
 from repro.core import ArrayFFT, CircuitBreaker
-from repro.core.parallel import available_workers
 from repro.serve import (
     EnginePool,
     ServerClosed,
@@ -420,39 +419,6 @@ class TestBreakerUnderLiveServer:
             snap = health["breakers"]["16xshardedxfloat"]
             assert snap["opened"] == 1 and snap["recovered"] == 1
             assert health["tenants"]["alice"]["degraded_transitions"] == 1
-
-    @pytest.mark.skipif(
-        available_workers() < 2,
-        reason="worker-kill recovery needs >= 2 CPUs (mirrors the "
-               "sharded bench gate)",
-    )
-    def test_sigkilled_worker_under_live_server_self_heals(
-            self, kill_pool_worker):
-        n, symbols = 16, 6
-        blocks = _blocks(symbols, n, seed=21)
-        want = ArrayFFT(n).transform_many(blocks)
-        with SessionServer(batch=symbols) as server:
-            tenant = server.open_session(
-                "alice", n, backend="sharded", workers=2,
-                min_parallel_symbols=1, breaker_backoff_initial=0.05,
-            )
-            sharded = tenant.lease.engine.impl.sharded
-            server.submit("alice", blocks)  # spins the pool up
-            (warm,) = server.drain("alice")
-            assert not warm.degraded and np.array_equal(warm.spectrum, want)
-            kill_pool_worker(sharded)
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                server.submit("alice", blocks)
-            (fallen,) = server.drain("alice")
-            # Serial fallback under the live server: bit-identical.
-            assert fallen.degraded
-            assert np.array_equal(fallen.spectrum, want)
-            time.sleep(0.06)
-            server.submit("alice", blocks)
-            (healed,) = server.drain("alice")
-            assert not healed.degraded
-            assert np.array_equal(healed.spectrum, want)
-            assert sharded.breaker.recovered_count == 1
 
 
 class TestMetrics:

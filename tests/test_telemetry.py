@@ -34,6 +34,7 @@ from repro.telemetry import (
     Counter,
     Histogram,
     NULL_SPAN,
+    Span,
     Tracer,
     atomic_write_json,
     compare_with_history,
@@ -219,6 +220,27 @@ class TestLayerInstrumentation:
         assert engine_rows
         assert all(by_id[r.parent_id].name.startswith("stage.")
                    for r in engine_rows)
+
+    def test_sharded_shard_spans_nest_under_dispatch(self):
+        from repro.core import ShardedEngine
+
+        # Shards of ~10 ms: long enough that the second pool thread has
+        # picked up its shard before the first one finishes.
+        rng = np.random.default_rng(40)
+        blocks = rng.standard_normal((256, 1024)) + 0j
+        with ShardedEngine(1024, workers=2) as sharded:
+            with telemetry.trace() as tracer:
+                sharded.transform_many(blocks)
+        (dispatch,) = [r for r in tracer.finished()
+                       if r.name == "sharded.dispatch"]
+        shards = [r for r in tracer.finished() if r.name == "sharded.shard"]
+        assert len(shards) == 2
+        assert {r.parent_id for r in shards} == {dispatch.span_id}
+        assert len({r.thread_id for r in shards}) == 2
+        assert [r.attributes for r in shards] == \
+            [{"symbols": 128, "direction": "forward"}] * 2
+        payload = get_exporter("chrome-trace").factory().render(tracer)
+        validate_trace_events(payload)
 
     def test_viterbi_subphase_spans(self):
         with telemetry.trace() as tracer:
@@ -432,6 +454,21 @@ class TestRegress:
         report = compare_with_history(tracer, "unit", bench)
         assert report.checked == 1 and report.ok  # sub-ms, never flagged
         assert "within threshold" in report.describe()
+
+    def test_compare_with_history_uses_the_last_pipeline_run(self, tmp_path):
+        bench = tmp_path / "BENCH_engine.json"
+        atomic_write_json(bench, {"cli_run": {"history": [{"rows": [
+            {"scenario": "unit", "stage_seconds": {"fft": 0.006}},
+        ]}]}})
+        spans = []
+        for run in range(2):  # the warm-up, then the measured run
+            start = 0.1 * run
+            root = Span("pipeline.run", 2 * run + 1, None, start, {})
+            stage = Span("stage.fft", 2 * run + 2, root.span_id, start, {})
+            root.end = stage.end = start + 0.010
+            spans += [root, stage]
+        report = compare_with_history(spans, "unit", bench, threshold=2.0)
+        assert report.checked == 1 and report.ok
 
     def test_compare_with_history_missing_baseline(self, tmp_path):
         report = compare_with_history([], "ghost",
