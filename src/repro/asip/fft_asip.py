@@ -76,22 +76,6 @@ class _QuantizedButterflyArithmetic:
         )
         return s.to_complex(), d.to_complex()
 
-    def butterfly_column(self, a, b, w) -> np.ndarray:
-        """Vectorised lanes: returns the concatenated (sums, diffs) column.
-
-        Bit-identical to running :meth:`butterfly` per lane — the array
-        ops quantise, butterfly and back-convert through the same Q1.15
-        grid and accumulate the same overflow counts.
-        """
-        ar, ai = quantize_array(a)
-        br, bi = quantize_array(b)
-        wr, wi = quantize_array(w)
-        sr, si, dr, di = self.context.butterfly_arrays(ar, ai, br, bi, wr, wi)
-        return fixed_to_complex_array(
-            np.concatenate((sr, dr), axis=-1),
-            np.concatenate((si, di), axis=-1),
-        )
-
 
 class FFTASIP(Machine):
     """The paper's processor: PISA-like core with the FFT extension.
@@ -203,16 +187,21 @@ class FFTASIP(Machine):
     def run_batch(self, program, blocks) -> tuple:
         """Run ``program`` over an ``(n_symbols, N)`` block batch.
 
-        Fast path: all symbols are staged once and the program executes a
-        *single* time with the data plane (memory data regions and CRF)
-        carrying a leading symbol axis, so every fused LDIN/BUT4/STOUT
-        walk moves all symbols in one numpy pass.  The scalar control
-        plane (registers, branches, address sequencers) is shared — valid
-        because the generated programs have no data-dependent control
-        flow.  Statistics retire exactly as ``n_symbols`` serial runs:
-        per-symbol counters scale by the batch size, and data-cache
-        hit/miss counts replay the recorded address trace per symbol
-        (with a fixed-point shortcut once the cache state converges).
+        Fast path: the program executes a *single* time.  Its control
+        plane — predecoded interpreter, registers, branches, the LDIN/
+        STOUT address sequencers and every :class:`SimStats` counter — is
+        the serial machine's, valid because generated programs have no
+        data-dependent control flow.  The data plane is levelized (see
+        :class:`_SymbolBatch`): custom ops only record which value each
+        CRF entry and data-window word names, and at HALT each FFT stage
+        runs once as a few wide column ops over every symbol and every
+        group of its epoch.  Statistics retire exactly as ``n_symbols``
+        serial runs: per-symbol counters scale by the batch size, CRF/ROM
+        accesses and BU ops are tallied per op times ``n_symbols``, and
+        data-cache hits, misses and writebacks come from
+        :meth:`DataCache.replay` of the recorded address walk.  The end
+        state (registers, memory, both CRF banks, cache) equals the
+        serial loop's.
 
         Returns ``(outputs, per_symbol_cycles)``.  Falls back to the
         serial per-symbol loop whenever exact batched semantics cannot be
@@ -238,35 +227,38 @@ class FFTASIP(Machine):
                 cycles.append(self.stats.cycles - before)
                 outputs[k] = self.read_output()
             return outputs, cycles
-        batch = self._stage_batch(blocks)
-        serial_crf = self.crf
+        batch = _SymbolBatch(self, blocks)
+        crf = self.crf
+        crf_state = (crf.active_bank, crf.reads, crf.writes)
         stats = self.stats
         counters = ("cycles", "instructions", "loads", "stores",
                     "branches", "taken_branches", "stall_cycles")
         before = {name: getattr(stats, name) for name in counters}
         before_ops = dict(stats.custom_ops)
-        self.crf = serial_crf.batched_clone(n)
         self._batch = batch
         try:
             self.run(program)
+            # Dataflow guard: a column both read-while-unwritten and
+            # written during the run means the program consumed state
+            # that, serially, a previous symbol would have produced — the
+            # batch result would silently diverge for symbols >= 2.
+            # Generated FFT programs are strictly write-before-read and
+            # never trip this.
+            if bool(np.any(batch.suspect & batch.written)):
+                raise SimulationError(
+                    "batched program reads data-region state carried "
+                    "across symbols; run it serially (run_batch with "
+                    "batch size 1 or Machine.run per symbol)"
+                )
         except Exception:
-            self.crf = serial_crf
+            # The CRF's data is untouched until the flush; put back the
+            # bank selection and counters the recording advanced.
+            if crf.active_bank != crf_state[0]:
+                crf.swap_banks()
+            crf.reads, crf.writes = crf_state[1:]
             raise
         finally:
             self._batch = None
-        batched_crf = self.crf
-        self.crf = serial_crf
-        # Dataflow guard: a column both read-while-unwritten and written
-        # during the run means the program consumed state that, serially,
-        # a previous symbol would have produced — the batch result would
-        # silently diverge for symbols >= 2.  Generated FFT programs are
-        # strictly write-before-read and never trip this.
-        if bool(np.any(batch.suspect & batch.written)):
-            raise SimulationError(
-                "batched program reads data-region state carried across "
-                "symbols; run it serially (run_batch with batch size 1 "
-                "or Machine.run per symbol)"
-            )
         # Retire the remaining n-1 symbols: with shared control flow each
         # symbol's counters repeat the measured run exactly.
         per_symbol = stats.cycles - before["cycles"]
@@ -277,11 +269,11 @@ class FFTASIP(Machine):
             delta = value - before_ops.get(key, 0)
             if delta:
                 stats.custom_ops[key] = before_ops.get(key, 0) + n * delta
-        if self.dcache is not None and batch.trace:
-            self._replay_cache_trace(batch.trace, n - 1)
-        serial_crf.adopt_last_symbol(batched_crf)
-        self._writeback_batch(batch)
-        return self._batch_outputs(batch), [per_symbol] * n
+        if self.dcache is not None and batch.walk:
+            hits, misses = self.dcache.replay(np.concatenate(batch.walk), n)
+            stats.dcache_hits += hits
+            stats.dcache_misses += misses
+        return batch.flush(), [per_symbol] * n
 
     def _can_batch(self, program) -> bool:
         """Whether the batched fast path reproduces serial runs exactly."""
@@ -299,91 +291,6 @@ class FFTASIP(Machine):
             if program[index].opcode in (Opcode.LW, Opcode.SW):
                 return False
         return True
-
-    def _stage_batch(self, blocks: np.ndarray) -> "_SymbolBatch":
-        """Stage every symbol's input in AI0 order over a batch axis."""
-        n = blocks.shape[0]
-        window = 3 * self.n_points
-        batch = _SymbolBatch(n, window, self.fixed_point)
-        # The input region is re-staged per symbol in the serial loop
-        # too, so reads from it never depend on a previous symbol.
-        batch.written[self.input_base:self.input_base + self.n_points] = True
-        base_addresses = np.arange(window)
-        src = self._input_perm
-        if self.fixed_point:
-            re0, im0 = words_to_fixed_array(
-                self.memory.gather_words(base_addresses)
-            )
-            batch.re = np.tile(re0, (n, 1))
-            batch.im = np.tile(im0, (n, 1))
-            qr, qi = quantize_array(blocks)
-            batch.re[:, :self.n_points] = qr[:, src]
-            batch.im[:, :self.n_points] = qi[:, src]
-        else:
-            base = self.memory.gather_complex(base_addresses)
-            batch.data = np.tile(base, (n, 1))
-            batch.data[:, :self.n_points] = blocks[:, src]
-        if self.dcache is None:
-            batch.trace = None
-        return batch
-
-    def _writeback_batch(self, batch: "_SymbolBatch") -> None:
-        """Leave scalar memory holding the last symbol's data regions —
-        the end state of the equivalent serial loop."""
-        addresses = np.arange(batch.window)
-        if batch.fixed:
-            self.memory.scatter_words(
-                addresses, fixed_to_words_array(batch.re[-1], batch.im[-1])
-            )
-        else:
-            self.memory.scatter_complex(addresses, batch.data[-1])
-
-    def _batch_outputs(self, batch: "_SymbolBatch") -> np.ndarray:
-        lo = self.output_base
-        hi = lo + self.n_points
-        if batch.fixed:
-            return fixed_to_complex_array(
-                batch.re[:, lo:hi], batch.im[:, lo:hi]
-            )
-        return batch.data[:, lo:hi].copy()
-
-    def _replay_cache_trace(self, trace: list, repeats: int) -> None:
-        """Account symbols 2..n of a batch on the data cache.
-
-        The batched run accounted symbol 1's walk; every later symbol
-        replays the identical address sequence.  Replay proceeds symbol
-        by symbol until the cache state reaches a fixed point (typically
-        after one replay), after which the remaining symbols' counts
-        repeat exactly and are retired arithmetically.
-        """
-        dcache = self.dcache
-        stats = self.stats
-        access = dcache.access
-        hit_latency = dcache.config.hit_latency
-        previous = dcache.state_key()
-        remaining = repeats
-        while remaining > 0:
-            hits = misses = 0
-            writebacks_before = dcache.writebacks
-            for address, is_write in trace:
-                if access(address, is_write) > hit_latency:
-                    misses += 1
-                else:
-                    hits += 1
-            remaining -= 1
-            stats.dcache_hits += hits
-            stats.dcache_misses += misses
-            state = dcache.state_key()
-            if remaining and state == previous:
-                stats.dcache_hits += hits * remaining
-                stats.dcache_misses += misses * remaining
-                dcache.hits += hits * remaining
-                dcache.misses += misses * remaining
-                dcache.writebacks += (
-                    (dcache.writebacks - writebacks_before) * remaining
-                )
-                remaining = 0
-            previous = state
 
     # Custom instruction execution ------------------------------------------
 
@@ -613,10 +520,8 @@ class FFTASIP(Machine):
                 reads, rom_addresses, writes, lanes = self.ac.span_arrays(
                     module, last_module, stage
                 )
-                self.bu.execute_span(
-                    reads, rom_addresses, writes, lanes,
-                    span_end - index, self.crf, self.rom, size,
-                )
+                self._but4_columns(reads, rom_addresses, writes, lanes,
+                                   span_end - index, size)
                 if last_module == modules_per_stage:
                     self.crf.swap_banks()
                 index = span_end
@@ -625,13 +530,14 @@ class FFTASIP(Machine):
 
     # Vectorised LDIN/STOUT machinery -------------------------------------
     #
-    # The fast paths (int-array Q1.15 serial bursts and the multi-symbol
-    # batch axis) split each burst into three phases with identical
-    # architectural effect to the per-op loop: (1) run the hardware
-    # address sequencer for the whole burst, (2) account every cache beat
-    # in op order, (3) move the data as whole-column numpy ops.  CRF
-    # scatter chunks never exceed the group size, so positions within a
-    # chunk are unique and scatter order equals the sequential writes.
+    # The fast paths (int-array Q1.15 and float serial bursts, and the
+    # multi-symbol batch) split each burst into three phases with
+    # identical architectural effect to the per-op loop: (1) run the
+    # hardware address sequencer for the whole burst, (2) account every
+    # cache beat in op order (a batch records the walk instead), (3) move
+    # the data as whole-column numpy ops (a batch moves value names).
+    # CRF scatter chunks never exceed the group size, so positions within
+    # a chunk are unique and scatter order equals the sequential writes.
 
     def _sequence_walk(self, kind: str, size: int, stride: int,
                        mem: int, count: int) -> tuple:
@@ -668,17 +574,15 @@ class FFTASIP(Machine):
         dcache = self.dcache
         if dcache is None:
             return 0
-        batch = self._batch
-        trace = batch.trace if batch is not None else None
+        if self._batch is not None:
+            self._batch.record_walk(addresses, is_write)
+            return 0
         access = dcache.access
         hit_latency = dcache.config.hit_latency
         charge = self.charge_cache_latency
         hits = misses = 0
         extra = 0
         for first, second in addresses.tolist():
-            if trace is not None:
-                trace.append((first, is_write))
-                trace.append((second, is_write))
             latency_a = access(first, is_write)
             latency_b = access(second, is_write)
             hits += (latency_a == hit_latency) + (latency_b == hit_latency)
@@ -711,17 +615,8 @@ class FFTASIP(Machine):
 
     def _ldin_move(self, flat: np.ndarray, positions: np.ndarray) -> None:
         """Move one chunk of LDIN points memory -> CRF as columns."""
-        batch = self._batch
-        if batch is not None:
-            fresh = ~batch.written[flat]
-            if fresh.any():
-                batch.suspect[flat[fresh]] = True
-            if batch.fixed:
-                self.crf.write_many_fixed(
-                    positions, batch.re[:, flat], batch.im[:, flat]
-                )
-            else:
-                self.crf.write_many(positions, batch.data[:, flat])
+        if self._batch is not None:
+            self._batch.ldin(flat, positions)
             return
         if self.int_datapath:
             # Serial int-array path: unpacking the 16-bit fields IS the
@@ -755,9 +650,12 @@ class FFTASIP(Machine):
     def _stout_move(self, flat: np.ndarray, positions: np.ndarray,
                     prerotate: bool) -> None:
         """Move one chunk of STOUT points CRF -> memory as columns."""
-        batch = self._batch
-        if batch is not None:
-            batch.written[flat] = True
+        if self._batch is not None:
+            self._batch.stout(
+                flat, positions, self._scratch_rel(flat) if prerotate
+                else None,
+            )
+            return
         crf = self.crf
         if crf.int_mode:
             re, im = crf.read_many_fixed(positions)
@@ -767,22 +665,13 @@ class FFTASIP(Machine):
                 re, im = self.fx.multiply_arrays(
                     re, im, pre_re[rel], pre_im[rel]
                 )
-            if batch is not None:
-                batch.re[:, flat] = re
-                batch.im[:, flat] = im
-            else:
-                self.memory.scatter_words(
-                    flat, fixed_to_words_array(re, im)
-                )
+            self.memory.scatter_words(flat, fixed_to_words_array(re, im))
             return
         values = crf.read_many(positions)
         if prerotate:
             rel = self._scratch_rel(flat)
             values = values * self._prerotation_table()[rel]
-        if batch is not None:
-            batch.data[:, flat] = values
-        else:
-            self.memory.scatter_complex(flat, values)
+        self.memory.scatter_complex(flat, values)
 
     def _scratch_rel(self, flat: np.ndarray) -> np.ndarray:
         """Scratch-relative indices of pre-rotating STOUT addresses."""
@@ -839,16 +728,25 @@ class FFTASIP(Machine):
             reads, rom_addresses, writes, lanes = self.ac.index_arrays(
                 module, stage
             )
-            self.bu.execute_indices(
-                reads, rom_addresses, writes, lanes,
-                self.crf, self.rom, size,
-            )
+            self._but4_columns(reads, rom_addresses, writes, lanes, 1, size)
         else:
             addresses = self.ac.addresses(module, stage)
             self.bu.execute(addresses, self.crf, self.rom, size)
         if module == self._modules_per_stage:
             self.crf.swap_banks()
         return self.pipeline.but4_latency - 1
+
+    def _but4_columns(self, reads: np.ndarray, rom_addresses: np.ndarray,
+                      writes: np.ndarray, lanes: int, ops: int,
+                      size: int) -> None:
+        """``ops`` BUT4s of one stage as whole columns: executed on the
+        serial datapath, or recorded into the batch's dataflow."""
+        if self._batch is None:
+            self.bu.execute_span(reads, rom_addresses, writes, lanes, ops,
+                                 self.crf, self.rom, size)
+        else:
+            self._batch.butterflies(reads, rom_addresses, writes, lanes,
+                                    ops, size)
 
     def _advance_cursor(self, kind: str, size: int, stride: int,
                         mem: int) -> int:
@@ -977,10 +875,11 @@ class FFTASIP(Machine):
         dcache = self.dcache
         if dcache is None:
             return 0
-        batch = self._batch
-        if batch is not None and batch.trace is not None:
-            batch.trace.append((first, is_write))
-            batch.trace.append((second, is_write))
+        if self._batch is not None:
+            self._batch.record_walk(
+                np.array([first, second], dtype=np.int64), is_write
+            )
+            return 0
         stats = self.stats
         hit_latency = dcache.config.hit_latency
         latency_a = dcache.access(first, is_write)
@@ -995,34 +894,413 @@ class FFTASIP(Machine):
         return max(latency_a, latency_b) - hit_latency
 
 
-class _SymbolBatch:
-    """Data-plane state of one batched multi-symbol run.
+# A value name is ``storage << _NAME_SHIFT | position`` and a storage id is
+# ``2 * depth + kind``, so the deepest of a set of names is one max.  At
+# depth 0, kind 0 holds the staged inputs and kind 1 the initial state
+# every symbol shares; at each later depth, kind 0 holds that level's
+# butterflies and kind 1 its pre-rotations.
+_NAME_SHIFT = 32
+_NAME_POSITION = (1 << _NAME_SHIFT) - 1
+_DEPTH_SHIFT = _NAME_SHIFT + 1
+_INPUTS, _INITIAL = 0, 1
+_BUTTERFLY, _ROTATION = 0, 1
 
-    Holds the ``(n_symbols, 3N)`` view of the ASIP's data regions —
-    complex for the float datapath, int64 Q1.15 component pairs for the
-    fixed one — plus the recorded data-cache access trace of the shared
-    address walk (None when the machine has no cache).
+
+class _SymbolBatch:
+    """Levelized data plane of one batched multi-symbol run.
+
+    While the program runs once, custom ops move value *names*, not
+    values.  Every CRF entry and data-window word (``[0, 3N)``) holds a
+    name; LDIN and plain STOUT copy names, so they only rename.  A BUT4
+    span or a pre-rotating STOUT burst is recorded into its *level*, one
+    deeper than the deepest value it reads, and names its outputs by
+    (level, position).  At HALT, :meth:`flush` evaluates level after
+    level, each as a few wide column ops over symbols x every group of the
+    epoch — legal because the conflict-free CRF addressing makes the
+    groups of an epoch independent, and exact because every op is
+    element-wise (the same ``FixedPointContext.butterfly_arrays`` /
+    ``multiply_arrays`` calls, or the float ``w*b``, ``a±t``, ``x*w``,
+    over more elements) and the overflow count is a sum.
+
+    Values are stored position-major, ``(positions, n_symbols)``, so a
+    level's operand gathers copy whole rows.  Only the input region
+    differs between symbols; the initial state (memory window and both CRF
+    banks at entry) is one column every symbol shares.  A level is freed
+    once its last reader has run, after the memory words, CRF entries and
+    outputs that end the run naming it have been copied out.
     """
 
-    __slots__ = ("n", "window", "fixed", "data", "re", "im", "trace",
-                 "written", "suspect")
+    #: elements (symbols x lanes) per column op while flushing a level;
+    #: bounds the temporaries of the Q1.15 datapath.
+    FIXED_CHUNK = 4096
+    #: the float flush is gather-bound, so it runs levels in larger chunks.
+    FLOAT_CHUNK = 32768
 
-    def __init__(self, n: int, window: int, fixed: bool):
+    def __init__(self, machine: "FFTASIP", blocks: np.ndarray):
+        n, points = blocks.shape
+        self.machine = machine
         self.n = n
-        self.window = window
-        self.fixed = fixed
-        self.data = None
-        self.re = None
-        self.im = None
-        self.trace = []
+        self.window = 3 * points
+        self.fixed = machine.fixed_point
+        entries = machine.crf.entries
+        base = machine.input_base
+        staged = blocks.T[machine._input_perm]
+        inputs = quantize_array(staged) if self.fixed else (staged,)
+        # Per storage id: values (component arrays, built at flush),
+        # recorded ops [(operand names, op data), ...] and output count.
+        self._values = [inputs, None]
+        self._ops = [None, None]
+        self._sizes = [points, self.window + 2 * entries]
+        # BUT4s of the current stage, recorded as one op group once the
+        # stage ends (see butterflies).
+        self._pending = []
+        self._pending_key = None
+        self._patterns = {}
+        self._operands = None
+        words = np.arange(self.window, dtype=np.int64)
+        initial = _INITIAL << _NAME_SHIFT
+        self.mem_names = words | initial
+        self.mem_names[base:base + points] = np.arange(points)
+        self.crf_names = (
+            initial | (self.window + np.arange(2 * entries, dtype=np.int64))
+        ).reshape(2, entries)
+        # One pass of the data-cache address walk (see DataCache.replay).
+        self.walk = []
         # Cross-symbol dataflow guard: ``written`` marks columns this run
         # has produced (the staged input counts — it is re-staged per
         # symbol either way); ``suspect`` marks columns read while still
         # unwritten.  A column in both sets means the program consumed
         # state a previous symbol would have produced — batching cannot
         # reproduce the serial loop for such programs.
-        self.written = np.zeros(window, dtype=bool)
-        self.suspect = np.zeros(window, dtype=bool)
+        self.written = np.zeros(self.window, dtype=bool)
+        self.written[base:base + points] = True
+        self.suspect = np.zeros(self.window, dtype=bool)
+
+    # Recording (runs inside the program's single pass) --------------------
+
+    def record_walk(self, addresses: np.ndarray, is_write: bool) -> None:
+        """Append bus beats, in op order, to the cache address walk."""
+        self.walk.append((addresses.reshape(-1) << 1) | int(is_write))
+
+    def ldin(self, flat: np.ndarray, positions: np.ndarray) -> None:
+        """LDIN: CRF entries take the names of the memory words."""
+        self._commit()
+        crf = self.machine.crf
+        fresh = ~self.written[flat]
+        if fresh.any():
+            self.suspect[flat[fresh]] = True
+        self.crf_names[crf.active_bank, positions] = self.mem_names[flat]
+        crf.writes += len(positions) * self.n
+
+    def stout(self, flat: np.ndarray, positions: np.ndarray,
+              rel: np.ndarray = None) -> None:
+        """STOUT: memory words take the CRF entries' names, or, with
+        scratch offsets ``rel``, the names of their pre-rotations."""
+        self._commit()
+        crf = self.machine.crf
+        names = self.crf_names[crf.active_bank, positions]
+        crf.reads += len(positions) * self.n
+        if rel is not None:
+            names = self._record(_ROTATION, names, rel, len(rel)) + (
+                np.arange(len(rel), dtype=np.int64))
+        self.written[flat] = True
+        self.mem_names[flat] = names
+
+    def butterflies(self, reads: np.ndarray, rom_addresses: np.ndarray,
+                    writes: np.ndarray, lanes: int, ops: int,
+                    group_size: int) -> None:
+        """BUT4 span: tally it and queue it with the rest of its stage.
+
+        Ops of one stage read only the active bank and write only the
+        shadow one, so the queue holds while the bank and group size stay
+        put; a change of either, or an LDIN/STOUT, records it as one op
+        group (:meth:`_commit`).
+        """
+        machine = self.machine
+        crf = machine.crf
+        machine.bu.count_span(reads, rom_addresses, writes, ops, crf,
+                              machine.rom, self.n)
+        key = (crf.active_bank, group_size)
+        if key != self._pending_key:
+            self._commit()
+            self._pending_key = key
+        self._pending.append((reads, rom_addresses, writes, lanes))
+
+    def _commit(self) -> None:
+        """Record the queued BUT4s as one op group of their level."""
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = []
+        bank, group_size = self._pending_key
+        reads, rom_addresses, writes, lanes = zip(*pending)
+        if len(pending) > 1:
+            reads, rom_addresses, writes = (
+                np.concatenate(reads), np.concatenate(rom_addresses),
+                np.concatenate(writes),
+            )
+        else:
+            reads, rom_addresses, writes = reads[0], rom_addresses[0], writes[0]
+        base = self._record(_BUTTERFLY, self.crf_names[bank, reads],
+                            (rom_addresses, group_size, lanes), len(reads))
+        self.crf_names[1 - bank, writes] = self._write_pattern(lanes) + base
+
+    def _write_pattern(self, lanes: tuple) -> np.ndarray:
+        """Level positions, in write order, of an op group's outputs.
+
+        The ``i``-th butterfly of a level keeps its sum at position ``2i``
+        and its difference at ``2i + 1``; each op writes its ``lanes`` sums
+        and then its ``lanes`` differences.
+        """
+        pattern = self._patterns.get(lanes)
+        if pattern is None:
+            parts = []
+            offset = 0
+            for count in lanes:
+                sums = 2 * np.arange(offset, offset + count, dtype=np.int64)
+                parts += [sums, sums + 1]
+                offset += count
+            pattern = self._patterns[lanes] = np.concatenate(parts)
+        return pattern
+
+    def _record(self, kind: int, names: np.ndarray, data,
+                outputs: int) -> int:
+        """File one op group at its level; returns its first output name."""
+        sid = 2 * ((int(names.max()) >> _DEPTH_SHIFT) + 1) + kind
+        while sid >= len(self._ops):
+            self._values.append(None)
+            self._ops.append([])
+            self._sizes.append(0)
+        self._ops[sid].append((names, data))
+        first = self._sizes[sid]
+        self._sizes[sid] = first + outputs
+        return (sid << _NAME_SHIFT) | first
+
+    # Evaluation (at HALT) -------------------------------------------------
+
+    def flush(self) -> np.ndarray:
+        """Evaluate every level; return the ``(n_symbols, N)`` outputs.
+
+        Leaves memory and both CRF banks holding the last symbol's end
+        state, as the serial loop would.
+        """
+        machine = self.machine
+        n = self.n
+        self._commit()
+        levels = [sid for sid in range(2, len(self._ops)) if self._ops[sid]]
+        last_read = [0] * len(self._ops)
+        for sid in levels:
+            names = np.concatenate([names for names, _ in self._ops[sid]])
+            for read in np.unique(names >> _NAME_SHIFT).tolist():
+                last_read[read] = sid >> 1
+        # Where each final name goes: the last symbol's memory window and
+        # CRF banks, and every symbol's output row.
+        finals = np.concatenate((self.mem_names, self.crf_names.ravel()))
+        lo = machine.output_base
+        out_names = self.mem_names[lo:lo + machine.n_points]
+        dtype = np.int64 if self.fixed else complex
+        parts = 2 if self.fixed else 1
+        end_state = [np.empty(len(finals), dtype) for _ in range(parts)]
+        outputs = [np.empty((len(out_names), n), dtype)
+                   for _ in range(parts)]
+        # Operand gather buffers, reused by every chunk of every level.
+        width = min(self._step(),
+                    max([self._sizes[sid] for sid in levels] or [0]))
+        self._operands = [[np.empty((width, n), dtype) for _ in range(parts)]
+                          for _ in range(2)]
+        for sid in (_INPUTS, _INITIAL):
+            self._copy_out(sid, finals, end_state, out_names, outputs)
+        live = {_INPUTS, _INITIAL}
+        for index, sid in enumerate(levels):
+            self._values[sid] = self._evaluate(sid, self._plan(sid))
+            self._copy_out(sid, finals, end_state, out_names, outputs)
+            live.add(sid)
+            # Free every storage whose readers have all run: they sit at
+            # depths below the next level's.
+            following = (levels[index + 1] >> 1
+                         if index + 1 < len(levels) else None)
+            for done in [s for s in live if following is None
+                         or last_read[s] < following]:
+                live.discard(done)
+                self._values[done] = None
+        self._values = self._operands = None
+        self._write_back(end_state)
+        if self.fixed:
+            return fixed_to_complex_array(outputs[0].T, outputs[1].T)
+        return np.ascontiguousarray(outputs[0].T)
+
+    def _plan(self, sid: int) -> tuple:
+        """Concatenate a level's recorded ops into ``(operand name
+        arrays, weight indices)``.
+
+        Each BUT4 read its ``lanes`` first operands and then its ``lanes``
+        second ones; the operands come out in butterfly order.  Butterfly
+        weights are full-ROM indices of the recorded group-relative
+        twiddle addresses.
+        """
+        ops = self._ops[sid]
+        self._ops[sid] = None
+        names = np.concatenate([names for names, _ in ops])
+        if sid & 1 == _ROTATION:
+            return (names,), np.concatenate([rel for _, rel in ops])
+        lanes = [count for _, (_, _, counts) in ops for count in counts]
+        first = np.repeat(np.tile([True, False], len(lanes)),
+                          np.repeat(lanes, 2))
+        rom = self.machine.rom
+        sizes = {size for _, (_, size, _) in ops}
+        if len(sizes) == 1:
+            twiddles = rom.table_indices(
+                np.concatenate([d[0] for _, d in ops]), sizes.pop()
+            )
+        else:
+            twiddles = np.concatenate(
+                [rom.table_indices(*d[:2]) for _, d in ops]
+            )
+        return (names[first], names[~first]), twiddles
+
+    def _step(self) -> int:
+        """Ops (lanes) per column op while flushing a level."""
+        chunk = self.FIXED_CHUNK if self.fixed else self.FLOAT_CHUNK
+        return max(1, chunk // self.n)
+
+    def _evaluate(self, sid: int, plan: tuple) -> tuple:
+        """Run one level in chunks; returns its ``(positions, n)``
+        component arrays."""
+        machine = self.machine
+        n = self.n
+        operands, weights_at = plan
+        operands = [self._resolve(names) for names in operands]
+        count = len(weights_at)
+        rotation = sid & 1 == _ROTATION
+        shape = (count, n) if rotation else (count, 2, n)
+        step = self._step()
+        firsts, seconds = self._operands
+        if self.fixed:
+            fx = machine.fx
+            if rotation:
+                weights = machine._prerot_components
+            else:
+                weights = machine.rom.fixed_table()
+            re = np.empty(shape, dtype=np.int64)
+            im = np.empty(shape, dtype=np.int64)
+            for lo in range(0, count, step):
+                hi = min(lo + step, count)
+                chunk = weights_at[lo:hi]
+                wr = weights[0][chunk][:, None]
+                wi = weights[1][chunk][:, None]
+                if rotation:
+                    xr, xi = self._take(operands[0], lo, hi, firsts)
+                    re[lo:hi], im[lo:hi] = fx.multiply_arrays(xr, xi, wr, wi)
+                    continue
+                ar, ai = self._take(operands[0], lo, hi, firsts)
+                br, bi = self._take(operands[1], lo, hi, seconds)
+                (re[lo:hi, 0], im[lo:hi, 0],
+                 re[lo:hi, 1], im[lo:hi, 1]) = fx.butterfly_arrays(
+                    ar, ai, br, bi, wr, wi)
+            return re.reshape(-1, n), im.reshape(-1, n)
+        if rotation:
+            weights = machine._prerotation_table()
+        else:
+            weights = machine.rom.table()
+        values = np.empty(shape, dtype=complex)
+        for lo in range(0, count, step):
+            hi = min(lo + step, count)
+            w = weights[weights_at[lo:hi]][:, None]
+            if rotation:
+                (x,) = self._take(operands[0], lo, hi, firsts)
+                np.multiply(x, w, out=values[lo:hi])
+                continue
+            (a,) = self._take(operands[0], lo, hi, firsts)
+            (b,) = self._take(operands[1], lo, hi, seconds)
+            t = np.multiply(w, b, out=b)
+            np.add(a, t, out=values[lo:hi, 0])
+            np.subtract(a, t, out=values[lo:hi, 1])
+        return (values.reshape(-1, n),)
+
+    @staticmethod
+    def _resolve(names: np.ndarray) -> tuple:
+        """``(storage ids, positions)`` of a name array; the ids collapse
+        to one int when every name lives in the same storage."""
+        sids = names >> _NAME_SHIFT
+        positions = names & _NAME_POSITION
+        if sids.size and sids.min() == sids.max():
+            return int(sids[0]), positions
+        return sids, positions
+
+    def _take(self, operand: tuple, lo: int, hi: int, out: list) -> list:
+        """Gather ``operand[lo:hi]`` into the ``(hi - lo, n)`` heads of
+        the component buffers ``out``."""
+        sids, positions = operand
+        positions = positions[lo:hi]
+        parts = [buffer[:hi - lo] for buffer in out]
+        if isinstance(sids, int):
+            values = self._values_of(sids)
+            if values[0].shape[1] == self.n:
+                # Positions are in range by construction, so "clip" only
+                # skips numpy's bounds-checked buffering.
+                for part, v in zip(parts, values):
+                    np.take(v, positions, axis=0, out=part, mode="clip")
+            else:
+                # The initial state: every symbol reads the same value.
+                for part, v in zip(parts, values):
+                    part[...] = v[positions]
+            return parts
+        sids = sids[lo:hi]
+        for sid in np.unique(sids).tolist():
+            mask = sids == sid
+            for part, v in zip(parts, self._values_of(sid)):
+                part[mask] = v[positions[mask]]
+        return parts
+
+    def _values_of(self, sid: int) -> tuple:
+        if sid == _INITIAL and self._values[sid] is None:
+            self._values[sid] = self._initial_values()
+        return self._values[sid]
+
+    def _initial_values(self) -> tuple:
+        """The memory window and both CRF banks at entry, as one shared
+        ``(positions, 1)`` column per component."""
+        machine = self.machine
+        words = np.arange(self.window, dtype=np.int64)
+        if self.fixed:
+            memory = words_to_fixed_array(machine.memory.gather_words(words))
+        else:
+            memory = (machine.memory.gather_complex(words),)
+        banks = machine.crf.bank_arrays()
+        return tuple(
+            np.concatenate((m, b.ravel()))[:, None]
+            for m, b in zip(memory, banks)
+        )
+
+    def _copy_out(self, sid: int, finals: np.ndarray, end_state: list,
+                  out_names: np.ndarray, outputs: list) -> None:
+        """Copy the values that end the run named in storage ``sid``."""
+        lo = sid << _NAME_SHIFT
+        hi = lo + (1 << _NAME_SHIFT)
+        for names, targets, last in ((finals, end_state, True),
+                                     (out_names, outputs, False)):
+            where = np.flatnonzero((names >= lo) & (names < hi))
+            if not where.size:
+                continue
+            positions = names[where] & _NAME_POSITION
+            for target, values in zip(targets, self._values_of(sid)):
+                if last:
+                    target[where] = values[positions, -1]
+                else:
+                    target[where] = values[positions]
+
+    def _write_back(self, end_state: list) -> None:
+        """Leave memory and the CRF banks holding the last symbol's end
+        state — that of the equivalent serial loop."""
+        machine = self.machine
+        words = np.arange(self.window, dtype=np.int64)
+        window = [part[:self.window] for part in end_state]
+        if self.fixed:
+            machine.memory.scatter_words(words, fixed_to_words_array(*window))
+        else:
+            machine.memory.scatter_complex(words, window[0])
+        for bank, part in zip(machine.crf.bank_arrays(), end_state):
+            bank[...] = part[self.window:].reshape(bank.shape)
 
 
 class _SmallPreRotation:

@@ -9,10 +9,10 @@ construction in this design, which is itself a property worth asserting
 (no data-dependent control flow anywhere in Algorithm 1).
 
 Blocks are staged in multi-symbol chunks through
-:meth:`repro.asip.FFTASIP.run_batch`, so the fused LDIN/BUT4/STOUT walks
-execute over an ``(n_symbols, ...)`` batch axis in one numpy pass per
-burst while retiring per-symbol cycles and counters exactly as the
-serial loop does.  ``batch=1`` forces the serial loop (the benchmark
+:meth:`repro.asip.FFTASIP.run_batch`, so the program runs once per chunk
+and each FFT stage executes as a few wide column ops over the chunk's
+symbols and groups, while per-symbol cycles and counters retire exactly
+as in the serial loop.  ``batch=1`` forces the serial loop (the benchmark
 baseline); machines the batch path cannot reproduce exactly fall back to
 it automatically.
 """

@@ -47,16 +47,23 @@ class AddressChangingLogic:
         self._p = None
         self._read_tables = {}
         self._index_cache = {}
+        # Per group size: (read tables, index cache).  Programs whose two
+        # epochs use different group sizes reconfigure twice per run; the
+        # tables of both sizes stay lowered.
+        self._by_size = {}
 
     def configure(self, group_size: int) -> None:
         """Latch the group size of the current epoch (P or Q)."""
         self._p = bit_width_of(group_size)
         self._group_size = group_size
-        self._read_tables = {
-            stage: stage_input_addresses(self._p, stage)
-            for stage in range(1, self._p + 1)
-        }
-        self._index_cache = {}
+        tables = self._by_size.get(group_size)
+        if tables is None:
+            tables = self._by_size[group_size] = (
+                {stage: stage_input_addresses(self._p, stage)
+                 for stage in range(1, self._p + 1)},
+                {},
+            )
+        self._read_tables, self._index_cache = tables
 
     @property
     def group_size(self) -> int:
@@ -112,9 +119,10 @@ class AddressChangingLogic:
         Returns ``(reads, rom, writes, lanes)`` where ``reads``/``writes``
         concatenate the first/second halves of :meth:`addresses` into one
         gather/scatter array each.  The tables only depend on (module,
-        stage) for a configured epoch, so the whole BUT4 grid is lowered
-        once and every later op is a dictionary hit — the vectorised
-        counterpart of the decoder's combinational address generation.
+        stage) for a configured group size, so the whole BUT4 grid is
+        lowered once per size and every later op is a dictionary hit — the
+        vectorised counterpart of the decoder's combinational address
+        generation.
         """
         key = (module, stage)
         cached = self._index_cache.get(key)

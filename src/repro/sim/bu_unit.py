@@ -29,25 +29,6 @@ class BUFunctionalUnit:
         """Number of BUT4 operations executed."""
         return self.unit.op_count
 
-    def execute_indices(self, reads: np.ndarray, rom_addresses: np.ndarray,
-                        writes: np.ndarray, lanes: int,
-                        crf: CustomRegisterFile, rom: CoefficientROM,
-                        group_size: int) -> None:
-        """Vectorised BUT4: one gather, whole-lane butterflies, one scatter.
-
-        ``reads``/``writes`` are the concatenated first+second index
-        arrays from :meth:`AddressChangingLogic.index_arrays`.  Access
-        counting (CRF reads/writes, ROM reads, BU op count) is identical
-        to the scalar :meth:`execute` path — per symbol when the CRF
-        carries a batch axis.  The arithmetic is the same computation
-        element-wise over the lanes (and any batch axis): bit-identical
-        on the Q1.15 int-array datapath, and equal to rounding noise
-        (~1 ulp, numpy's compiled complex multiply vs Python scalars) on
-        the float one.
-        """
-        self._execute_column(reads, rom_addresses, writes, lanes, 1,
-                             crf, rom, group_size)
-
     def execute_span(self, reads: np.ndarray, rom_addresses: np.ndarray,
                      writes: np.ndarray, lanes: int, ops: int,
                      crf: CustomRegisterFile, rom: CoefficientROM,
@@ -55,13 +36,20 @@ class BUFunctionalUnit:
         """Run ``ops`` consecutive BUT4s of one stage as one column op.
 
         ``reads``/``writes``/``rom_addresses`` come from
-        :meth:`AddressChangingLogic.span_arrays`; counting equals ``ops``
-        scalar executions (``op_count += ops``, one CRF read/write per
-        index, one ROM read per coefficient, each per symbol in batch
-        mode).  Supports the float datapath and the int-array Q1.15 CRF;
-        a scalar-lane fixed-point configuration must go through
-        :meth:`execute`/:meth:`execute_indices` so quantisation happens
-        per lane.
+        :meth:`AddressChangingLogic.span_arrays` (or, for one op,
+        ``index_arrays``); counting equals ``ops`` scalar executions
+        (``op_count += ops``, one CRF read/write per index, one ROM read
+        per coefficient).  The arithmetic is the scalar computation
+        element-wise over the lanes: bit-identical on the int-array Q1.15
+        CRF, and equal to rounding noise (~1 ulp, numpy's compiled complex
+        multiply vs Python scalars) on the float datapath.  A scalar-lane
+        fixed-point configuration must go through :meth:`execute` so
+        quantisation happens per lane.
+
+        This is the one-symbol datapath.  A multi-symbol
+        :meth:`repro.asip.FFTASIP.run_batch` never moves data here: it
+        records spans as dataflow, tallies them with :meth:`count_span`
+        and evaluates whole FFT stages at once.
         """
         if self.unit.arithmetic is not None and not crf.int_mode:
             raise ValueError(
@@ -69,47 +57,42 @@ class BUFunctionalUnit:
                 "int-array Q1.15 CRF; scalar-lane fixed-point BUT4s must "
                 "execute per op"
             )
-        self._execute_column(reads, rom_addresses, writes, lanes, ops,
-                             crf, rom, group_size)
-
-    def _execute_column(self, reads, rom_addresses, writes, lanes, ops,
-                        crf, rom, group_size) -> None:
-        symbols = crf.batch or 1
-        self.unit.op_count += ops * symbols
-        rom_count = len(rom_addresses) * symbols
+        self.unit.op_count += ops
         arithmetic = self.unit.arithmetic
-        if arithmetic is not None and crf.int_mode:
+        if arithmetic is not None:
             # Whole-column Q1.15: the int64 component arrays run through
             # the vectorised FixedPointContext ops — bit-identical to the
             # scalar lanes, overflow counts included.
             fx = arithmetic.context
             re, im = crf.read_many_fixed(reads)
-            wr, wi = rom.read_many_fixed_for_size(
-                rom_addresses, group_size, count=rom_count
-            )
+            wr, wi = rom.read_many_fixed_for_size(rom_addresses, group_size)
             sr, si, dr, di = fx.butterfly_arrays(
-                re[..., :lanes], im[..., :lanes],
-                re[..., lanes:], im[..., lanes:], wr, wi,
+                re[:lanes], im[:lanes], re[lanes:], im[lanes:], wr, wi,
             )
             crf.write_shadow_many_fixed(
-                writes,
-                np.concatenate((sr, dr), axis=-1),
-                np.concatenate((si, di), axis=-1),
+                writes, np.concatenate((sr, dr)), np.concatenate((si, di)),
             )
             return
         values = crf.read_many(reads)
-        a = values[..., :lanes]
-        b = values[..., lanes:]
-        w = rom.read_many_for_size(rom_addresses, group_size,
-                                   count=rom_count)
-        if arithmetic is None:
-            t = w * b
-            out = np.empty_like(values)
-            out[..., :lanes] = a + t
-            out[..., lanes:] = a - t
-        else:
-            out = arithmetic.butterfly_column(a, b, w)
+        a = values[:lanes]
+        t = rom.read_many_for_size(rom_addresses, group_size) * values[lanes:]
+        out = np.empty_like(values)
+        out[:lanes] = a + t
+        out[lanes:] = a - t
         crf.write_shadow_many(writes, out)
+
+    def count_span(self, reads: np.ndarray, rom_addresses: np.ndarray,
+                   writes: np.ndarray, ops: int, crf: CustomRegisterFile,
+                   rom: CoefficientROM, symbols: int) -> None:
+        """Tally ``ops`` BUT4s for ``symbols`` symbols without moving data.
+
+        The counters advance exactly as ``symbols`` runs of
+        :meth:`execute_span` over the same index arrays would.
+        """
+        self.unit.op_count += ops * symbols
+        crf.reads += len(reads) * symbols
+        crf.writes += len(writes) * symbols
+        rom.reads += len(rom_addresses) * symbols
 
     def execute(self, addresses: BUAddresses, crf: CustomRegisterFile,
                 rom: CoefficientROM, group_size: int) -> None:

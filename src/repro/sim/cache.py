@@ -12,7 +12,10 @@ the line size in words (8 words = 32 bytes, the SimpleScalar default).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = ["CacheConfig", "DataCache"]
 
@@ -52,6 +55,10 @@ class DataCache:
     the simulation sizes involved.
     """
 
+    #: Entries kept by the :meth:`replay` memo: enough for the cold,
+    #: warming and fixed-point passes of a few recurring programs.
+    REPLAY_MEMO_SIZE = 8
+
     def __init__(self, config: CacheConfig = None):
         self.config = config or CacheConfig()
         self._sets = [[] for _ in range(self.config.sets)]
@@ -59,6 +66,9 @@ class DataCache:
         self.misses = 0
         self.writebacks = 0
         self._dirty = set()
+        # (config, walk bytes, start state_key) -> (hits, misses,
+        # writebacks, end state_key) of one pass; see replay.
+        self._replay_memo = OrderedDict()
 
     def reset(self) -> None:
         """Flush contents and zero the counters."""
@@ -108,13 +118,71 @@ class DataCache:
         """Hashable fingerprint of the full tag/LRU/dirty state.
 
         Two caches with equal keys respond identically to any future
-        access sequence — the fixed-point test the batched symbol replay
-        uses to extrapolate per-symbol hit/miss counts exactly.
+        access sequence — the fixed-point test :meth:`replay` uses to
+        extrapolate per-pass hit/miss counts exactly.
         """
         return (
             tuple(tuple(ways) for ways in self._sets),
             frozenset(self._dirty),
         )
+
+    def restore(self, key: tuple) -> None:
+        """Load the tag/LRU/dirty state captured by :meth:`state_key`."""
+        sets, dirty = key
+        self._sets = [list(ways) for ways in sets]
+        self._dirty = set(dirty)
+
+    def replay(self, walk: np.ndarray, repeats: int) -> tuple:
+        """Account ``repeats`` back-to-back passes of an access walk.
+
+        ``walk`` encodes one pass in order as ``word_address << 1 |
+        is_write``.  Returns the ``(hits, misses)`` of all passes and
+        leaves the cache exactly as that many :meth:`access` sweeps
+        would.  Each pass is looked up in a small memo keyed by (config,
+        walk, start :meth:`state_key`) that stores the pass's counts and
+        end state; once a pass ends where it started, the remaining
+        passes repeat it and are retired arithmetically.  A warm cache
+        therefore replays a recurring walk without a single
+        :meth:`access` call.
+        """
+        memo = self._replay_memo
+        walk_key = walk.tobytes()
+        total_hits = total_misses = 0
+        remaining = repeats
+        while remaining > 0:
+            start = self.state_key()
+            memo_key = (self.config, walk_key, start)
+            entry = memo.get(memo_key)
+            if entry is None:
+                entry = memo[memo_key] = self._sweep(walk)
+                if len(memo) > self.REPLAY_MEMO_SIZE:
+                    memo.popitem(last=False)
+            else:
+                memo.move_to_end(memo_key)
+                self.restore(entry[3])
+                self.hits += entry[0]
+                self.misses += entry[1]
+                self.writebacks += entry[2]
+            hits, misses, writebacks, end = entry
+            passes = remaining if end == start else 1
+            if passes > 1:
+                self.hits += hits * (passes - 1)
+                self.misses += misses * (passes - 1)
+                self.writebacks += writebacks * (passes - 1)
+            total_hits += hits * passes
+            total_misses += misses * passes
+            remaining -= passes
+        return total_hits, total_misses
+
+    def _sweep(self, walk: np.ndarray) -> tuple:
+        """One pass of ``walk`` through :meth:`access`; returns its
+        ``(hits, misses, writebacks, end state_key)``."""
+        hits, misses, writebacks = self.hits, self.misses, self.writebacks
+        access = self.access
+        for word in walk.tolist():
+            access(word >> 1, word & 1)
+        return (self.hits - hits, self.misses - misses,
+                self.writebacks - writebacks, self.state_key())
 
     @property
     def accesses(self) -> int:
@@ -125,3 +193,4 @@ class DataCache:
     def miss_rate(self) -> float:
         """Miss rate over all accesses."""
         return self.misses / self.accesses if self.accesses else 0.0
+

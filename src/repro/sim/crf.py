@@ -17,10 +17,10 @@ Two storage modes model the same architectural state:
   on; the scalar accessors convert on the fly (losslessly, since every
   value is on the grid), so the per-op oracle path stays bit-true.
 
-An optional leading **batch axis** (``batch=n``) turns every entry into a
-column of ``n`` symbols: gathers and scatters move ``(n, k)`` blocks and
-the access counters advance by ``n`` per architectural access, exactly as
-``n`` serial symbol runs would.
+The CRF models one symbol.  Multi-symbol batches
+(:meth:`repro.asip.FFTASIP.run_batch`) never widen it: they track which
+value each entry names, tally the accesses per symbol on this object, and
+load the last symbol's end state back through :meth:`bank_arrays`.
 """
 
 from __future__ import annotations
@@ -39,17 +39,12 @@ __all__ = ["CustomRegisterFile"]
 class CustomRegisterFile:
     """Double-banked register file of ``entries`` complex values."""
 
-    def __init__(self, entries: int, int_mode: bool = False,
-                 batch: int = None):
+    def __init__(self, entries: int, int_mode: bool = False):
         if entries <= 0:
             raise ValueError(f"CRF needs a positive size, got {entries}")
-        if batch is not None and batch <= 0:
-            raise ValueError(f"CRF batch must be positive, got {batch}")
         self.entries = entries
         self.int_mode = bool(int_mode)
-        self.batch = batch
-        lead = () if batch is None else (batch,)
-        shape = (2,) + lead + (entries,)
+        shape = (2, entries)
         if self.int_mode:
             self._re = np.zeros(shape, dtype=np.int64)
             self._im = np.zeros(shape, dtype=np.int64)
@@ -70,27 +65,18 @@ class CustomRegisterFile:
                 f"CRF address {address} out of range [0, {self.entries})"
             )
 
-    def _tally(self, count: int) -> int:
-        """Architectural accesses for ``count`` entry touches."""
-        return count if self.batch is None else count * self.batch
+    # Scalar accessors -----------------------------------------------------
 
-    # Scalar accessors (one entry — a symbol column in batch mode) --------
-
-    def read(self, address: int):
-        """Read one entry from the active bank.
-
-        Returns a Python complex (complex column in batch mode).
-        """
+    def read(self, address: int) -> complex:
+        """Read one entry from the active bank."""
         self._check(address)
-        self.reads += self._tally(1)
+        self.reads += 1
         if self.int_mode:
-            re = self._re[self._active][..., address]
-            im = self._im[self._active][..., address]
-            if self.batch is None:
-                return complex(fixed_to_complex_array(re, im))
-            return fixed_to_complex_array(re, im)
-        value = self._data[self._active][..., address]
-        return complex(value) if self.batch is None else value.copy()
+            return complex(fixed_to_complex_array(
+                self._re[self._active, address],
+                self._im[self._active, address],
+            ))
+        return complex(self._data[self._active, address])
 
     def write(self, address: int, value) -> None:
         """Write one entry to the active bank (used by LDIN)."""
@@ -102,45 +88,40 @@ class CustomRegisterFile:
 
     def _write_bank(self, bank: int, address: int, value) -> None:
         self._check(address)
-        self.writes += self._tally(1)
+        self.writes += 1
         if self.int_mode:
-            if np.ndim(value):
-                re, im = quantize_array(value)
-            else:
-                q = quantize(complex(value))
-                re, im = q.re, q.im
-            self._re[bank][..., address] = re
-            self._im[bank][..., address] = im
+            q = quantize(complex(value))
+            self._re[bank, address] = q.re
+            self._im[bank, address] = q.im
         else:
-            self._data[bank][..., address] = value
+            self._data[bank, address] = value
 
     # Vectorised accessors -------------------------------------------------
 
     def read_many(self, addresses: np.ndarray) -> np.ndarray:
         """Gather entries from the active bank at an index array.
 
-        Counts one read per address (per symbol in batch mode), like
-        ``len(addresses)`` calls of :meth:`read`.  Callers must supply
-        non-negative in-range indices (the AC logic validates its tables
-        once at build time); the fancy index rejects overruns but would
-        wrap negatives.
+        Counts one read per address, like ``len(addresses)`` calls of
+        :meth:`read`.  Callers must supply non-negative in-range indices
+        (the AC logic validates its tables once at build time); the fancy
+        index rejects overruns but would wrap negatives.
         """
-        self.reads += self._tally(len(addresses))
+        self.reads += len(addresses)
         if self.int_mode:
             return fixed_to_complex_array(
-                self._re[self._active][..., addresses],
-                self._im[self._active][..., addresses],
+                self._re[self._active][addresses],
+                self._im[self._active][addresses],
             )
-        return self._banks_data(self._active)[..., addresses]
+        return self._data[self._active][addresses]
 
     def read_many_fixed(self, addresses: np.ndarray) -> tuple:
         """Gather Q1.15 ``(re, im)`` components (int mode only)."""
         if not self.int_mode:
             raise ValueError("read_many_fixed needs an int-mode CRF")
-        self.reads += self._tally(len(addresses))
+        self.reads += len(addresses)
         return (
-            self._re[self._active][..., addresses],
-            self._im[self._active][..., addresses],
+            self._re[self._active][addresses],
+            self._im[self._active][addresses],
         )
 
     def write_many(self, addresses: np.ndarray, values) -> None:
@@ -152,13 +133,13 @@ class CustomRegisterFile:
         self._scatter(1 - self._active, addresses, values)
 
     def _scatter(self, bank: int, addresses: np.ndarray, values) -> None:
-        self.writes += self._tally(len(addresses))
+        self.writes += len(addresses)
         if self.int_mode:
             re, im = quantize_array(values)
-            self._re[bank][..., addresses] = re
-            self._im[bank][..., addresses] = im
+            self._re[bank][addresses] = re
+            self._im[bank][addresses] = im
         else:
-            self._data[bank][..., addresses] = values
+            self._data[bank][addresses] = values
 
     def write_many_fixed(self, addresses: np.ndarray, re, im) -> None:
         """Scatter Q1.15 components into the active bank (int mode)."""
@@ -172,12 +153,20 @@ class CustomRegisterFile:
                        re, im) -> None:
         if not self.int_mode:
             raise ValueError("fixed-component scatter needs an int-mode CRF")
-        self.writes += self._tally(len(addresses))
-        self._re[bank][..., addresses] = re
-        self._im[bank][..., addresses] = im
+        self.writes += len(addresses)
+        self._re[bank][addresses] = re
+        self._im[bank][addresses] = im
 
-    def _banks_data(self, bank: int) -> np.ndarray:
-        return self._data[bank]
+    def bank_arrays(self) -> tuple:
+        """The live ``(2, entries)`` storage of both banks.
+
+        ``(re, im)`` int64 component arrays in int mode, ``(data,)`` in
+        complex mode.  Bulk state transfer only: writes through these
+        views bypass the access counters.
+        """
+        if self.int_mode:
+            return self._re, self._im
+        return (self._data,)
 
     # Bank management ------------------------------------------------------
 
@@ -200,49 +189,14 @@ class CustomRegisterFile:
         the ASIP's LDIN.
         """
         values = np.asarray(values, dtype=complex)
-        expected = (self.entries,) if self.batch is None else (
-            self.batch, self.entries
-        )
-        if values.shape != expected:
+        if values.shape != (self.entries,):
             raise ValueError(
-                f"expected values of shape {expected}, got {values.shape}"
+                f"expected values of shape {(self.entries,)}, "
+                f"got {values.shape}"
             )
         if self.int_mode:
             re, im = quantize_array(values)
-            self._re[self._active][...] = re
-            self._im[self._active][...] = im
+            self._re[self._active] = re
+            self._im[self._active] = im
         else:
-            self._data[self._active][...] = values
-
-    # Symbol-batch staging -------------------------------------------------
-
-    def batched_clone(self, n: int) -> "CustomRegisterFile":
-        """A batched copy: every symbol starts from this CRF's state.
-
-        Counters carry over so the batched run's accounting continues the
-        serial totals (each batched access then advances them by ``n``).
-        """
-        clone = CustomRegisterFile(self.entries, int_mode=self.int_mode,
-                                   batch=n)
-        clone._active = self._active
-        clone.reads = self.reads
-        clone.writes = self.writes
-        if self.int_mode:
-            clone._re[:] = self._re[:, None, :]
-            clone._im[:] = self._im[:, None, :]
-        else:
-            clone._data[:] = self._data[:, None, :]
-        return clone
-
-    def adopt_last_symbol(self, batched: "CustomRegisterFile") -> None:
-        """Fold a batched run's end state back: last symbol + counters."""
-        if batched.batch is None:
-            raise ValueError("adopt_last_symbol needs a batched CRF")
-        self._active = batched._active
-        self.reads = batched.reads
-        self.writes = batched.writes
-        if self.int_mode:
-            self._re[:] = batched._re[:, -1, :]
-            self._im[:] = batched._im[:, -1, :]
-        else:
-            self._data[:] = batched._data[:, -1, :]
+            self._data[self._active] = values

@@ -51,41 +51,50 @@ class CoefficientROM:
         stride = self.points // group_points
         return self.read(address * stride)
 
-    def read_many_for_size(self, addresses: np.ndarray, group_points: int,
-                           count: int = None) -> np.ndarray:
+    def read_many_for_size(self, addresses: np.ndarray,
+                           group_points: int) -> np.ndarray:
         """Gather several stride-addressed twiddles at once.
 
         Counts one read per address, like repeated :meth:`read_for_size`
-        calls; ``count`` overrides the tally for batched execution, where
-        one gather serves ``n_symbols * len(addresses)`` architectural
-        reads.
+        calls.
         """
-        if group_points > self.points:
-            raise ValueError(
-                f"group size {group_points} exceeds ROM size {self.points}"
-            )
-        stride = self.points // group_points
-        self.reads += len(addresses) if count is None else count
-        return self._table[addresses * stride]
+        self.reads += len(addresses)
+        return self._table[self.table_indices(addresses, group_points)]
 
     def read_many_fixed_for_size(self, addresses: np.ndarray,
-                                 group_points: int,
-                                 count: int = None) -> tuple:
+                                 group_points: int) -> tuple:
         """Gather stride-addressed twiddles as Q1.15 ``(re, im)`` columns.
 
         Component ``k`` equals ``quantize(read_for_size(addresses[k]))``
         exactly — the value the scalar Q1.15 BUT4 path feeds the BU.
         """
+        self.reads += len(addresses)
+        indices = self.table_indices(addresses, group_points)
+        re, im = self.fixed_table()
+        return re[indices], im[indices]
+
+    def table_indices(self, addresses: np.ndarray,
+                      group_points: int) -> np.ndarray:
+        """Full-table indices of stride-addressed twiddles (no read is
+        counted)."""
         if group_points > self.points:
             raise ValueError(
                 f"group size {group_points} exceeds ROM size {self.points}"
             )
+        return addresses * (self.points // group_points)
+
+    def table(self) -> np.ndarray:
+        """The full ``W_P^k`` table (read-only view; no read is counted)."""
+        view = self._table.view()
+        view.flags.writeable = False
+        return view
+
+    def fixed_table(self) -> tuple:
+        """The full table as Q1.15 ``(re, im)`` components, quantised once
+        (no read is counted)."""
         if self._fixed is None:
             self._fixed = quantize_array(self._table)
-        stride = self.points // group_points
-        self.reads += len(addresses) if count is None else count
-        indices = addresses * stride
-        return self._fixed[0][indices], self._fixed[1][indices]
+        return self._fixed
 
     def as_array(self) -> np.ndarray:
         """Copy of the full table (for verification)."""

@@ -197,6 +197,48 @@ class TestRunBatch:
         assert len(cycles) == 1
         assert np.allclose(outs[0], np.fft.fft(block[0]), atol=1e-8)
 
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_butterflies_reading_initial_crf_entries(self, fixed):
+        """Every stage runs only its second module, so half of each bank
+        keeps the state the batch started from.  BUT4 operand halves then
+        read only initial entries (stage 2) or a mix of initial, loaded
+        and computed ones (stages 3 and 4), STOUT copies initial entries
+        to the output, and the CRF end state still names them."""
+        from repro.asip.fft_asip import GROUP_SIZE_REG
+
+        n, symbols = 256, 3
+        b = ProgramBuilder()
+        b.li(GROUP_SIZE_REG, 16)
+        b.li(26, 1)          # LDIN stride
+        b.li(25, 1)          # STOUT stride
+        b.li(4, 0)
+        b.li(5, 0)
+        for _ in range(8):   # bank 0 <- input words 0..15
+            b.emit(Opcode.LDIN, rs=4, rt=5)
+        b.li(13, 2)          # module 2 of each stage; it swaps the banks
+        for stage in range(1, 5):
+            b.li(20 + stage, stage)
+        b.emit(Opcode.BUT4, rs=13, rt=21)
+        b.li(6, 0)
+        b.li(7, 2 * n)
+        for _ in range(8):
+            b.emit(Opcode.STOUT, rs=6, rt=7)
+        for stage in range(2, 5):
+            b.emit(Opcode.BUT4, rs=13, rt=20 + stage)
+        b.halt()
+        program = b.build()
+        batched = FFTASIP(n, fixed_point=fixed)
+        serial = FFTASIP(n, fixed_point=fixed)
+        initial = random_blocks(2, batched.crf.entries, seed=50, scale=0.4)
+        for machine in (batched, serial):
+            machine.crf.load_vector(initial[0])
+            machine.crf.swap_banks()
+            machine.crf.load_vector(initial[1])
+            machine.crf.swap_banks()
+        for seed in range(2):
+            run_both(batched, serial, program,
+                     random_blocks(symbols, n, seed=51 + seed, scale=0.4))
+
     def test_shape_validated(self):
         machine = FFTASIP(16)
         program = generate_fft_program(16)
@@ -204,6 +246,100 @@ class TestRunBatch:
             machine.run_batch(program, np.zeros((2, 8), dtype=complex))
         with pytest.raises(ValueError):
             machine.run_batch(program, np.zeros(16, dtype=complex))
+
+
+def assert_batch_end_state_equal(a: FFTASIP, b: FFTASIP):
+    """Everything assert_machines_equal compares, plus both CRF banks,
+    the sequencer flow state and the full data-cache state."""
+    assert_machines_equal(a, b)
+    assert a.crf.active_bank == b.crf.active_bank
+    for bank_a, bank_b in zip(a.crf.bank_arrays(), b.crf.bank_arrays()):
+        assert np.array_equal(bank_a, bank_b)
+    assert a._flow == b._flow
+    assert a.dcache.state_key() == b.dcache.state_key()
+    assert (a.dcache.hits, a.dcache.misses, a.dcache.writebacks) == (
+        b.dcache.hits, b.dcache.misses, b.dcache.writebacks)
+    if a.fx is not None:
+        assert a.fx.overflow_count == b.fx.overflow_count
+
+
+def run_both(batched, serial, program, blocks):
+    outs_b, cycles_b = batched.run_batch(program, blocks)
+    outs_s, cycles_s = run_serial(serial, program, blocks)
+    assert np.array_equal(outs_b, outs_s)
+    assert cycles_b == cycles_s
+    assert_batch_end_state_equal(batched, serial)
+
+
+class TestLevelizedBatchAtScale:
+    """The levelized data plane at the sizes the benchmark runs: group
+    loops (N > 512), two group sizes (N=2048) and a spilling D-cache
+    (N=8192).  Consecutive batches on one machine run both the cold and
+    the memoised cache-replay paths."""
+
+    SIZES = [(1024, 3), (2048, 3), (8192, 2)]
+
+    @pytest.mark.parametrize("n,symbols", SIZES)
+    def test_fixed_batches_equal_serial(self, n, symbols):
+        program = generate_fft_program(n)
+        batched = FFTASIP(n, fixed_point=True)
+        serial = FFTASIP(n, fixed_point=True)
+        run_both(batched, serial, program,
+                 random_blocks(symbols, n, seed=n, scale=0.25))
+        # Without per-stage scaling these inputs saturate the BU.
+        batched.fx.scale_stages = serial.fx.scale_stages = False
+        before = serial.fx.overflow_count
+        run_both(batched, serial, program,
+                 random_blocks(symbols, n, seed=n + 1, scale=0.9))
+        assert serial.fx.overflow_count > before
+
+    @pytest.mark.parametrize("n,symbols", SIZES)
+    def test_float_batches_equal_serial(self, n, symbols):
+        program = generate_fft_program(n)
+        batched = FFTASIP(n)
+        serial = FFTASIP(n)
+        for seed in range(2):
+            run_both(batched, serial, program,
+                     random_blocks(symbols, n, seed=n + seed))
+
+    def test_batch_after_cache_reset(self):
+        n, symbols = 8192, 2
+        program = generate_fft_program(n)
+        batched = FFTASIP(n)
+        serial = FFTASIP(n)
+        run_both(batched, serial, program, random_blocks(symbols, n, seed=21))
+        batched.dcache.reset()
+        serial.dcache.reset()
+        run_both(batched, serial, program, random_blocks(symbols, n, seed=22))
+
+    def test_two_programs_share_one_machine(self):
+        """Alternating two programs changes the cache start state and
+        the predecoded handlers between batches."""
+        n, symbols = 1024, 3
+        looped = generate_fft_program(n)
+        unrolled = generate_fft_program(n, unroll_threshold=n)
+        assert len(unrolled) != len(looped)
+        batched = FFTASIP(n, fixed_point=True)
+        serial = FFTASIP(n, fixed_point=True)
+        for seed, program in enumerate((looped, unrolled, looped,
+                                        unrolled)):
+            run_both(batched, serial, program,
+                     random_blocks(symbols, n, seed=30 + seed, scale=0.25))
+
+    def test_tiny_cache_replays_cold_passes(self):
+        """A cache far smaller than the walk: the first batch sweeps its
+        cold passes, the next ones are memo hits."""
+        from repro.sim.cache import CacheConfig
+
+        n, symbols = 256, 4
+        config = CacheConfig(sets=4, ways=2)
+        program = generate_fft_program(n)
+        batched = FFTASIP(n, cache_config=config)
+        serial = FFTASIP(n, cache_config=config)
+        for seed in range(3):
+            run_both(batched, serial, program,
+                     random_blocks(symbols, n, seed=40 + seed))
+        assert batched.dcache._replay_memo
 
 
 class TestBatchFallbacks:

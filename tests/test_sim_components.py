@@ -56,6 +56,41 @@ class TestCache:
         assert cache.accesses == 0
         assert cache.access(0) > 1  # cold again
 
+    @pytest.mark.parametrize("repeats", [1, 2, 5])
+    def test_replay_equals_access_sweeps(self, repeats):
+        """replay() leaves counters and state exactly as per-access
+        sweeps would, on the memo's miss and hit paths alike."""
+        config = CacheConfig(sets=4, ways=2, block_words=2)
+        rng = np.random.default_rng(repeats)
+        walk = (rng.integers(0, 64, 200) << 1) | rng.integers(0, 2, 200)
+        replayed = DataCache(config)
+        swept = DataCache(config)
+        for _ in range(3):
+            hits, misses = replayed.replay(walk, repeats)
+            before = (swept.hits, swept.misses)
+            for _ in range(repeats):
+                for word in walk.tolist():
+                    swept.access(word >> 1, bool(word & 1))
+            assert (hits, misses) == (swept.hits - before[0],
+                                      swept.misses - before[1])
+            assert replayed.state_key() == swept.state_key()
+            assert (replayed.hits, replayed.misses, replayed.writebacks) == (
+                swept.hits, swept.misses, swept.writebacks)
+
+    def test_replay_memo_is_bounded_and_skips_access(self, monkeypatch):
+        cache = DataCache(CacheConfig(sets=2, ways=1, block_words=1))
+        walks = [np.array([(a << 1) | 1 for a in range(k, k + 6)])
+                 for k in range(2 * DataCache.REPLAY_MEMO_SIZE)]
+        for walk in walks:
+            cache.replay(walk, 3)
+        assert len(cache._replay_memo) == DataCache.REPLAY_MEMO_SIZE
+        calls = []
+        access = cache.access
+        monkeypatch.setattr(cache, "access",
+                            lambda *a: calls.append(a) or access(*a))
+        cache.replay(walks[-1], 4)  # the latest walk is still memoised
+        assert calls == []
+
 
 class TestMainMemory:
     def test_word_roundtrip(self):
