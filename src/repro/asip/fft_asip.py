@@ -27,6 +27,8 @@ recorded in DESIGN.md):
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..addressing.bitops import bit_reverse, bit_width_of
@@ -140,8 +142,10 @@ class FFTASIP(Machine):
         self._prerot_flat = None
         self._prerot_fx = None
         self._prerot_components = None
-        # Active multi-symbol batch (see run_batch); None in serial runs.
+        # Active multi-symbol batch recording (see run_batch); None
+        # otherwise.  _records keeps the replayable batch passes.
         self._batch = None
+        self._records = []
         self.input_base = 0
         self.scratch_base = n_points
         self.output_base = 2 * n_points
@@ -184,24 +188,35 @@ class FFTASIP(Machine):
 
     # Multi-symbol batch execution ----------------------------------------
 
+    #: Control records kept per machine (see run_batch): a stream passes
+    #: through the power-on entry state and then one steady one.
+    CONTROL_RECORDS = 2
+
     def run_batch(self, program, blocks) -> tuple:
         """Run ``program`` over an ``(n_symbols, N)`` block batch.
 
-        Fast path: the program executes a *single* time.  Its control
-        plane — predecoded interpreter, registers, branches, the LDIN/
-        STOUT address sequencers and every :class:`SimStats` counter — is
-        the serial machine's, valid because generated programs have no
-        data-dependent control flow.  The data plane is levelized (see
-        :class:`_SymbolBatch`): custom ops only record which value each
-        CRF entry and data-window word names, and at HALT each FFT stage
-        runs once as a few wide column ops over every symbol and every
-        group of its epoch.  Statistics retire exactly as ``n_symbols``
-        serial runs: per-symbol counters scale by the batch size, CRF/ROM
-        accesses and BU ops are tallied per op times ``n_symbols``, and
-        data-cache hits, misses and writebacks come from
-        :meth:`DataCache.replay` of the recorded address walk.  The end
-        state (registers, memory, both CRF banks, cache) equals the
-        serial loop's.
+        Fast path: the program's control plane — predecoded interpreter,
+        registers, branches, the LDIN/STOUT address sequencers and every
+        :class:`SimStats` counter — runs at most once, valid because
+        generated programs have no data-dependent control flow.  The data
+        plane is levelized (see :class:`_SymbolBatch`): custom ops only
+        record which value each CRF entry and data-window word names, and
+        the recording compiles into a :class:`_FlushSchedule` that runs
+        each FFT stage once as a few wide column ops over every symbol and
+        every group of its epoch.
+
+        No instruction moves data into a register, so a pass depends only
+        on the entry control state (:meth:`_control_key`).  The first
+        batch from a state interprets the program and keeps a
+        :class:`_ControlRecord` of the pass (at most
+        :attr:`CONTROL_RECORDS`); later batches from that state replay it
+        without interpreting, unless its instruction count now exceeds
+        ``max_instructions``.  Either way every counter retires
+        ``n_symbols`` times its per-pass delta, data-cache hits, misses
+        and writebacks come from :meth:`DataCache.replay` of the recorded
+        walk, and data (memory, CRF, ROM, pre-rotation weights) is read
+        live.  The end state (registers, memory, both CRF banks, cache)
+        equals the serial loop's.
 
         Returns ``(outputs, per_symbol_cycles)``.  Falls back to the
         serial per-symbol loop whenever exact batched semantics cannot be
@@ -227,15 +242,59 @@ class FFTASIP(Machine):
                 cycles.append(self.stats.cycles - before)
                 outputs[k] = self.read_output()
             return outputs, cycles
-        batch = _SymbolBatch(self, blocks)
+        key = self._control_key()
+        record = self._find_record(program, key)
+        if record is None:
+            record = self._record_pass(program, key)
+        self._retire(record, n)
+        return record.schedule.evaluate(self, blocks), [record.cycles] * n
+
+    def _control_key(self) -> tuple:
+        """The entry control state a batch pass reads: the 32 registers,
+        both sequencer cursors, the configured group size, the active CRF
+        bank, the pipeline timing, whether a D-cache exists and the
+        predecode token (the program's identity is matched separately)."""
+        flow = self._flow
+        return (
+            tuple(self.registers), tuple(flow["ldin"]),
+            tuple(flow["stout"]), self._configured_group_size,
+            self.crf.active_bank, self.pipeline, self.dcache is not None,
+            self._predecode_token(),
+        )
+
+    def _find_record(self, program, key: tuple):
+        """The replayable record of ``program`` from ``key``, or None."""
+        records = self._records
+        for index, record in enumerate(records):
+            if record.program is program and record.key == key:
+                if record.instructions > self.max_instructions:
+                    return None
+                records.append(records.pop(index))
+                return record
+        return None
+
+    def _batch_counters(self) -> tuple:
+        """``(object, attribute)`` of every counter a batch retires per
+        symbol, ``cycles`` and ``instructions`` first."""
+        stats = self.stats
+        return tuple((stats, name) for name in _STATS_COUNTERS) + (
+            (self.crf, "reads"), (self.crf, "writes"),
+            (self.rom, "reads"), (self.bu.unit, "op_count"),
+        )
+
+    def _record_pass(self, program, key: tuple) -> "_ControlRecord":
+        """Interpret ``program`` once over value names and keep the pass.
+
+        Counters are left at their entry values; :meth:`_retire` then
+        applies the record like any replayed one.
+        """
+        counters = self._batch_counters()
+        before = [getattr(obj, name) for obj, name in counters]
+        ops = self.stats.custom_ops
+        ops_before = dict(ops)
         crf = self.crf
         crf_state = (crf.active_bank, crf.reads, crf.writes)
-        stats = self.stats
-        counters = ("cycles", "instructions", "loads", "stores",
-                    "branches", "taken_branches", "stall_cycles")
-        before = {name: getattr(stats, name) for name in counters}
-        before_ops = dict(stats.custom_ops)
-        self._batch = batch
+        batch = self._batch = _SymbolBatch(self)
         try:
             self.run(program)
             # Dataflow guard: a column both read-while-unwritten and
@@ -259,21 +318,57 @@ class FFTASIP(Machine):
             raise
         finally:
             self._batch = None
-        # Retire the remaining n-1 symbols: with shared control flow each
-        # symbol's counters repeat the measured run exactly.
-        per_symbol = stats.cycles - before["cycles"]
-        for name in counters:
-            delta = getattr(stats, name) - before[name]
-            setattr(stats, name, before[name] + n * delta)
-        for key, value in stats.custom_ops.items():
-            delta = value - before_ops.get(key, 0)
-            if delta:
-                stats.custom_ops[key] = before_ops.get(key, 0) + n * delta
-        if self.dcache is not None and batch.walk:
-            hits, misses = self.dcache.replay(np.concatenate(batch.walk), n)
-            stats.dcache_hits += hits
-            stats.dcache_misses += misses
-        return batch.flush(), [per_symbol] * n
+        record = _ControlRecord(
+            program=program,
+            key=key,
+            deltas=tuple(getattr(obj, name) - value
+                         for (obj, name), value in zip(counters, before)),
+            op_deltas=tuple((op, count - ops_before.get(op, 0))
+                            for op, count in ops.items()
+                            if count != ops_before.get(op, 0)),
+            registers=tuple(self.registers),
+            pc=self.pc,
+            halted=self.halted,
+            flow=(tuple(self._flow["ldin"]), tuple(self._flow["stout"])),
+            group_size=self._configured_group_size,
+            active_bank=crf.active_bank,
+            walk=(np.concatenate(batch.walk, dtype=_INDEX)
+                  if batch.walk else None),
+            schedule=batch.schedule(),
+        )
+        for (obj, name), value in zip(counters, before):
+            setattr(obj, name, value)
+        ops.clear()
+        ops.update(ops_before)
+        self._records.append(record)
+        if len(self._records) > self.CONTROL_RECORDS:
+            del self._records[0]
+        return record
+
+    def _retire(self, record: "_ControlRecord", n: int) -> None:
+        """Retire ``n`` symbols of a recorded pass: counters, end control
+        state and D-cache, exactly as ``n`` serial runs leave them."""
+        for (obj, name), delta in zip(self._batch_counters(), record.deltas):
+            setattr(obj, name, getattr(obj, name) + n * delta)
+        ops = self.stats.custom_ops
+        for op, delta in record.op_deltas:
+            ops[op] = ops.get(op, 0) + n * delta
+        self.registers[:] = record.registers
+        self.pc = record.pc
+        self.halted = record.halted
+        self._last_load_reg = None
+        self._flow = {"ldin": list(record.flow[0]),
+                      "stout": list(record.flow[1])}
+        if record.group_size != self._configured_group_size:
+            self.ac.configure(record.group_size)
+            self._configured_group_size = record.group_size
+            self._modules_per_stage = self.ac.modules_per_stage()
+        if self.crf.active_bank != record.active_bank:
+            self.crf.swap_banks()
+        if self.dcache is not None and record.walk is not None:
+            hits, misses = self.dcache.replay(record.walk, n)
+            self.stats.dcache_hits += hits
+            self.stats.dcache_misses += misses
 
     def _can_batch(self, program) -> bool:
         """Whether the batched fast path reproduces serial runs exactly."""
@@ -287,10 +382,7 @@ class FFTASIP(Machine):
                    "_exec_but4", "_exec_ldin", "_exec_stout")
         if any(name in self.__dict__ for name in patched):
             return False
-        for index in range(len(program)):
-            if program[index].opcode in (Opcode.LW, Opcode.SW):
-                return False
-        return True
+        return not program.opcodes & {Opcode.LW, Opcode.SW}
 
     # Custom instruction execution ------------------------------------------
 
@@ -904,51 +996,76 @@ _NAME_POSITION = (1 << _NAME_SHIFT) - 1
 _DEPTH_SHIFT = _NAME_SHIFT + 1
 _INPUTS, _INITIAL = 0, 1
 _BUTTERFLY, _ROTATION = 0, 1
+#: Index dtype of what a control record keeps (schedule positions, weight
+#: indices, the cache walk): every value fits in 32 bits, and records
+#: persist, so they take half the memory of int64 indices.
+_INDEX = np.int32
+
+#: SimStats counters a batch retires per symbol (FFTASIP._batch_counters).
+_STATS_COUNTERS = ("cycles", "instructions", "loads", "stores", "branches",
+                   "taken_branches", "stall_cycles")
+
+
+@dataclass(frozen=True, eq=False)
+class _ControlRecord:
+    """The n-independent result of one recorded batch pass.
+
+    Every field is a copy taken when the pass ended.  ``deltas`` follow
+    :meth:`FFTASIP._batch_counters` and ``op_deltas`` the custom-op
+    counters, each per symbol; registers, pc, ``halted``, the sequencer
+    ``flow``, ``group_size`` and ``active_bank`` are the end control
+    state; ``walk`` is the pass's D-cache address walk (None without a
+    cache); ``schedule`` evaluates the data plane.
+    """
+
+    program: object
+    key: tuple
+    deltas: tuple
+    op_deltas: tuple
+    registers: tuple
+    pc: int
+    halted: bool
+    flow: tuple
+    group_size: object
+    active_bank: int
+    walk: object
+    schedule: "_FlushSchedule"
+
+    @property
+    def cycles(self) -> int:
+        """Cycles of one symbol."""
+        return self.deltas[0]
+
+    @property
+    def instructions(self) -> int:
+        """Instructions one symbol retires."""
+        return self.deltas[1]
 
 
 class _SymbolBatch:
-    """Levelized data plane of one batched multi-symbol run.
+    """Levelized dataflow recording of one batched pass.
 
     While the program runs once, custom ops move value *names*, not
     values.  Every CRF entry and data-window word (``[0, 3N)``) holds a
     name; LDIN and plain STOUT copy names, so they only rename.  A BUT4
     span or a pre-rotating STOUT burst is recorded into its *level*, one
     deeper than the deepest value it reads, and names its outputs by
-    (level, position).  At HALT, :meth:`flush` evaluates level after
-    level, each as a few wide column ops over symbols x every group of the
-    epoch — legal because the conflict-free CRF addressing makes the
-    groups of an epoch independent, and exact because every op is
-    element-wise (the same ``FixedPointContext.butterfly_arrays`` /
-    ``multiply_arrays`` calls, or the float ``w*b``, ``a±t``, ``x*w``,
-    over more elements) and the overflow count is a sum.
-
-    Values are stored position-major, ``(positions, n_symbols)``, so a
-    level's operand gathers copy whole rows.  Only the input region
-    differs between symbols; the initial state (memory window and both CRF
-    banks at entry) is one column every symbol shares.  A level is freed
-    once its last reader has run, after the memory words, CRF entries and
-    outputs that end the run naming it have been copied out.
+    (level, position).  CRF/ROM accesses and BU ops are tallied once per
+    op, as one serial run would.  At HALT, :meth:`schedule` compiles the
+    recording into a :class:`_FlushSchedule`.  Nothing recorded depends
+    on the batch's symbols or their count, so the machine keeps the
+    schedule with the pass's control record and every batch that replays
+    the record evaluates it again.
     """
 
-    #: elements (symbols x lanes) per column op while flushing a level;
-    #: bounds the temporaries of the Q1.15 datapath.
-    FIXED_CHUNK = 4096
-    #: the float flush is gather-bound, so it runs levels in larger chunks.
-    FLOAT_CHUNK = 32768
-
-    def __init__(self, machine: "FFTASIP", blocks: np.ndarray):
-        n, points = blocks.shape
+    def __init__(self, machine: "FFTASIP"):
+        points = machine.n_points
         self.machine = machine
-        self.n = n
         self.window = 3 * points
-        self.fixed = machine.fixed_point
         entries = machine.crf.entries
         base = machine.input_base
-        staged = blocks.T[machine._input_perm]
-        inputs = quantize_array(staged) if self.fixed else (staged,)
-        # Per storage id: values (component arrays, built at flush),
-        # recorded ops [(operand names, op data), ...] and output count.
-        self._values = [inputs, None]
+        # Per storage id: recorded ops [(operand names, op data), ...]
+        # and output count.
         self._ops = [None, None]
         self._sizes = [points, self.window + 2 * entries]
         # BUT4s of the current stage, recorded as one op group once the
@@ -956,7 +1073,6 @@ class _SymbolBatch:
         self._pending = []
         self._pending_key = None
         self._patterns = {}
-        self._operands = None
         words = np.arange(self.window, dtype=np.int64)
         initial = _INITIAL << _NAME_SHIFT
         self.mem_names = words | initial
@@ -990,7 +1106,7 @@ class _SymbolBatch:
         if fresh.any():
             self.suspect[flat[fresh]] = True
         self.crf_names[crf.active_bank, positions] = self.mem_names[flat]
-        crf.writes += len(positions) * self.n
+        crf.writes += len(positions)
 
     def stout(self, flat: np.ndarray, positions: np.ndarray,
               rel: np.ndarray = None) -> None:
@@ -999,7 +1115,7 @@ class _SymbolBatch:
         self._commit()
         crf = self.machine.crf
         names = self.crf_names[crf.active_bank, positions]
-        crf.reads += len(positions) * self.n
+        crf.reads += len(positions)
         if rel is not None:
             names = self._record(_ROTATION, names, rel, len(rel)) + (
                 np.arange(len(rel), dtype=np.int64))
@@ -1019,7 +1135,7 @@ class _SymbolBatch:
         machine = self.machine
         crf = machine.crf
         machine.bu.count_span(reads, rom_addresses, writes, ops, crf,
-                              machine.rom, self.n)
+                              machine.rom)
         key = (crf.active_bank, group_size)
         if key != self._pending_key:
             self._commit()
@@ -1068,7 +1184,6 @@ class _SymbolBatch:
         """File one op group at its level; returns its first output name."""
         sid = 2 * ((int(names.max()) >> _DEPTH_SHIFT) + 1) + kind
         while sid >= len(self._ops):
-            self._values.append(None)
             self._ops.append([])
             self._sizes.append(0)
         self._ops[sid].append((names, data))
@@ -1076,58 +1191,52 @@ class _SymbolBatch:
         self._sizes[sid] = first + outputs
         return (sid << _NAME_SHIFT) | first
 
-    # Evaluation (at HALT) -------------------------------------------------
+    # Compilation (at HALT) ------------------------------------------------
 
-    def flush(self) -> np.ndarray:
-        """Evaluate every level; return the ``(n_symbols, N)`` outputs.
-
-        Leaves memory and both CRF banks holding the last symbol's end
-        state, as the serial loop would.
-        """
+    def schedule(self) -> "_FlushSchedule":
+        """Compile the recording into its flush schedule: the levels in
+        order, the storages free after each, and where the values that
+        end the run go (the last symbol's memory window and CRF banks,
+        and every symbol's output row)."""
         machine = self.machine
-        n = self.n
         self._commit()
-        levels = [sid for sid in range(2, len(self._ops)) if self._ops[sid]]
+        sids = [sid for sid in range(2, len(self._ops)) if self._ops[sid]]
+        levels = []
         last_read = [0] * len(self._ops)
-        for sid in levels:
-            names = np.concatenate([names for names, _ in self._ops[sid]])
+        for sid in sids:
+            operands, weights_at = self._plan(sid)
+            names = np.concatenate(operands)
             for read in np.unique(names >> _NAME_SHIFT).tolist():
                 last_read[read] = sid >> 1
-        # Where each final name goes: the last symbol's memory window and
-        # CRF banks, and every symbol's output row.
+            levels.append((sid, [self._resolve(names) for names in operands],
+                           weights_at.astype(_INDEX)))
+        # A level frees every storage whose readers have all run: they sit
+        # at depths below the next level's.
+        frees = []
+        live = {_INPUTS, _INITIAL}
+        for index, sid in enumerate(sids):
+            live.add(sid)
+            following = (sids[index + 1] >> 1
+                         if index + 1 < len(sids) else None)
+            done = [s for s in live
+                    if following is None or last_read[s] < following]
+            live.difference_update(done)
+            frees.append(done)
         finals = np.concatenate((self.mem_names, self.crf_names.ravel()))
         lo = machine.output_base
-        out_names = self.mem_names[lo:lo + machine.n_points]
-        dtype = np.int64 if self.fixed else complex
-        parts = 2 if self.fixed else 1
-        end_state = [np.empty(len(finals), dtype) for _ in range(parts)]
-        outputs = [np.empty((len(out_names), n), dtype)
-                   for _ in range(parts)]
-        # Operand gather buffers, reused by every chunk of every level.
-        width = min(self._step(),
-                    max([self._sizes[sid] for sid in levels] or [0]))
-        self._operands = [[np.empty((width, n), dtype) for _ in range(parts)]
-                          for _ in range(2)]
-        for sid in (_INPUTS, _INITIAL):
-            self._copy_out(sid, finals, end_state, out_names, outputs)
-        live = {_INPUTS, _INITIAL}
-        for index, sid in enumerate(levels):
-            self._values[sid] = self._evaluate(sid, self._plan(sid))
-            self._copy_out(sid, finals, end_state, out_names, outputs)
-            live.add(sid)
-            # Free every storage whose readers have all run: they sit at
-            # depths below the next level's.
-            following = (levels[index + 1] >> 1
-                         if index + 1 < len(levels) else None)
-            for done in [s for s in live if following is None
-                         or last_read[s] < following]:
-                live.discard(done)
-                self._values[done] = None
-        self._values = self._operands = None
-        self._write_back(end_state)
-        if self.fixed:
-            return fixed_to_complex_array(outputs[0].T, outputs[1].T)
-        return np.ascontiguousarray(outputs[0].T)
+        copies = {}
+        for target, names in enumerate(
+                (finals, self.mem_names[lo:lo + machine.n_points])):
+            storages = names >> _NAME_SHIFT
+            for sid in np.unique(storages).tolist():
+                where = np.flatnonzero(storages == sid)
+                copies.setdefault(sid, [None, None])[target] = (
+                    where.astype(_INDEX),
+                    (names[where] & _NAME_POSITION).astype(_INDEX))
+        return _FlushSchedule(
+            levels, frees, copies, len(self._ops), len(finals), self.window,
+            initial=last_read[_INITIAL] > 0 or _INITIAL in copies,
+        )
 
     def _plan(self, sid: int) -> tuple:
         """Concatenate a level's recorded ops into ``(operand name
@@ -1158,24 +1267,111 @@ class _SymbolBatch:
             )
         return (names[first], names[~first]), twiddles
 
-    def _step(self) -> int:
-        """Ops (lanes) per column op while flushing a level."""
-        chunk = self.FIXED_CHUNK if self.fixed else self.FLOAT_CHUNK
-        return max(1, chunk // self.n)
+    @staticmethod
+    def _resolve(names: np.ndarray) -> tuple:
+        """``(storage ids, positions)`` of a name array; the ids collapse
+        to one int when every name lives in the same storage."""
+        sids = names >> _NAME_SHIFT
+        positions = (names & _NAME_POSITION).astype(_INDEX)
+        if sids.size and sids.min() == sids.max():
+            return int(sids[0]), positions
+        return sids, positions
 
-    def _evaluate(self, sid: int, plan: tuple) -> tuple:
-        """Run one level in chunks; returns its ``(positions, n)``
-        component arrays."""
-        machine = self.machine
-        n = self.n
-        operands, weights_at = plan
-        operands = [self._resolve(names) for names in operands]
+
+class _FlushSchedule:
+    """The data plane of one recorded batch pass, compiled once.
+
+    It holds no data and no symbol count: per level (in dependency
+    order), its storage id, its resolved operand storages and positions
+    and its weight indices; the storages each level frees; and, per
+    storage, which end-state entries (the memory window, then both CRF
+    banks) and output points it supplies.  :meth:`evaluate` runs it over
+    any batch, reading the inputs, the initial state and the ROM and
+    pre-rotation weights live.
+
+    Each level runs as a few wide column ops over symbols x every group
+    of its epoch — legal because the conflict-free CRF addressing makes
+    the groups of an epoch independent, and exact because every op is
+    element-wise (the same ``FixedPointContext.butterfly_arrays`` /
+    ``multiply_arrays`` calls, or the float ``w*b``, ``a±t``, ``x*w``,
+    over more elements) and the overflow count is a sum.  Values are
+    stored position-major, ``(positions, n_symbols)``, so operand gathers
+    copy whole rows.  Only the input region differs between symbols; the
+    initial state (memory window and both CRF banks at entry) is one
+    column every symbol shares.  A level is freed once its last reader
+    has run, after the memory words, CRF entries and outputs that end the
+    run naming it have been copied out.
+    """
+
+    #: elements (symbols x lanes) per column op while evaluating a level;
+    #: bounds the temporaries of the Q1.15 datapath.
+    FIXED_CHUNK = 4096
+    #: the float levels are gather-bound, so they run in larger chunks.
+    FLOAT_CHUNK = 32768
+
+    def __init__(self, levels: list, frees: list, copies: dict,
+                 storages: int, finals: int, window: int, initial: bool):
+        self.levels = levels
+        self.frees = frees
+        self.copies = copies
+        self.storages = storages
+        self.finals = finals
+        self.window = window
+        self.initial = initial
+        self.widest = max([len(weights) for *_, weights in levels] or [1])
+
+    def evaluate(self, machine: FFTASIP, blocks: np.ndarray) -> np.ndarray:
+        """Evaluate every level over ``blocks``; return the
+        ``(n_symbols, N)`` outputs.
+
+        Leaves memory and both CRF banks holding the last symbol's end
+        state, as the serial loop would.
+        """
+        n = len(blocks)
+        fixed = machine.fixed_point
+        values = [None] * self.storages
+        staged = blocks.T[machine._input_perm]
+        values[_INPUTS] = quantize_array(staged) if fixed else (staged,)
+        del staged  # Q1.15 keeps only the components alive
+        if self.initial:
+            values[_INITIAL] = self._initial_values(machine)
+        dtype = np.int64 if fixed else complex
+        parts = 2 if fixed else 1
+        end_state = [np.empty(self.finals, dtype) for _ in range(parts)]
+        outputs = [np.empty((machine.n_points, n), dtype)
+                   for _ in range(parts)]
+        step = max(1, (self.FIXED_CHUNK if fixed else self.FLOAT_CHUNK) // n)
+        # Operand gather buffers, reused by every chunk of every level.
+        width = min(step, self.widest)
+        buffers = [[np.empty((width, n), dtype) for _ in range(parts)]
+                   for _ in range(2)]
+        for sid in (_INPUTS, _INITIAL):
+            self._copy_out(sid, values, end_state, outputs)
+        for level, done in zip(self.levels, self.frees):
+            sid = level[0]
+            values[sid] = self._evaluate(machine, level, values, buffers,
+                                         step)
+            self._copy_out(sid, values, end_state, outputs)
+            for freed in done:
+                values[freed] = None
+        self._write_back(machine, end_state)
+        if fixed:
+            return fixed_to_complex_array(outputs[0].T, outputs[1].T)
+        return np.ascontiguousarray(outputs[0].T)
+
+    def _evaluate(self, machine: FFTASIP, level: tuple, values: list,
+                  buffers: list, step: int) -> tuple:
+        """Run one level in chunks of ``step`` ops; returns its
+        ``(positions, n)`` component arrays."""
+        sid, operands, weights_at = level
+        firsts, seconds = buffers
+        n = firsts[0].shape[1]
         count = len(weights_at)
         rotation = sid & 1 == _ROTATION
         shape = (count, n) if rotation else (count, 2, n)
-        step = self._step()
-        firsts, seconds = self._operands
-        if self.fixed:
+        if rotation:
+            machine._prerotation_table()  # ensure the weight tables exist
+        if machine.fixed_point:
             fx = machine.fx
             if rotation:
                 weights = machine._prerot_components
@@ -1189,11 +1385,11 @@ class _SymbolBatch:
                 wr = weights[0][chunk][:, None]
                 wi = weights[1][chunk][:, None]
                 if rotation:
-                    xr, xi = self._take(operands[0], lo, hi, firsts)
+                    xr, xi = self._take(values, operands[0], lo, hi, firsts)
                     re[lo:hi], im[lo:hi] = fx.multiply_arrays(xr, xi, wr, wi)
                     continue
-                ar, ai = self._take(operands[0], lo, hi, firsts)
-                br, bi = self._take(operands[1], lo, hi, seconds)
+                ar, ai = self._take(values, operands[0], lo, hi, firsts)
+                br, bi = self._take(values, operands[1], lo, hi, seconds)
                 (re[lo:hi, 0], im[lo:hi, 0],
                  re[lo:hi, 1], im[lo:hi, 1]) = fx.butterfly_arrays(
                     ar, ai, br, bi, wr, wi)
@@ -1202,67 +1398,52 @@ class _SymbolBatch:
             weights = machine._prerotation_table()
         else:
             weights = machine.rom.table()
-        values = np.empty(shape, dtype=complex)
+        out = np.empty(shape, dtype=complex)
         for lo in range(0, count, step):
             hi = min(lo + step, count)
             w = weights[weights_at[lo:hi]][:, None]
             if rotation:
-                (x,) = self._take(operands[0], lo, hi, firsts)
-                np.multiply(x, w, out=values[lo:hi])
+                (x,) = self._take(values, operands[0], lo, hi, firsts)
+                np.multiply(x, w, out=out[lo:hi])
                 continue
-            (a,) = self._take(operands[0], lo, hi, firsts)
-            (b,) = self._take(operands[1], lo, hi, seconds)
+            (a,) = self._take(values, operands[0], lo, hi, firsts)
+            (b,) = self._take(values, operands[1], lo, hi, seconds)
             t = np.multiply(w, b, out=b)
-            np.add(a, t, out=values[lo:hi, 0])
-            np.subtract(a, t, out=values[lo:hi, 1])
-        return (values.reshape(-1, n),)
+            np.add(a, t, out=out[lo:hi, 0])
+            np.subtract(a, t, out=out[lo:hi, 1])
+        return (out.reshape(-1, n),)
 
     @staticmethod
-    def _resolve(names: np.ndarray) -> tuple:
-        """``(storage ids, positions)`` of a name array; the ids collapse
-        to one int when every name lives in the same storage."""
-        sids = names >> _NAME_SHIFT
-        positions = names & _NAME_POSITION
-        if sids.size and sids.min() == sids.max():
-            return int(sids[0]), positions
-        return sids, positions
-
-    def _take(self, operand: tuple, lo: int, hi: int, out: list) -> list:
+    def _take(values: list, operand: tuple, lo: int, hi: int,
+              out: list) -> list:
         """Gather ``operand[lo:hi]`` into the ``(hi - lo, n)`` heads of
         the component buffers ``out``."""
         sids, positions = operand
         positions = positions[lo:hi]
         parts = [buffer[:hi - lo] for buffer in out]
         if isinstance(sids, int):
-            values = self._values_of(sids)
-            if values[0].shape[1] == self.n:
+            if sids == _INITIAL:
+                # The initial state: every symbol reads the same value.
+                for part, v in zip(parts, values[sids]):
+                    part[...] = v[positions]
+            else:
                 # Positions are in range by construction, so "clip" only
                 # skips numpy's bounds-checked buffering.
-                for part, v in zip(parts, values):
+                for part, v in zip(parts, values[sids]):
                     np.take(v, positions, axis=0, out=part, mode="clip")
-            else:
-                # The initial state: every symbol reads the same value.
-                for part, v in zip(parts, values):
-                    part[...] = v[positions]
             return parts
         sids = sids[lo:hi]
         for sid in np.unique(sids).tolist():
             mask = sids == sid
-            for part, v in zip(parts, self._values_of(sid)):
+            for part, v in zip(parts, values[sid]):
                 part[mask] = v[positions[mask]]
         return parts
 
-    def _values_of(self, sid: int) -> tuple:
-        if sid == _INITIAL and self._values[sid] is None:
-            self._values[sid] = self._initial_values()
-        return self._values[sid]
-
-    def _initial_values(self) -> tuple:
+    def _initial_values(self, machine: FFTASIP) -> tuple:
         """The memory window and both CRF banks at entry, as one shared
         ``(positions, 1)`` column per component."""
-        machine = self.machine
         words = np.arange(self.window, dtype=np.int64)
-        if self.fixed:
+        if machine.fixed_point:
             memory = words_to_fixed_array(machine.memory.gather_words(words))
         else:
             memory = (machine.memory.gather_complex(words),)
@@ -1272,30 +1453,25 @@ class _SymbolBatch:
             for m, b in zip(memory, banks)
         )
 
-    def _copy_out(self, sid: int, finals: np.ndarray, end_state: list,
-                  out_names: np.ndarray, outputs: list) -> None:
+    def _copy_out(self, sid: int, values: list, end_state: list,
+                  outputs: list) -> None:
         """Copy the values that end the run named in storage ``sid``."""
-        lo = sid << _NAME_SHIFT
-        hi = lo + (1 << _NAME_SHIFT)
-        for names, targets, last in ((finals, end_state, True),
-                                     (out_names, outputs, False)):
-            where = np.flatnonzero((names >= lo) & (names < hi))
-            if not where.size:
-                continue
-            positions = names[where] & _NAME_POSITION
-            for target, values in zip(targets, self._values_of(sid)):
-                if last:
-                    target[where] = values[positions, -1]
-                else:
-                    target[where] = values[positions]
+        finals, outs = self.copies.get(sid, (None, None))
+        if finals is not None:
+            where, positions = finals
+            for target, v in zip(end_state, values[sid]):
+                target[where] = v[positions, -1]
+        if outs is not None:
+            where, positions = outs
+            for target, v in zip(outputs, values[sid]):
+                target[where] = v[positions]
 
-    def _write_back(self, end_state: list) -> None:
+    def _write_back(self, machine: FFTASIP, end_state: list) -> None:
         """Leave memory and the CRF banks holding the last symbol's end
         state — that of the equivalent serial loop."""
-        machine = self.machine
         words = np.arange(self.window, dtype=np.int64)
         window = [part[:self.window] for part in end_state]
-        if self.fixed:
+        if machine.fixed_point:
             machine.memory.scatter_words(words, fixed_to_words_array(*window))
         else:
             machine.memory.scatter_complex(words, window[0])

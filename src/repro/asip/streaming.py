@@ -9,8 +9,9 @@ construction in this design, which is itself a property worth asserting
 (no data-dependent control flow anywhere in Algorithm 1).
 
 Blocks are staged in multi-symbol chunks through
-:meth:`repro.asip.FFTASIP.run_batch`, so the program runs once per chunk
-and each FFT stage executes as a few wide column ops over the chunk's
+:meth:`repro.asip.FFTASIP.run_batch`, so the program runs at most once
+per chunk (from the third chunk on, a recorded pass is replayed) and
+each FFT stage executes as a few wide column ops over the chunk's
 symbols and groups, while per-symbol cycles and counters retire exactly
 as in the serial loop.  ``batch=1`` forces the serial loop (the benchmark
 baseline); machines the batch path cannot reproduce exactly fall back to

@@ -10,19 +10,29 @@ text (the text assembler in :mod:`repro.isa.assembler` lowers onto this).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .instructions import BRANCH_OPCODES, Format, Instruction, Opcode
 
 __all__ = ["Program", "ProgramBuilder"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
-    """An executable instruction sequence with resolved branch targets."""
+    """An executable instruction sequence with resolved branch targets.
 
-    instructions: list
+    Immutable: ``instructions`` is stored as a tuple and the fields
+    cannot be rebound, so a program's identity stands for its code.
+    Machines rely on that to reuse work keyed by the program object
+    (predecoded handlers, recorded batch passes).
+    """
+
+    instructions: tuple
     labels: dict = field(default_factory=dict)
     name: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "instructions", tuple(self.instructions))
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -32,6 +42,11 @@ class Program:
 
     def __getitem__(self, index: int) -> Instruction:
         return self.instructions[index]
+
+    @cached_property
+    def opcodes(self) -> frozenset:
+        """Every opcode the program contains (computed once)."""
+        return frozenset(instr.opcode for instr in self.instructions)
 
     def listing(self) -> str:
         """Human-readable listing with labels interleaved."""

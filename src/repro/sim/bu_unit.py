@@ -83,16 +83,16 @@ class BUFunctionalUnit:
 
     def count_span(self, reads: np.ndarray, rom_addresses: np.ndarray,
                    writes: np.ndarray, ops: int, crf: CustomRegisterFile,
-                   rom: CoefficientROM, symbols: int) -> None:
-        """Tally ``ops`` BUT4s for ``symbols`` symbols without moving data.
+                   rom: CoefficientROM) -> None:
+        """Tally ``ops`` BUT4s without moving data.
 
-        The counters advance exactly as ``symbols`` runs of
-        :meth:`execute_span` over the same index arrays would.
+        The counters advance exactly as :meth:`execute_span` over the
+        same index arrays would.
         """
-        self.unit.op_count += ops * symbols
-        crf.reads += len(reads) * symbols
-        crf.writes += len(writes) * symbols
-        rom.reads += len(rom_addresses) * symbols
+        self.unit.op_count += ops
+        crf.reads += len(reads)
+        crf.writes += len(writes)
+        rom.reads += len(rom_addresses)
 
     def execute(self, addresses: BUAddresses, crf: CustomRegisterFile,
                 rom: CoefficientROM, group_size: int) -> None:

@@ -1,10 +1,10 @@
-"""Deterministic cost gates for the batched ASIP data plane.
+"""Deterministic cost gates for the batched ASIP.
 
 Work counts and traced allocations do not depend on the host, so these
 gates catch a fast path that falls back to per-op work on any machine,
 where a wall-clock floor would flake.  Each gate runs one *warm* Q1.15
-batch (the D-cache replay memo and the AC tables already settled) at the
-two shapes the ``asip-fft`` benchmark runs.
+batch (the control record, the D-cache replay memo and the AC tables
+already settled) at the two shapes the ``asip-fft`` benchmark runs.
 """
 
 import math
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.asip import FFTASIP, generate_fft_program
+from repro.asip.fft_asip import _SymbolBatch
 
 #: (symbols, N) of the asip-fft benchmark batches.
 SHAPES = [(8, 8192), (64, 1024)]
@@ -106,3 +107,16 @@ def test_warm_batch_traced_peak_within_budget(warm, symbols, n):
     finally:
         tracemalloc.stop()
     assert peak <= PEAK_BUDGET_BYTES[(symbols, n)]
+
+
+@pytest.mark.parametrize("symbols,n", SHAPES)
+def test_warm_batch_replays_its_record(monkeypatch, warm, symbols, n):
+    """A warm batch neither interprets the program nor records dataflow:
+    it replays the steady record, and the machine keeps at most two."""
+    machine, program, blocks = warm[(symbols, n)]
+    runs = count_calls(monkeypatch, machine, "run")
+    spans = count_calls(monkeypatch, _SymbolBatch, "butterflies")
+    machine.run_batch(program, blocks)
+    assert runs == []
+    assert spans == []
+    assert len(machine._records) <= 2

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from repro.asip import FFTASIP, generate_fft_program
+from repro.asip.fft_asip import GROUP_SIZE_REG
 from repro.asip.streaming import StreamingFFT
 from repro.isa.instructions import Opcode
 from repro.isa.program import ProgramBuilder
+from repro.sim.errors import SimulationError
 
 
 def random_blocks(symbols, n, seed=0, scale=1.0):
@@ -204,8 +206,6 @@ class TestRunBatch:
         read only initial entries (stage 2) or a mix of initial, loaded
         and computed ones (stages 3 and 4), STOUT copies initial entries
         to the output, and the CRF end state still names them."""
-        from repro.asip.fft_asip import GROUP_SIZE_REG
-
         n, symbols = 256, 3
         b = ProgramBuilder()
         b.li(GROUP_SIZE_REG, 16)
@@ -264,18 +264,37 @@ def assert_batch_end_state_equal(a: FFTASIP, b: FFTASIP):
 
 
 def run_both(batched, serial, program, blocks):
-    outs_b, cycles_b = batched.run_batch(program, blocks)
+    """Run one batch and the equivalent serial loop, assert them equal,
+    and return how many times the batch called ``Machine.run`` (0 when
+    it replayed a recorded pass)."""
+    calls = []
+    run = batched.run
+    batched.run = lambda p: calls.append(p) or run(p)
+    try:
+        outs_b, cycles_b = batched.run_batch(program, blocks)
+    finally:
+        del batched.run
     outs_s, cycles_s = run_serial(serial, program, blocks)
     assert np.array_equal(outs_b, outs_s)
     assert cycles_b == cycles_s
     assert_batch_end_state_equal(batched, serial)
+    return len(calls)
+
+
+def run_stream(batched, serial, program, seeds, symbols, n, scale=1.0):
+    """``run_both`` over one batch per seed; returns the run-call counts."""
+    return [run_both(batched, serial, program,
+                     random_blocks(symbols, n, seed=seed, scale=scale))
+            for seed in seeds]
 
 
 class TestLevelizedBatchAtScale:
     """The levelized data plane at the sizes the benchmark runs: group
     loops (N > 512), two group sizes (N=2048) and a spilling D-cache
-    (N=8192).  Consecutive batches on one machine run both the cold and
-    the memoised cache-replay paths."""
+    (N=8192).  A machine records its first batch from the power-on
+    state and its second from the steady one; every later batch replays
+    the steady record without interpreting the program, while the cache
+    replay runs both cold and memoised."""
 
     SIZES = [(1024, 3), (2048, 3), (8192, 2)]
 
@@ -284,47 +303,64 @@ class TestLevelizedBatchAtScale:
         program = generate_fft_program(n)
         batched = FFTASIP(n, fixed_point=True)
         serial = FFTASIP(n, fixed_point=True)
-        run_both(batched, serial, program,
-                 random_blocks(symbols, n, seed=n, scale=0.25))
-        # Without per-stage scaling these inputs saturate the BU.
+        assert run_stream(batched, serial, program, range(n, n + 3),
+                          symbols, n, scale=0.25) == [1, 1, 0]
+        # Without per-stage scaling these inputs saturate the BU; the
+        # replayed schedule reads the flag and the data live.
         batched.fx.scale_stages = serial.fx.scale_stages = False
         before = serial.fx.overflow_count
-        run_both(batched, serial, program,
-                 random_blocks(symbols, n, seed=n + 1, scale=0.9))
+        assert run_stream(batched, serial, program, range(n + 3, n + 5),
+                          symbols, n, scale=0.9) == [0, 0]
         assert serial.fx.overflow_count > before
+        assert len(batched._records) == 2
 
     @pytest.mark.parametrize("n,symbols", SIZES)
     def test_float_batches_equal_serial(self, n, symbols):
         program = generate_fft_program(n)
         batched = FFTASIP(n)
         serial = FFTASIP(n)
-        for seed in range(2):
-            run_both(batched, serial, program,
-                     random_blocks(symbols, n, seed=n + seed))
+        assert run_stream(batched, serial, program, range(n, n + 4),
+                          symbols, n) == [1, 1, 0, 0]
 
     def test_batch_after_cache_reset(self):
+        """Cache state is not control state: after a reset, or on a fresh
+        cache whose replay memo is empty (so the walk is swept again),
+        the record still replays and the statistics stay exact."""
+        from repro.sim.cache import DataCache
+
         n, symbols = 8192, 2
         program = generate_fft_program(n)
         batched = FFTASIP(n)
         serial = FFTASIP(n)
-        run_both(batched, serial, program, random_blocks(symbols, n, seed=21))
+        assert run_stream(batched, serial, program, [21, 22, 23], symbols,
+                          n) == [1, 1, 0]
         batched.dcache.reset()
         serial.dcache.reset()
-        run_both(batched, serial, program, random_blocks(symbols, n, seed=22))
+        assert run_stream(batched, serial, program, [24], symbols, n) == [0]
+        batched.dcache = DataCache(batched.dcache.config)
+        serial.dcache = DataCache(serial.dcache.config)
+        sweeps = []
+        sweep = batched.dcache._sweep
+        batched.dcache._sweep = lambda walk: sweeps.append(1) or sweep(walk)
+        assert run_stream(batched, serial, program, [25], symbols, n) == [0]
+        assert sweeps
 
     def test_two_programs_share_one_machine(self):
         """Alternating two programs changes the cache start state and
-        the predecoded handlers between batches."""
+        the predecoded handlers between batches; each program keeps
+        replaying its own record."""
         n, symbols = 1024, 3
         looped = generate_fft_program(n)
         unrolled = generate_fft_program(n, unroll_threshold=n)
         assert len(unrolled) != len(looped)
         batched = FFTASIP(n, fixed_point=True)
         serial = FFTASIP(n, fixed_point=True)
-        for seed, program in enumerate((looped, unrolled, looped,
-                                        unrolled)):
+        calls = [
             run_both(batched, serial, program,
                      random_blocks(symbols, n, seed=30 + seed, scale=0.25))
+            for seed, program in enumerate((looped, unrolled) * 3)
+        ]
+        assert calls == [1, 1, 1, 0, 0, 0]
 
     def test_tiny_cache_replays_cold_passes(self):
         """A cache far smaller than the walk: the first batch sweeps its
@@ -336,10 +372,137 @@ class TestLevelizedBatchAtScale:
         program = generate_fft_program(n)
         batched = FFTASIP(n, cache_config=config)
         serial = FFTASIP(n, cache_config=config)
-        for seed in range(3):
-            run_both(batched, serial, program,
-                     random_blocks(symbols, n, seed=40 + seed))
+        run_stream(batched, serial, program, range(40, 43), symbols, n)
         assert batched.dcache._replay_memo
+
+    def test_stream_with_short_last_chunk_replays(self):
+        """A warm stream whose last chunk is shorter hits the same record
+        (the schedule holds no symbol count) and matches the serial
+        stream's statistics."""
+        n, batch = 1024, 8
+        batched = StreamingFFT(n, fixed_point=True)
+        serial = StreamingFFT(n, fixed_point=True)
+        calls = []
+        run = batched.asip.run
+        batched.asip.run = lambda p: calls.append(p) or run(p)
+        results = []
+        for count, seed in ((2 * batch, 60), (batch + 7, 61)):
+            blocks = random_blocks(count, n, seed=seed, scale=0.25)
+            stats_b = batched.process(blocks, batch=batch)
+            stats_s = serial.process(blocks, batch=1)
+            results.append((stats_b, stats_s, len(calls)))
+        del batched.asip.run
+        # Warm-up: the power-on and steady records; then two replays.
+        assert [made for *_, made in results] == [2, 2]
+        for stats_b, stats_s, _ in results:
+            assert stats_b.per_symbol_cycles == stats_s.per_symbol_cycles
+            assert stats_b.total_cycles == stats_s.total_cycles
+        assert_batch_end_state_equal(batched.asip, serial.asip)
+
+
+class TestReplayInvalidation:
+    """A recorded pass is replayed only from the entry control state it
+    was recorded in.  Each change below must miss the record or fall
+    back, and stay exact."""
+
+    N, SYMBOLS = 256, 3
+
+    def warm_pair(self, fixed_point=True, **kwargs):
+        """A batched and a serial machine after three equal batches (the
+        third replayed)."""
+        program = generate_fft_program(self.N)
+        batched = FFTASIP(self.N, fixed_point=fixed_point, **kwargs)
+        serial = FFTASIP(self.N, fixed_point=fixed_point, **kwargs)
+        assert self.stream(batched, serial, program, range(3)) == [1, 1, 0]
+        return batched, serial, program
+
+    def stream(self, batched, serial, program, seeds):
+        return run_stream(batched, serial, program, seeds, self.SYMBOLS,
+                          self.N, scale=0.25)
+
+    def test_register_write_misses(self):
+        batched, serial, program = self.warm_pair()
+        for machine in (batched, serial):
+            machine.write_reg(9, 12345)
+        assert self.stream(batched, serial, program, [3, 4]) == [1, 0]
+        assert len(batched._records) == 2
+
+    def test_pipeline_swap_misses(self):
+        from repro.sim.pipeline import PipelineConfig
+
+        batched, serial, program = self.warm_pair()
+        cycles = batched.stats.cycles
+        slow = PipelineConfig(but4_latency=3, custom_mem_latency=2)
+        batched.pipeline = serial.pipeline = slow
+        assert self.stream(batched, serial, program, [3, 4]) == [1, 0]
+        per_symbol = (batched.stats.cycles - cycles) // (2 * self.SYMBOLS)
+        assert per_symbol > cycles // (3 * self.SYMBOLS)
+
+    def test_lowered_instruction_budget_raises(self):
+        """A record retiring more than ``max_instructions`` is not
+        replayed: the batch runs live and raises where a run does."""
+        from repro.sim.errors import RunawayProgram
+
+        batched, serial, program = self.warm_pair()
+        records = list(batched._records)
+        budget = records[-1].instructions
+        batched.max_instructions = serial.max_instructions = budget
+        assert self.stream(batched, serial, program, [3]) == [0]
+        batched.max_instructions = serial.max_instructions = budget - 1
+        with pytest.raises(RunawayProgram):
+            batched.run_batch(program, random_blocks(self.SYMBOLS, self.N))
+        with pytest.raises(RunawayProgram):
+            serial.run(program)
+        assert batched.stats.instructions == serial.stats.instructions
+        assert batched._records == records
+
+    def test_step_corruption_detected_and_localised(self):
+        """A step fault injected after warm-up bypasses the records: the
+        batch falls back to the serial loop, whose corrupted output shows,
+        and co-execution still localises the fault."""
+        from repro.verify import asip_step_corruption, coexec_machines
+
+        batched, serial, program = self.warm_pair(fixed_point=False)
+        blocks = random_blocks(self.SYMBOLS, self.N, seed=3)
+        clean, _ = run_serial(serial, program, blocks)
+        # Step 10 zeroes the LDIN CRF pointer r5; the fault moves it.
+        fault = dict(at_step=10, register=5, xor=4)
+        with asip_step_corruption(batched, **fault):
+            assert not batched._can_batch(program)
+            faulty, _ = batched.run_batch(program, blocks)
+        assert not np.allclose(faulty, clean)
+        a, b = FFTASIP(self.N), FFTASIP(self.N)
+        for machine in (a, b):
+            machine.load_input(blocks[0])
+        with asip_step_corruption(a, **fault):
+            result = coexec_machines(a, b, program)
+        assert result.report.step_index == fault["at_step"] - 1
+        assert result.report.operands["register"] == fault["register"]
+
+    def test_guard_trip_stores_no_record(self):
+        batched, _, _ = self.warm_pair()
+        records = list(batched._records)
+        with pytest.raises(SimulationError):
+            batched.run_batch(cross_symbol_program(self.N),
+                              random_blocks(self.SYMBOLS, self.N))
+        assert batched._records == records
+
+
+def cross_symbol_program(n):
+    """Reads output-region columns before writing them: serially, each
+    symbol would consume the previous one's output."""
+    b = ProgramBuilder()
+    b.li(GROUP_SIZE_REG, 4)
+    b.li(26, 1)          # LDIN stride
+    b.li(25, 1)          # STOUT stride
+    b.li(4, 2 * n)       # LDIN cursor -> output region (unwritten)
+    b.li(5, 0)
+    b.emit(Opcode.LDIN, rs=4, rt=5)
+    b.li(6, 0)
+    b.li(7, 2 * n)       # STOUT cursor -> same output columns
+    b.emit(Opcode.STOUT, rs=6, rt=7)
+    b.halt()
+    return b.build()
 
 
 class TestBatchFallbacks:
@@ -391,28 +554,16 @@ class TestBatchFallbacks:
         """A program that reads a data-region column before writing it
         (and writes it later) would consume the previous symbol's state
         serially; the batch guard must refuse it rather than silently
-        diverge."""
-        from repro.asip.fft_asip import GROUP_SIZE_REG
-        from repro.sim.errors import SimulationError
-
+        diverge, and keep no record of the pass."""
         n = 16
         machine = FFTASIP(n)
-        b = ProgramBuilder()
-        b.li(GROUP_SIZE_REG, 4)
-        b.li(26, 1)          # LDIN stride
-        b.li(25, 1)          # STOUT stride
-        b.li(4, 2 * n)       # LDIN cursor -> output region (unwritten)
-        b.li(5, 0)
-        b.emit(Opcode.LDIN, rs=4, rt=5)
-        b.li(6, 0)
-        b.li(7, 2 * n)       # STOUT cursor -> same output columns
-        b.emit(Opcode.STOUT, rs=6, rt=7)
-        b.halt()
-        program = b.build()
+        program = cross_symbol_program(n)
         assert machine._can_batch(program)
         blocks = random_blocks(3, n, seed=9)
-        with pytest.raises(SimulationError):
-            machine.run_batch(program, blocks)
+        for _ in range(2):
+            with pytest.raises(SimulationError):
+                machine.run_batch(program, blocks)
+            assert machine._records == []
 
     def test_streaming_corruption_detected_through_batch(self):
         """A corrupted batched output must still fail verification."""

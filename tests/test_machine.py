@@ -282,3 +282,34 @@ class TestGuards:
             "lw r1, 10(r0)\nnop\nmul r2, r1, r1\nhalt", machine
         )
         assert machine.read_reg(2) == 6.25
+
+
+class TestProgramImmutable:
+    """Machines key reusable work (predecoded handlers, recorded batch
+    passes) by program identity, so a program must not change in place:
+    otherwise ``run`` would replay stale handlers while
+    ``run_interpreted`` executed the new code."""
+
+    def test_in_place_mutation_rejected(self):
+        from dataclasses import FrozenInstanceError
+
+        from repro.isa import Instruction, Program
+
+        program = assemble("li r1, 5\nhalt")
+        machine = make_machine()
+        machine.run(program)
+        assert machine.read_reg(1) == 5
+        with pytest.raises(TypeError):
+            program.instructions[0] = Instruction(
+                opcode=Opcode.ADDI, rt=1, rs=0, imm=7)
+        with pytest.raises(FrozenInstanceError):
+            program.instructions = []
+        machine.run(program)
+        assert machine.read_reg(1) == 5
+        # A program built from a list keeps its own immutable copy.
+        source = list(program)
+        copy = Program(instructions=source, name="copy")
+        source[0] = Instruction(opcode=Opcode.ADDI, rt=1, rs=0, imm=7)
+        assert isinstance(copy.instructions, tuple)
+        machine.run(copy)
+        assert machine.read_reg(1) == 5
