@@ -34,6 +34,7 @@ import numpy as np
 from ..addressing.bitops import bit_reverse, bit_width_of
 from ..addressing.coefficients import PreRotationStore, prerotation_matrix
 from ..core.fixed_point import (
+    LANE_DTYPE,
     FixedComplex,
     FixedPointContext,
     fixed_to_complex_array,
@@ -99,7 +100,7 @@ class FFTASIP(Machine):
     int_datapath:
         Fixed-point only.  When True (default) the CRF stores Q1.15
         integers as struct-of-arrays components and BUT4 spans, LDIN and
-        STOUT bursts run as int64 column operations — bit-identical to
+        STOUT bursts run as int32-lane column operations — bit-identical to
         the scalar lanes (overflow counts included).  False keeps the
         complex-entry CRF with scalar Q1.15 lanes (the PR-1 baseline the
         engine-speed benchmark measures against).
@@ -218,6 +219,10 @@ class FFTASIP(Machine):
         live.  The end state (registers, memory, both CRF banks, cache)
         equals the serial loop's.
 
+        A Q1.15 batch holding NaN or infinity raises ``ValueError`` while
+        it is staged, before the pass runs or retires; the serial loop
+        raises at the first such symbol, before running it.
+
         Returns ``(outputs, per_symbol_cycles)``.  Falls back to the
         serial per-symbol loop whenever exact batched semantics cannot be
         guaranteed: scalar-oracle configurations, instrumented machines,
@@ -242,12 +247,17 @@ class FFTASIP(Machine):
                 cycles.append(self.stats.cycles - before)
                 outputs[k] = self.read_output()
             return outputs, cycles
+        # Stage the symbols in AI0 order, position-major, before anything
+        # runs or retires: a batch whose Q1.15 quantisation raises leaves
+        # the machine untouched.
+        inputs = (quantize_array(blocks.T[self._input_perm])
+                  if self.fixed_point else (blocks.T[self._input_perm],))
         key = self._control_key()
         record = self._find_record(program, key)
         if record is None:
             record = self._record_pass(program, key)
         self._retire(record, n)
-        return record.schedule.evaluate(self, blocks), [record.cycles] * n
+        return record.schedule.evaluate(self, inputs), [record.cycles] * n
 
     def _control_key(self) -> tuple:
         """The entry control state a batch pass reads: the 32 registers,
@@ -1304,8 +1314,9 @@ class _FlushSchedule:
     """
 
     #: elements (symbols x lanes) per column op while evaluating a level;
-    #: bounds the temporaries of the Q1.15 datapath.
-    FIXED_CHUNK = 4096
+    #: bounds the temporaries of the Q1.15 datapath (DESIGN.md, "Levelized
+    #: batch dataflow", has the chunk sweep).
+    FIXED_CHUNK = 16384
     #: the float levels are gather-bound, so they run in larger chunks.
     FLOAT_CHUNK = 32768
 
@@ -1320,22 +1331,21 @@ class _FlushSchedule:
         self.initial = initial
         self.widest = max([len(weights) for *_, weights in levels] or [1])
 
-    def evaluate(self, machine: FFTASIP, blocks: np.ndarray) -> np.ndarray:
-        """Evaluate every level over ``blocks``; return the
-        ``(n_symbols, N)`` outputs.
+    def evaluate(self, machine: FFTASIP, inputs: tuple) -> np.ndarray:
+        """Evaluate every level over the staged ``inputs`` (``(N,
+        n_symbols)`` Q1.15 lanes or complex values, in AI0 order); return
+        the ``(n_symbols, N)`` outputs.
 
         Leaves memory and both CRF banks holding the last symbol's end
         state, as the serial loop would.
         """
-        n = len(blocks)
+        n = inputs[0].shape[1]
         fixed = machine.fixed_point
         values = [None] * self.storages
-        staged = blocks.T[machine._input_perm]
-        values[_INPUTS] = quantize_array(staged) if fixed else (staged,)
-        del staged  # Q1.15 keeps only the components alive
+        values[_INPUTS] = inputs
         if self.initial:
             values[_INITIAL] = self._initial_values(machine)
-        dtype = np.int64 if fixed else complex
+        dtype = LANE_DTYPE if fixed else complex
         parts = 2 if fixed else 1
         end_state = [np.empty(self.finals, dtype) for _ in range(parts)]
         outputs = [np.empty((machine.n_points, n), dtype)
@@ -1377,8 +1387,8 @@ class _FlushSchedule:
                 weights = machine._prerot_components
             else:
                 weights = machine.rom.fixed_table()
-            re = np.empty(shape, dtype=np.int64)
-            im = np.empty(shape, dtype=np.int64)
+            re = np.empty(shape, dtype=LANE_DTYPE)
+            im = np.empty(shape, dtype=LANE_DTYPE)
             for lo in range(0, count, step):
                 hi = min(lo + step, count)
                 chunk = weights_at[lo:hi]

@@ -16,8 +16,9 @@ hopeless as a throughput engine.  This module lowers an
 Execution is then pure fancy indexing plus whole-column butterflies: an
 epoch processes **all of its groups at once** as a ``(..., groups, size)``
 block, and a leading batch axis turns the same code into the multi-symbol
-``transform_many`` path.  The fixed-point datapath runs on int64
-component arrays through the vectorised
+``transform_many`` path.  The fixed-point datapath runs on int32 lane
+arrays (the format :func:`~repro.core.fixed_point.quantize_array`
+returns) through the vectorised
 :class:`~repro.core.fixed_point.FixedPointContext` ops and is
 bit-identical — including overflow counts — to the scalar
 :class:`FixedComplex` walk.
@@ -50,7 +51,7 @@ class CompiledStage:
         complex array of length ``size / 2``: the ROM values at this
         stage's coefficient indices, pre-gathered.
     wr, wi:
-        Q1.15 quantisation of ``weights`` (int64), present in
+        Q1.15 quantisation of ``weights`` (int32 lanes), present in
         fixed-point mode.
     """
 
@@ -92,7 +93,7 @@ class CompiledArrayFFT:
         path is used; otherwise (the N < 8 fallback) the exact weights are
         computed directly.
     fixed_point:
-        Selects the Q1.15 int64 datapath.
+        Selects the Q1.15 int32-lane datapath.
     fx:
         The owning engine's :class:`FixedPointContext`; vectorised ops
         accumulate overflow counts on it so scalar and compiled runs
@@ -193,12 +194,13 @@ class CompiledArrayFFT:
         return out
 
     def _stage_fixed(self, re, im, stage: CompiledStage) -> tuple:
-        cre = re[..., stage.reads]
-        cim = im[..., stage.reads]
-        half = cre.shape[-1] // 2
+        # Gather each butterfly operand into its own contiguous block: on
+        # short groups the kernel's column ops then run in long inner
+        # loops rather than one per group.
+        half = len(stage.reads) // 2
+        first, second = stage.reads[:half], stage.reads[half:]
         sr, si, dr, di = self.fx.butterfly_arrays(
-            cre[..., :half], cim[..., :half],
-            cre[..., half:], cim[..., half:],
+            re[..., first], im[..., first], re[..., second], im[..., second],
             stage.wr, stage.wi,
         )
         out_re = np.empty_like(re)

@@ -14,6 +14,7 @@ length fixed at the cost of a deterministic output scale of ``1/N``).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,10 @@ import numpy as np
 __all__ = [
     "FixedPointContext",
     "FixedComplex",
+    "LANE_DTYPE",
     "quantize",
     "quantize_array",
+    "require_finite",
     "round_shift_array",
     "fixed_to_complex_array",
     "words_to_fixed_array",
@@ -75,7 +78,13 @@ class FixedComplex:
 
 
 def quantize(value: complex) -> FixedComplex:
-    """Quantise a float complex (|re|,|im| <= 1) to Q1.15 with saturation."""
+    """Quantise a float complex (|re|,|im| <= 1) to Q1.15 with saturation.
+
+    Raises ``ValueError`` on a NaN or infinite component, which has no
+    Q1.15 value.
+    """
+    if not cmath.isfinite(value):
+        raise ValueError(f"cannot quantise non-finite {value!r} to Q1.15")
     re = _saturate(int(round(value.real * _SCALE)))
     im = _saturate(int(round(value.imag * _SCALE)))
     return FixedComplex(re, im)
@@ -89,32 +98,60 @@ def quantize(value: complex) -> FixedComplex:
 # double), round-to-nearest-ties-away shifts, and saturation with overflow
 # counting.  The compiled engine relies on this exact equivalence.
 
+#: The one Q1.15 lane format: every component array the vectorised
+#: datapath produces is int32.  Lanes lie in [-2**15, 2**15 - 1], and the
+#: butterfly kernel is exact in int32 for every such operand (DESIGN.md,
+#: "Q1.15 lanes"); widen to int64 before packing or multiplying elsewhere.
+LANE_DTYPE = np.int32
+
+
+def require_finite(values) -> None:
+    """Raise ``ValueError`` unless every component of ``values`` is finite:
+    NaN and infinity have no Q1.15 value."""
+    if not np.isfinite(values).all():
+        raise ValueError("cannot quantise non-finite values to Q1.15")
+
 
 def quantize_array(values) -> tuple:
-    """Quantise a complex array to Q1.15; returns ``(re, im)`` int64 arrays.
+    """Quantise a complex array to Q1.15; returns ``(re, im)`` lane arrays.
 
     Element ``k`` equals ``quantize(values[k])`` exactly (``np.rint`` and
-    Python's ``round`` both round half to even).
+    Python's ``round`` both round half to even), and a non-finite
+    component raises ``ValueError`` as it does there.
     """
     values = np.asarray(values, dtype=complex)
-    re = np.clip(np.rint(values.real * _SCALE), _MIN, _MAX).astype(np.int64)
-    im = np.clip(np.rint(values.imag * _SCALE), _MIN, _MAX).astype(np.int64)
+    require_finite(values)
+    re = np.clip(np.rint(values.real * _SCALE), _MIN, _MAX).astype(LANE_DTYPE)
+    im = np.clip(np.rint(values.imag * _SCALE), _MIN, _MAX).astype(LANE_DTYPE)
     return re, im
+
+
+def _round_shift_into(v: np.ndarray, bits: int, sign: np.ndarray) -> None:
+    """Round ``v / 2**bits`` in place, ties away from zero.
+
+    ``(v + half + (v >> width - 1)) >> bits`` with ``sign`` (same shape and
+    dtype as ``v``) as scratch.  The sign is taken before ``half`` is
+    added and ``half`` is added before the sign, so ``v = -2**31`` stays
+    inside int32.
+    """
+    np.right_shift(v, v.dtype.itemsize * 8 - 1, out=sign)
+    v += 1 << (bits - 1)
+    v += sign
+    v >>= bits
 
 
 def round_shift_array(v: np.ndarray, bits: int) -> np.ndarray:
     """Array form of :func:`_round_shift` (ties away from zero).
 
-    Branchless: shift the magnitude, restore the sign (``x ^ s - s`` with
-    the arithmetic sign fill ``s``) — element-wise equal to the scalar
-    form, without materialising both branches of a ``where``.
+    Element-wise equal to the scalar form wherever ``v + 2**(bits - 1)``
+    fits ``v``'s dtype: in int32, every value a Q1.15 product or sum
+    reaches.  Shares its rounding with the butterfly kernel.
     """
     if bits <= 0:
         return v << (-bits)
-    half = 1 << (bits - 1)
-    sign = v >> (v.dtype.itemsize * 8 - 1)
-    magnitude = (np.abs(v) + half) >> bits
-    return (magnitude ^ sign) - sign
+    out = np.array(v)
+    _round_shift_into(out, bits, np.empty_like(out))
+    return out
 
 
 def fixed_to_complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -126,16 +163,16 @@ def fixed_to_complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def words_to_fixed_array(words) -> tuple:
-    """Unpack 32-bit memory words into Q1.15 int64 ``(re, im)`` components.
+    """Unpack 32-bit memory words into Q1.15 ``(re, im)`` lane arrays.
 
     Element ``k`` equals ``FixedComplex.from_words(words[k] >> 16,
     words[k])`` exactly: 16-bit fields, sign-extended.
     """
     words = np.asarray(words, dtype=np.int64)
-    re = (words >> 16) & 0xFFFF
-    im = words & 0xFFFF
-    re = re - ((re & 0x8000) << 1)
-    im = im - ((im & 0x8000) << 1)
+    re = ((words >> 16) & 0xFFFF).astype(LANE_DTYPE)
+    im = (words & 0xFFFF).astype(LANE_DTYPE)
+    re -= (re & 0x8000) << 1
+    im -= (im & 0x8000) << 1
     return re, im
 
 
@@ -144,6 +181,13 @@ def fixed_to_words_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return ((np.asarray(re, dtype=np.int64) & 0xFFFF) << 16) | (
         np.asarray(im, dtype=np.int64) & 0xFFFF
     )
+
+
+def _lanes(*operands) -> tuple:
+    """``(dtype, shape)`` a kernel evaluates ``operands`` in: their common
+    integer dtype (at least the lane format) and broadcast shape."""
+    return (np.result_type(*operands, LANE_DTYPE),
+            np.broadcast(*operands).shape)
 
 
 class FixedPointContext:
@@ -198,41 +242,67 @@ class FixedPointContext:
 
     # Vectorised datapath -------------------------------------------------
     #
-    # Array counterparts of multiply/add/sub/butterfly operating on int64
-    # (re, im) component arrays.  Intermediate products need up to 32 bits
-    # (2 * 2^30), so int64 keeps every step exact.  Overflow accounting is
-    # element-wise and lands on the same ``overflow_count`` the scalar
-    # path uses, with identical totals for identical inputs.
+    # Array counterparts of multiply/butterfly over (re, im) component
+    # arrays, run as one fused kernel in the operands' integer dtype.  In
+    # int32 lanes every step is exact (DESIGN.md, "Q1.15 lanes").  Overflow
+    # accounting is element-wise and lands on the same ``overflow_count``
+    # the scalar path uses, with identical totals for identical inputs.
 
-    def _narrow_array(self, v: np.ndarray) -> np.ndarray:
-        # minimum/maximum are plain ufuncs (np.clip pays a dispatch tax
-        # per call that dominates on short butterfly columns).
-        clipped = np.minimum(np.maximum(v, _MIN), _MAX)
-        over = int(np.count_nonzero(clipped != v))
-        if over:
-            self.overflow_count += over
-        return clipped
+    def _saturate(self, v: np.ndarray, lo: int = _MIN, hi: int = _MAX) -> None:
+        """Clip ``v`` in place to ``[lo, hi]``, counting every clipped
+        element; two reductions decide whether anything is out of range."""
+        if v.size and (v.max() > hi or v.min() < lo):
+            self.overflow_count += int(np.count_nonzero(v > hi)
+                                       + np.count_nonzero(v < lo))
+            np.clip(v, lo, hi, out=v)
+
+    def _product(self, t, scratch, xr, xi, wr, wi) -> None:
+        """``(Re, -Im)`` of ``x * w`` into the rows of ``t``, rounded from
+        30 to 15 fraction bits and saturated; ``scratch`` is a block of
+        ``t``'s shape.
+
+        ``Im = xr*wi + xi*wr`` reaches ``2**31`` when all four are
+        ``-2**15``, one past int32, while ``-Im = xi*(-wr) - xr*wi`` stays
+        in ``[-2**31, 2**31 - 2**16]``.  Saturating ``-Im`` to
+        ``[-_MAX, -_MIN]`` counts the overflows saturating ``Im`` would.
+        """
+        np.multiply(xr, wr, out=t[0])
+        t[0] -= np.multiply(xi, wi, out=scratch[0])
+        np.multiply(xi, -wr, out=t[1])
+        t[1] -= np.multiply(xr, wi, out=scratch[0])
+        _round_shift_into(t, _FRAC_BITS, scratch)
+        self._saturate(t[0])
+        self._saturate(t[1], -_MAX, -_MIN)
 
     def multiply_arrays(self, xr, xi, wr, wi) -> tuple:
         """Element-wise complex multiply with 30->15 bit rounding."""
-        rr = xr * wr - xi * wi
-        ii = xr * wi + xi * wr
-        return (
-            self._narrow_array(round_shift_array(rr, _FRAC_BITS)),
-            self._narrow_array(round_shift_array(ii, _FRAC_BITS)),
-        )
-
-    def _combine_array(self, re: np.ndarray, im: np.ndarray) -> tuple:
-        if self.scale_stages:
-            re = round_shift_array(re, 1)
-            im = round_shift_array(im, 1)
-        return self._narrow_array(re), self._narrow_array(im)
+        dtype, shape = _lanes(xr, xi, wr, wi)
+        t = np.empty((2,) + shape, dtype)
+        self._product(t, np.empty_like(t), xr, xi, wr, wi)
+        np.negative(t[1], out=t[1])
+        return t[0], t[1]
 
     def butterfly_arrays(self, ar, ai, br, bi, wr, wi) -> tuple:
-        """Whole-column radix-2 butterfly; returns (sr, si, dr, di)."""
-        tr, ti = self.multiply_arrays(br, bi, wr, wi)
-        sr, si = self._combine_array(ar + tr, ai + ti)
-        dr, di = self._combine_array(ar - tr, ai - ti)
+        """Whole-column radix-2 butterfly; returns (sr, si, dr, di).
+
+        One fused kernel: the rounded, saturated product ``t = b * w``,
+        then ``a + t`` and ``a - t`` as one block, halved with rounding
+        when ``scale_stages`` is set and saturated.
+        """
+        dtype, shape = _lanes(ar, ai, br, bi, wr, wi)
+        work = np.empty((4,) + shape, dtype)
+        t = work[:2]
+        self._product(t, work[2:], br, bi, wr, wi)
+        tr, nti = t
+        out = np.empty_like(work)
+        np.add(ar, tr, out=out[0])
+        np.subtract(ai, nti, out=out[1])
+        np.subtract(ar, tr, out=out[2])
+        np.add(ai, nti, out=out[3])
+        if self.scale_stages:
+            _round_shift_into(out, 1, work)
+        self._saturate(out)
+        sr, si, dr, di = out
         return sr, si, dr, di
 
     # Vector helpers -----------------------------------------------------

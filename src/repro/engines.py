@@ -41,6 +41,7 @@ import numpy as np
 from .asip.codegen import generate_fft_program
 from .asip.fft_asip import FFTASIP
 from .core.array_fft import ArrayFFT
+from .core.fixed_point import require_finite
 from .core.parallel import ShardedEngine
 from .core.registry import (
     BackendSpec,
@@ -322,6 +323,10 @@ class Engine:
 
     def _run_many(self, blocks: np.ndarray) -> TransformResult:
         self._ensure_open()
+        if self.fixed_point:
+            # Rejected before any backend runs, so no counter, machine or
+            # worker pool sees a batch it cannot quantise.
+            require_finite(blocks)
         if not telemetry.enabled():
             return self._run_many_inner(blocks)
         with telemetry.span(
@@ -336,7 +341,11 @@ class Engine:
         stats = self.impl.sim_stats
         overflow_before = fx.overflow_count if fx is not None else 0
         stats_before = _stats_snapshot(stats)
-        spectra, cycles = self.impl.transform_many(blocks)
+        if len(blocks):
+            spectra, cycles = self.impl.transform_many(blocks)
+        else:
+            # One answer for an empty batch, whatever the backend.
+            spectra, cycles = blocks.copy(), []
         return TransformResult(
             spectrum=spectra,
             backend=self.backend,
@@ -372,7 +381,12 @@ class Engine:
         return result
 
     def transform_many(self, blocks) -> TransformResult:
-        """Forward FFT of an ``(n_symbols, N)`` batch."""
+        """Forward FFT of an ``(n_symbols, N)`` batch.
+
+        Every backend answers an empty batch with a ``(0, N)`` spectrum
+        and raises ``ValueError`` on a Q1.15 batch holding NaN or
+        infinity, before any of its state moves.
+        """
         return self._run_many(self._as_batch(blocks))
 
     def inverse(self, spectrum) -> TransformResult:

@@ -60,7 +60,7 @@ class BUFunctionalUnit:
         self.unit.op_count += ops
         arithmetic = self.unit.arithmetic
         if arithmetic is not None:
-            # Whole-column Q1.15: the int64 component arrays run through
+            # Whole-column Q1.15: the int32 lane arrays run through
             # the vectorised FixedPointContext ops — bit-identical to the
             # scalar lanes, overflow counts included.
             fx = arithmetic.context

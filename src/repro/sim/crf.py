@@ -12,7 +12,8 @@ Two storage modes model the same architectural state:
   fixed-point operation the ASIP quantises on load, so every stored value
   lies on the Q1.15 grid and the CRF merely stores what it is given.
 * **int mode** (``int_mode=True``) — each bank is a struct-of-arrays pair
-  of int64 ``re``/``im`` component vectors holding the Q1.15 integers
+  of ``re``/``im`` component vectors in the Q1.15 lane format (int32,
+  :data:`~repro.core.fixed_point.LANE_DTYPE`) holding the integers
   directly.  This is the storage the vectorised Q1.15 BUT4 path operates
   on; the scalar accessors convert on the fly (losslessly, since every
   value is on the grid), so the per-op oracle path stays bit-true.
@@ -28,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.fixed_point import (
+    LANE_DTYPE,
     fixed_to_complex_array,
     quantize,
     quantize_array,
@@ -46,8 +48,8 @@ class CustomRegisterFile:
         self.int_mode = bool(int_mode)
         shape = (2, entries)
         if self.int_mode:
-            self._re = np.zeros(shape, dtype=np.int64)
-            self._im = np.zeros(shape, dtype=np.int64)
+            self._re = np.zeros(shape, dtype=LANE_DTYPE)
+            self._im = np.zeros(shape, dtype=LANE_DTYPE)
         else:
             self._data = np.zeros(shape, dtype=complex)
         self._active = 0
@@ -160,7 +162,7 @@ class CustomRegisterFile:
     def bank_arrays(self) -> tuple:
         """The live ``(2, entries)`` storage of both banks.
 
-        ``(re, im)`` int64 component arrays in int mode, ``(data,)`` in
+        ``(re, im)`` lane arrays in int mode, ``(data,)`` in
         complex mode.  Bulk state transfer only: writes through these
         views bypass the access counters.
         """

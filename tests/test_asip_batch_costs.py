@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from repro.asip import FFTASIP, generate_fft_program
-from repro.asip.fft_asip import _SymbolBatch
+from repro.asip.fft_asip import _FlushSchedule, _SymbolBatch
 
 #: (symbols, N) of the asip-fft benchmark batches.
 SHAPES = [(8, 8192), (64, 1024)]
 
 #: Elements (symbols x butterfly lanes) per Q1.15 column op of a level.
-CHUNK_ELEMENTS = 4096
+CHUNK_ELEMENTS = _FlushSchedule.FIXED_CHUNK
 
 #: Traced-allocation peak of one warm batch: the levelized data plane may
 #: use at most 3 MB more than the per-op batch path it replaced, which
@@ -66,13 +66,13 @@ def butterfly_budget(machine, symbols):
     return stages * math.ceil(per_stage / lanes_per_chunk)
 
 
-@pytest.mark.parametrize("symbols,n,expected", [(8, 8192, 104),
-                                                 (64, 1024, 80)])
+@pytest.mark.parametrize("symbols,n,expected", [(8, 8192, 26),
+                                                 (64, 1024, 20)])
 def test_butterfly_column_ops_within_plan_budget(monkeypatch, warm, symbols,
                                                  n, expected):
     machine, program, blocks = warm[(symbols, n)]
     budget = butterfly_budget(machine, symbols)
-    assert budget == expected  # 13 x 8 and 10 x 8
+    assert budget == expected  # 13 x 2 and 10 x 2 at 16,384 elements
     calls = count_calls(monkeypatch, machine.fx, "butterfly_arrays")
     machine.run_batch(program, blocks)
     assert 0 < len(calls) <= budget

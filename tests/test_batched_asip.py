@@ -199,6 +199,26 @@ class TestRunBatch:
         assert len(cycles) == 1
         assert np.allclose(outs[0], np.fft.fft(block[0]), atol=1e-8)
 
+    @pytest.mark.parametrize("symbols", [1, 4])
+    def test_q15_non_finite_batch_leaves_machine_untouched(self, symbols):
+        """Rejected while staging, before the pass runs or retires: the
+        recorded, the replayed and the serial path alike."""
+        n = 64
+        program = generate_fft_program(n)
+        machine = FFTASIP(n, fixed_point=True)
+        serial = FFTASIP(n, fixed_point=True)
+        good = random_blocks(symbols, n, seed=4, scale=0.2)
+        bad = good.copy()
+        bad[-1, 9] = np.nan
+        for _ in range(3):  # power-on record, steady record, replay
+            with pytest.raises(ValueError, match="non-finite"):
+                machine.run_batch(program, bad)
+            assert_machines_equal(machine, serial)
+            assert machine.fx.overflow_count == serial.fx.overflow_count
+            outs, _ = machine.run_batch(program, good)
+            want, _ = run_serial(serial, program, good)
+            assert np.array_equal(outs, want)
+
     @pytest.mark.parametrize("fixed", [False, True])
     def test_butterflies_reading_initial_crf_entries(self, fixed):
         """Every stage runs only its second module, so half of each bank

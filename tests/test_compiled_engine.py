@@ -7,6 +7,8 @@ rounding noise, and the predecoded simulator must retire the same
 instructions with the same statistics as the step interpreter.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ import repro
 from repro.addressing.coefficients import PreRotationStore
 from repro.core import ArrayFFT
 from repro.core.fixed_point import (
+    FixedComplex,
     FixedPointContext,
     quantize,
     quantize_array,
@@ -28,6 +31,37 @@ def random_vector(n, seed=0, scale=1.0):
 
 
 ALL_SIZES = [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048]
+
+
+#: Q1.15 values at and next to the lane range's edges.
+EXTREMES = [-2 ** 15, -2 ** 15 + 1, -1, 0, 1, 2 ** 15 - 1]
+
+
+@pytest.fixture(scope="module", params=[True, False],
+                ids=["scaled", "unscaled"])
+def extreme_oracle(request):
+    """The scalar oracle over every combination of :data:`EXTREMES`:
+    ``{"butterfly" | "multiply": (scale_stages, operand rows, expected
+    component rows, overflow count)}``; 6^6 butterflies, 6^4 products."""
+    scale = request.param
+    cases = {}
+    for name, arity in (("butterfly", 6), ("multiply", 4)):
+        operands = np.array(list(itertools.product(EXTREMES, repeat=arity)))
+        ctx = FixedPointContext(scale_stages=scale)
+        points = [FixedComplex(re, im)
+                  for re, im in operands.reshape(-1, 2).tolist()]
+        want = []
+        if name == "butterfly":
+            for a, b, w in zip(points[0::3], points[1::3], points[2::3]):
+                s, d = ctx.butterfly(a, b, w)
+                want.append((s.re, s.im, d.re, d.im))
+        else:
+            for x, w in zip(points[0::2], points[1::2]):
+                p = ctx.multiply(x, w)
+                want.append((p.re, p.im))
+        cases[name] = (scale, operands.T, np.array(want).T,
+                       ctx.overflow_count)
+    return cases
 
 
 class TestFixedPointBitIdentity:
@@ -63,11 +97,54 @@ class TestFixedPointBitIdentity:
             assert (int(re[k]), int(im[k])) == (q.re, q.im)
 
     def test_vector_round_shift_matches_scalar(self):
-        v = np.arange(-70, 70, dtype=np.int64)
+        # Out to the int32 extremes a Q1.15 product reaches, +-(2^31 - 2^15).
+        edge = 2 ** 31 - 2 ** 15
+        rng = np.random.default_rng(3)
+        v = np.concatenate([
+            np.arange(-70, 70), np.arange(edge - 70, edge + 1),
+            np.arange(-edge, -edge + 70), [-(2 ** 31)],
+            rng.integers(-edge, edge, 2000),
+        ])
         for bits in (1, 3, 15):
-            got = round_shift_array(v, bits)
             want = [_round_shift(int(x), bits) for x in v]
-            assert list(got) == want
+            for dtype in (np.int32, np.int64):
+                got = round_shift_array(v.astype(dtype), bits)
+                assert got.dtype == dtype
+                assert got.tolist() == want
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_butterfly_kernel_matches_scalar_at_extremes(self,
+                                                         extreme_oracle,
+                                                         dtype):
+        """Every combination of extreme operands, the all -2^15 corner
+        (where ``Im(b*w)`` reaches 2^31) included."""
+        scale, operands, want, overflows = extreme_oracle["butterfly"]
+        fx = FixedPointContext(scale_stages=scale)
+        got = fx.butterfly_arrays(*operands.astype(dtype))
+        for component, expected in zip(got, want):
+            assert component.dtype == dtype
+            assert np.array_equal(component, expected)
+        assert fx.overflow_count == overflows
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_multiply_kernel_matches_scalar_at_extremes(self, extreme_oracle,
+                                                        dtype):
+        scale, operands, want, overflows = extreme_oracle["multiply"]
+        fx = FixedPointContext(scale_stages=scale)
+        got = fx.multiply_arrays(*operands.astype(dtype))
+        for component, expected in zip(got, want):
+            assert component.dtype == dtype
+            assert np.array_equal(component, expected)
+        assert fx.overflow_count == overflows
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_kernels_accept_empty_operands(self, dtype):
+        fx = FixedPointContext()
+        empty = np.zeros(0, dtype)
+        for out in (fx.butterfly_arrays(*[empty] * 6),
+                    fx.multiply_arrays(*[empty] * 4)):
+            assert all(v.shape == (0,) and v.dtype == dtype for v in out)
+        assert fx.overflow_count == 0
 
     def test_vector_butterfly_counts_overflow_like_scalar(self):
         ctx_v = FixedPointContext(scale_stages=False)

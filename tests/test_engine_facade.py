@@ -6,6 +6,8 @@ spectra (overflow counts included) and float spectra within rounding
 noise — so callers can swap backends freely.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,63 @@ class TestUniformResults:
         assert result.precision == "q15"
         assert result.fixed_point
         assert eng.fixed_point
+
+    @pytest.mark.parametrize("precision", ["float", "q15"])
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_empty_batch_has_one_answer(self, name, precision):
+        with build(64, name, precision) as eng:
+            for call in (eng.transform_many, eng.inverse_many):
+                result = call(np.zeros((0, 64)))
+                assert result.spectrum.shape == (0, 64)
+                assert result.spectrum.dtype == complex
+                assert result.n_symbols == 0
+                assert result.cycles == []
+                assert result.overflow_count == 0
+                if result.stats is not None:
+                    assert result.stats.cycles == 0
+                    assert result.stats.instructions == 0
+
+
+class TestNonFiniteInput:
+    """NaN and infinity have no Q1.15 value: every Q1.15 backend refuses
+    them the same way, before any of its state moves."""
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, complex(0, -np.inf)],
+        ids=["nan", "inf", "-inf-j"],
+    )
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_q15_rejects_non_finite_input(self, name, bad):
+        n = 64
+        good = random_blocks(64, n, seed=9, scale=0.2)
+        blocks = good.copy()
+        blocks[40, 7] = bad
+        with build(n, name, "q15") as eng, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eng.transform_many(good)  # warm: records and pools exist
+            stats = eng.stats.as_dict() if eng.stats is not None else None
+            overflows = eng.fx.overflow_count
+            with pytest.raises(ValueError, match="non-finite"):
+                eng.transform_many(blocks)
+            with pytest.raises(ValueError, match="non-finite"):
+                eng.transform(blocks[40])
+            assert eng.fx.overflow_count == overflows
+            if stats is not None:
+                assert eng.stats.as_dict() == stats
+            assert not eng.degraded
+            again = eng.transform_many(good)
+        with build(n, "reference", "q15") as oracle:
+            want = oracle.transform_many(good)
+        assert np.array_equal(again.spectrum, want.spectrum)
+        assert again.overflow_count == want.overflow_count
+
+    def test_float_passes_non_finite_through(self):
+        blocks = random_blocks(2, 16, seed=10)
+        blocks[1, 3] = np.nan
+        with repro.engine(16) as eng:
+            out = eng.transform_many(blocks).spectrum
+        assert np.isfinite(out[0]).all()
+        assert np.isnan(out[1]).all()
 
 
 class TestLifecycle:

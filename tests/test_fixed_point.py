@@ -1,14 +1,19 @@
 """Q1.15 fixed-point datapath: quantisation, saturation, bit-level I/O."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.fixed_point import (
+    LANE_DTYPE,
     FixedComplex,
     FixedPointContext,
     quantize,
+    quantize_array,
     snr_db,
+    words_to_fixed_array,
 )
 
 unit_floats = st.floats(-0.999, 0.999)
@@ -36,6 +41,28 @@ class TestQuantize:
         once = quantize(value)
         again = quantize(once.to_complex())
         assert once == again
+
+    @pytest.mark.parametrize(
+        "bad", [complex(np.nan, 0), complex(np.inf, 0), complex(0, -np.inf)],
+        ids=["nan", "inf", "-inf-j"],
+    )
+    def test_non_finite_is_refused_by_both_forms(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                quantize_array(np.array([0.5, bad, -0.5]))
+
+    def test_lane_format_is_int32(self):
+        re, im = quantize_array(np.array([1.5 - 2j, -0.25 + 0.5j]))
+        assert re.dtype == im.dtype == LANE_DTYPE == np.int32
+        assert (re.tolist(), im.tolist()) == ([2 ** 15 - 1, -8192],
+                                              [-(2 ** 15), 16384])
+        re, im = words_to_fixed_array(np.array([0x8000FFFF, 0x7FFF8000]))
+        assert re.dtype == im.dtype == LANE_DTYPE
+        assert (re.tolist(), im.tolist()) == ([-(2 ** 15), 2 ** 15 - 1],
+                                              [-1, -(2 ** 15)])
 
 
 class TestWords:
