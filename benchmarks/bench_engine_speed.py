@@ -6,13 +6,12 @@ silently:
 
 * 2048-point float ``ArrayFFT.transform``  — compiled plan vs the
   per-butterfly oracle, floor **10x**;
-* 2048-point Q1.15 ``ArrayFFT.transform``  — vectorised int64 datapath vs
+* 2048-point Q1.15 ``ArrayFFT.transform``  — vectorised int32 datapath vs
   the ``FixedComplex`` walk (bit-identical outputs), floor **5x**;
-* 1024-point float ASIP simulation — predecoded handlers + fused
-  custom-op bursts vs the step interpreter with scalar BUT4, floor **3x**;
-* 1024-point Q1.15 ASIP simulation — int-array CRF datapath vs the PR-1
-  predecoded scalar-lane path (bit-identical incl. overflow counts),
-  floor **3x**;
+* 1024-point float and Q1.15 ASIP simulation — predecoded handlers +
+  fused custom-op bursts vs the step interpreter with scalar BUT4
+  (``vectorized=False``; Q1.15 spectra and overflow counts
+  bit-identical), floor **3x** each;
 * streamed 64-symbol run — multi-symbol ``run_batch`` execution vs the
   serial per-symbol loop (identical stats), floor **2x**;
 * streaming-session throughput — the queue-fed ``repro.session``
@@ -154,12 +153,12 @@ def _time_array_fft(n, fixed_point, reps_fast=5, reps_ref=2):
     return t_ref, t_fast
 
 
-def _time_asip(n, reps=3):
-    """Float ASIP: predecoded + fused bursts vs the step interpreter."""
-    x = _vector(n, seed=n)
+def _time_asip(n, fixed_point, reps=3):
+    """ASIP: predecoded + fused bursts vs the step interpreter."""
+    x = _vector(n, seed=n, scale=0.3 if fixed_point else 1.0)
     program = generate_fft_program(n)
 
-    fast = FFTASIP(n)
+    fast = FFTASIP(n, fixed_point=fixed_point)
     fast.load_input(x)
     fast.run(program)  # warm: predecode + fuse bursts
 
@@ -167,7 +166,7 @@ def _time_asip(n, reps=3):
         fast.load_input(x)
         fast.run(program)
 
-    slow = FFTASIP(n, vectorized=False)
+    slow = FFTASIP(n, fixed_point=fixed_point, vectorized=False)
     slow.load_input(x)
     slow.run_interpreted(program)
 
@@ -178,33 +177,9 @@ def _time_asip(n, reps=3):
     t_fast = _best_of(run_fast, reps)
     t_ref = _best_of(run_slow, reps)
     assert fast.stats.as_dict() == slow.stats.as_dict()
-    return t_ref, t_fast
-
-
-def _time_fixed_asip(n, reps=3):
-    """Q1.15 ASIP: int-array CRF datapath vs the PR-1 predecoded path."""
-    x = _vector(n, seed=n, scale=0.3)
-    program = generate_fft_program(n)
-
-    fast = FFTASIP(n, fixed_point=True)
-    baseline = FFTASIP(n, fixed_point=True, int_datapath=False)
-    for machine in (fast, baseline):
-        machine.load_input(x)
-        machine.run(program)
-    assert np.array_equal(fast.read_output(), baseline.read_output())
-    assert fast.stats.as_dict() == baseline.stats.as_dict()
-    assert fast.fx.overflow_count == baseline.fx.overflow_count
-
-    def run_fast():
-        fast.load_input(x)
-        fast.run(program)
-
-    def run_baseline():
-        baseline.load_input(x)
-        baseline.run(program)
-
-    t_fast = _best_of(run_fast, reps)
-    t_ref = _best_of(run_baseline, reps)
+    if fixed_point:
+        assert np.array_equal(fast.read_output(), slow.read_output())
+        assert fast.fx.overflow_count == slow.fx.overflow_count
     return t_ref, t_fast
 
 
@@ -560,20 +535,14 @@ def collect_measurements(quick=False):
             "fixed_speedup": ref_x / fast_x,
         }
     asip_n = 256 if quick else 1024
-    ref_a, fast_a = _time_asip(asip_n)
-    results["asip"] = {
-        "n": asip_n,
-        "interpreted_ms": ref_a * 1e3,
-        "predecoded_ms": fast_a * 1e3,
-        "speedup": ref_a / fast_a,
-    }
-    ref_fx, fast_fx = _time_fixed_asip(asip_n)
-    results["fixed_asip"] = {
-        "n": asip_n,
-        "pr1_scalar_ms": ref_fx * 1e3,
-        "int_datapath_ms": fast_fx * 1e3,
-        "speedup": ref_fx / fast_fx,
-    }
+    for name, fixed_point in (("asip", False), ("fixed_asip", True)):
+        ref_a, fast_a = _time_asip(asip_n, fixed_point)
+        results[name] = {
+            "n": asip_n,
+            "interpreted_ms": ref_a * 1e3,
+            "predecoded_ms": fast_a * 1e3,
+            "speedup": ref_a / fast_a,
+        }
     stream_n, stream_symbols = (128, 16) if quick else (1024, 64)
     ref_s, fast_s = _time_stream(stream_n, stream_symbols)
     results["stream"] = {
@@ -679,8 +648,8 @@ def test_asip_speedup_floor(measurements):
 
 def test_fixed_asip_speedup_floor(measurements):
     row = measurements["fixed_asip"]
-    print(f"\nfixed asip {row['n']}: {row['pr1_scalar_ms']:.2f} ms -> "
-          f"{row['int_datapath_ms']:.2f} ms ({row['speedup']:.1f}x)")
+    print(f"\nfixed asip {row['n']}: {row['interpreted_ms']:.2f} ms -> "
+          f"{row['predecoded_ms']:.2f} ms ({row['speedup']:.1f}x)")
     assert row["speedup"] >= FLOORS["fixed_asip"]
 
 

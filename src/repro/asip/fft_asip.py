@@ -65,9 +65,9 @@ GROUP_SIZE_REG = 27    # k1: current epoch group size (points)
 class _QuantizedButterflyArithmetic:
     """Adapter running BU lanes through the Q1.15 datapath.
 
-    CRF entries stay Python complex; every value written by LDIN or a
-    butterfly lies on the Q1.15 grid, so re-quantising inputs is lossless
-    and the sequence of operations is bit-true.
+    The scalar oracle reads CRF entries as Python complex; every value
+    the int-mode CRF holds lies on the Q1.15 grid, so re-quantising
+    inputs is lossless and the sequence of operations is bit-true.
     """
 
     def __init__(self, context: FixedPointContext):
@@ -91,25 +91,19 @@ class FFTASIP(Machine):
         by the largest group.
     fixed_point:
         Selects the bit-true Q1.15 datapath (with per-stage scaling) or
-        the idealised float datapath.
+        the idealised float datapath.  Q1.15 keeps the CRF as int32
+        ``re``/``im`` lanes.
     vectorized:
-        When True (default), BUT4 runs through the whole-column fast path
-        (cached AC index arrays, one CRF gather/scatter per op).  False
-        keeps the scalar per-lane walk — the oracle the fast path is
-        tested against, and the seed-equivalent benchmark baseline.
-    int_datapath:
-        Fixed-point only.  When True (default) the CRF stores Q1.15
-        integers as struct-of-arrays components and BUT4 spans, LDIN and
-        STOUT bursts run as int32-lane column operations — bit-identical to
-        the scalar lanes (overflow counts included).  False keeps the
-        complex-entry CRF with scalar Q1.15 lanes (the PR-1 baseline the
-        engine-speed benchmark measures against).
+        When True (default), LDIN/STOUT bursts and BUT4 spans run as
+        whole-column ops (cached AC index arrays, one CRF gather/scatter
+        per span) — bit-identical to the scalar lanes in Q1.15, overflow
+        counts included.  False keeps the scalar per-lane walk, the
+        oracle the fast path is tested and benchmarked against.
     """
 
     def __init__(self, n_points: int, cache_config: CacheConfig = None,
                  pipeline: PipelineConfig = None, fixed_point: bool = False,
-                 memory_words: int = None, vectorized: bool = True,
-                 int_datapath: bool = True):
+                 memory_words: int = None, vectorized: bool = True):
         plan = build_plan(n_points)
         words = memory_words or max(4 * n_points, 4096)
         super().__init__(
@@ -121,11 +115,9 @@ class FFTASIP(Machine):
         self.n_points = n_points
         self.fixed_point = fixed_point
         self.vectorized = vectorized
-        self.int_datapath = bool(fixed_point and int_datapath)
         self.fx = FixedPointContext() if fixed_point else None
         arithmetic = _QuantizedButterflyArithmetic(self.fx) if fixed_point else None
-        self.crf = CustomRegisterFile(plan.crf_entries,
-                                      int_mode=self.int_datapath)
+        self.crf = CustomRegisterFile(plan.crf_entries, int_mode=fixed_point)
         self.rom = CoefficientROM(plan.split.P)
         self.ac = AddressChangingLogic()
         self.bu = BUFunctionalUnit(arithmetic=arithmetic)
@@ -384,8 +376,6 @@ class FFTASIP(Machine):
         """Whether the batched fast path reproduces serial runs exactly."""
         if not self.vectorized:
             return False
-        if self.fixed_point and not self.int_datapath:
-            return False
         if self.charge_cache_latency:
             return False
         patched = ("step", "execute_custom", "load_input", "read_output",
@@ -424,7 +414,6 @@ class FFTASIP(Machine):
         instance = self.__dict__
         return (
             self.vectorized,
-            self.int_datapath,
             self._batch is not None,
             instance.get("_exec_but4"),
             instance.get("_exec_ldin"),
@@ -436,10 +425,10 @@ class FFTASIP(Machine):
 
         Generated programs issue these ops in long straight-line bursts
         whose addressing is hardware-sequenced, so the whole run can
-        execute with the per-op loop state held in locals.  Architectural
-        effects, statistics and cycle charges are identical to the per-op
-        path; equivalence is asserted against :meth:`Machine.step`-based
-        interpretation in the tests.
+        execute as a few column ops.  Architectural effects, statistics
+        and cycle charges are identical to the per-op path; equivalence
+        is asserted against :meth:`Machine.step`-based interpretation in
+        the tests.
         """
         if not self.vectorized:
             return None
@@ -459,7 +448,7 @@ class FFTASIP(Machine):
             return self._make_ldin_burst(first, len(instrs))
         if op is Opcode.STOUT and identical:
             return self._make_stout_burst(first, len(instrs))
-        if op is Opcode.BUT4 and (not self.fixed_point or self.int_datapath):
+        if op is Opcode.BUT4:
             return self._make_but4_burst(instrs)
         return None
 
@@ -471,60 +460,7 @@ class FFTASIP(Machine):
             ops = stats.custom_ops
             ops["ldin"] = ops.get("ldin", 0) + count
             stats.loads += count
-            if (self._batch is not None or self.int_datapath
-                    or not self.fixed_point):
-                return self._ldin_burst_fast(rs, rt, count, size, stride)
-            mem = self.read_reg(rs)
-            crf_pos = self.read_reg(rt)
-            crf = self.crf
-            memory = self.memory
-            fixed = self.fixed_point
-            dcache = self.dcache
-            charge = self.charge_cache_latency
-            flow = self._flow["ldin"]
-            extra_total = 0
-            hits = misses = 0
-            if dcache is not None:
-                access = dcache.access
-                hit_latency = dcache.config.hit_latency
-            for _ in range(count):
-                second_address = mem + stride
-                if dcache is not None:
-                    latency_a = access(mem, False)
-                    latency_b = access(second_address, False)
-                    hits += (latency_a == hit_latency) + (
-                        latency_b == hit_latency
-                    )
-                    misses += (latency_a > hit_latency) + (
-                        latency_b > hit_latency
-                    )
-                    if charge:
-                        extra_total += max(latency_a, latency_b) - hit_latency
-                first, second = memory.read_complex_pair(mem, second_address)
-                if fixed:
-                    first = quantize(complex(first)).to_complex()
-                    second = quantize(complex(second)).to_complex()
-                crf.write(crf_pos % size, first)
-                crf.write((crf_pos + 1) % size, second)
-                crf_pos = (crf_pos + 2) % size
-                group_count, group_start = flow
-                if group_count == 0:
-                    group_start = mem
-                group_count += 2
-                if group_count >= size:
-                    mem = group_start + (1 if stride > 1 else size)
-                    flow[0] = 0
-                    flow[1] = mem
-                else:
-                    flow[0] = group_count
-                    flow[1] = group_start
-                    mem += 2 * stride
-            if dcache is not None:
-                stats.dcache_hits += hits
-                stats.dcache_misses += misses
-            self.write_reg(rs, mem)
-            self.write_reg(rt, crf_pos)
-            return count * (self.pipeline.custom_mem_latency - 1) + extra_total
+            return self._ldin_burst_fast(rs, rt, count, size, stride)
         return burst
 
     def _make_stout_burst(self, instr: Instruction, count: int):
@@ -536,61 +472,9 @@ class FFTASIP(Machine):
             ops = stats.custom_ops
             ops["stout"] = ops.get("stout", 0) + count
             stats.stores += count
-            if (self._batch is not None or self.int_datapath
-                    or not self.fixed_point):
-                return self._stout_burst_fast(
-                    rs, rt, prerotate, count, size, stride
-                )
-            crf_pos = self.read_reg(rs)
-            mem = self.read_reg(rt)
-            crf = self.crf
-            memory = self.memory
-            dcache = self.dcache
-            charge = self.charge_cache_latency
-            flow = self._flow["stout"]
-            extra_total = 0
-            hits = misses = 0
-            if dcache is not None:
-                access = dcache.access
-                hit_latency = dcache.config.hit_latency
-            for _ in range(count):
-                second_address = mem + stride
-                if dcache is not None:
-                    latency_a = access(mem, True)
-                    latency_b = access(second_address, True)
-                    hits += (latency_a == hit_latency) + (
-                        latency_b == hit_latency
-                    )
-                    misses += (latency_a > hit_latency) + (
-                        latency_b > hit_latency
-                    )
-                    if charge:
-                        extra_total += max(latency_a, latency_b) - hit_latency
-                first = crf.read(crf_pos % size)
-                second = crf.read((crf_pos + 1) % size)
-                if prerotate:
-                    first = self._apply_prerotation(mem, first)
-                    second = self._apply_prerotation(second_address, second)
-                memory.write_complex_pair(mem, second_address, first, second)
-                crf_pos = (crf_pos + 2) % size
-                group_count, group_start = flow
-                if group_count == 0:
-                    group_start = mem
-                group_count += 2
-                if group_count >= size:
-                    mem = group_start + (1 if stride > 1 else size)
-                    flow[0] = 0
-                    flow[1] = mem
-                else:
-                    flow[0] = group_count
-                    flow[1] = group_start
-                    mem += 2 * stride
-            if dcache is not None:
-                stats.dcache_hits += hits
-                stats.dcache_misses += misses
-            self.write_reg(rs, crf_pos)
-            self.write_reg(rt, mem)
-            return count * (self.pipeline.custom_mem_latency - 1) + extra_total
+            return self._stout_burst_fast(
+                rs, rt, prerotate, count, size, stride
+            )
         return burst
 
     def _make_but4_burst(self, instrs: list):
@@ -632,7 +516,7 @@ class FFTASIP(Machine):
 
     # Vectorised LDIN/STOUT machinery -------------------------------------
     #
-    # The fast paths (int-array Q1.15 and float serial bursts, and the
+    # The fast paths (Q1.15 and float serial bursts, and the
     # multi-symbol batch) split each burst into three phases with
     # identical architectural effect to the per-op loop: (1) run the
     # hardware address sequencer for the whole burst, (2) account every
@@ -720,10 +604,9 @@ class FFTASIP(Machine):
         if self._batch is not None:
             self._batch.ldin(flat, positions)
             return
-        if self.int_datapath:
-            # Serial int-array path: unpacking the 16-bit fields IS the
-            # read_complex + quantize round trip (every stored point is
-            # on the Q1.15 grid).
+        if self.fixed_point:
+            # Unpacking the 16-bit fields IS the read_complex + quantize
+            # round trip (every stored point is on the Q1.15 grid).
             re, im = words_to_fixed_array(self.memory.gather_words(flat))
             self.crf.write_many_fixed(positions, re, im)
         else:
@@ -822,11 +705,9 @@ class FFTASIP(Machine):
         size = self._group_size()
         module = self.read_reg(instr.rs)
         stage = self.read_reg(instr.rt)
-        # Whole-column fast path: float lanes, or Q1.15 on the int-array
-        # CRF (bit-identical component ops).  The complex-entry Q1.15
-        # configuration keeps the bit-true scalar lanes (4-lane numpy on
-        # boxed values costs more in call overhead than it saves).
-        if self.vectorized and (not self.fixed_point or self.int_datapath):
+        # Whole-column fast path: float lanes, or Q1.15 component ops on
+        # the int-mode CRF (bit-identical to the scalar lanes).
+        if self.vectorized:
             reads, rom_addresses, writes, lanes = self.ac.index_arrays(
                 module, stage
             )
@@ -891,12 +772,10 @@ class FFTASIP(Machine):
             )
             self._ldin_move(flat, positions)
         else:
+            # A Q1.15 CRF quantises on write.
             first, second = self.memory.read_complex_pair(
                 mem, second_address
             )
-            if self.fixed_point:
-                first = quantize(complex(first)).to_complex()
-                second = quantize(complex(second)).to_complex()
             self.crf.write(crf % size, first)
             self.crf.write((crf + 1) % size, second)
         self.write_reg(instr.rs, self._advance_cursor("ldin", size, stride, mem))

@@ -4,9 +4,10 @@ The paper reports per-transform cycle counts; a deployed receiver runs
 symbols *continuously*.  This driver reuses one machine and one compiled
 program across a stream of input blocks, measuring the steady-state rate
 (program reload and data staging amortised away) and verifying every
-block.  It also exposes the per-symbol cycle variance — constant by
-construction in this design, which is itself a property worth asserting
-(no data-dependent control flow anywhere in Algorithm 1).
+block through its streaming session.  It also exposes the per-symbol
+cycle variance — constant by construction in this design, which is
+itself a property worth asserting (no data-dependent control flow
+anywhere in Algorithm 1).
 
 Blocks are staged in multi-symbol chunks through
 :meth:`repro.asip.FFTASIP.run_batch`, so the program runs at most once
@@ -21,8 +22,6 @@ it automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..sim.cache import CacheConfig
 from .fft_asip import FFTASIP
@@ -68,14 +67,6 @@ class StreamStats:
         """True when every symbol took exactly the same cycle count."""
         return len(set(self.per_symbol_cycles)) <= 1
 
-    def merge(self, other: "StreamStats") -> None:
-        """Fold another shard's results into this one (sharded streams)."""
-        if other.n_points != self.n_points:
-            raise ValueError("cannot merge streams of different sizes")
-        self.symbols += other.symbols
-        self.total_cycles += other.total_cycles
-        self.per_symbol_cycles.extend(other.per_symbol_cycles)
-
 
 class StreamingFFT:
     """Run a stream of blocks through one compiled program.
@@ -84,20 +75,14 @@ class StreamingFFT:
     :class:`repro.sessions.StreamSession`: the machine and program come
     from the unified facade's ``asip-batch`` backend (one persistent
     :class:`FFTASIP` plus its generated Algorithm-1 program), a session
-    feeds and chunks the stream, and this driver folds the per-chunk
-    :class:`~repro.engines.TransformResult`\\ s into the
-    :class:`StreamStats` accounting (plus the bounded-buffer
-    verification) the streaming benchmarks report.  New code should
-    hold a session directly (:func:`repro.session`).
+    feeds, chunks and verifies the stream, and this driver folds the
+    per-chunk :class:`~repro.engines.TransformResult`\\ s into the
+    :class:`StreamStats` accounting the streaming benchmarks report.
+    New code should hold a session directly (:func:`repro.session`).
     """
 
     #: Symbols per batched execution pass through ``run_batch``.
     DEFAULT_BATCH = 64
-
-    #: Symbols per batched verification pass — bounds the buffered input/
-    #: output blocks on long streams while still amortising the reference
-    #: FFT over a whole chunk.
-    VERIFY_CHUNK = 256
 
     def __init__(self, n_points: int, fixed_point: bool = False,
                  cache_config: CacheConfig = None):
@@ -120,56 +105,27 @@ class StreamingFFT:
         Blocks are buffered into chunks of ``batch`` symbols (default
         :attr:`DEFAULT_BATCH`) and executed through
         :meth:`FFTASIP.run_batch`; ``batch=1`` keeps the serial
-        one-symbol-at-a-time loop.  With ``verify`` (default) every
-        output is checked against numpy — a streamed run is only as good
-        as its worst symbol.  References come from batched
-        ``np.fft.fft`` calls over chunks of :attr:`VERIFY_CHUNK` symbols,
-        so verification does not dominate streamed wall-clock while the
-        buffered data stays bounded on arbitrarily long streams.
+        one-symbol-at-a-time loop.  With ``verify`` (default) the session
+        checks every chunk against a batched ``np.fft.fft`` reference
+        before the next one runs — a streamed run is only as good as its
+        worst symbol.  Only the statistics accumulate, so memory stays
+        bounded on arbitrarily long streams.
         """
         from ..sessions import StreamSession
 
         batch = self.DEFAULT_BATCH if batch is None else max(int(batch), 1)
         stats = StreamStats(n_points=self.n_points)
-        inputs = []
-        outputs = []
 
         def consume(results) -> None:
             for result in results:
                 stats.symbols += result.n_symbols
                 stats.total_cycles += result.total_cycles
                 stats.per_symbol_cycles.extend(result.cycles)
-                if verify:
-                    outputs.extend(np.atleast_2d(result.spectrum))
-                    if len(outputs) >= self.VERIFY_CHUNK:
-                        self._verify_chunk(
-                            inputs[:len(outputs)], outputs, stats.symbols
-                        )
-                        del inputs[:len(outputs)]
-                        outputs.clear()
 
-        session = StreamSession(self.engine, batch=batch)
+        session = StreamSession(self.engine, batch=batch, verify=verify)
         for block in blocks:
-            if verify:
-                # The session copies blocks on feed; keep our own copy
-                # for the chunked reference check.
-                inputs.append(np.array(block, dtype=complex))
             session.feed(block)
             consume(session.drain())
         session.flush()
         consume(session.drain())
-        if verify and outputs:
-            self._verify_chunk(inputs[:len(outputs)], outputs, stats.symbols)
         return stats
-
-    def _verify_chunk(self, inputs: list, outputs: list,
-                      symbols_so_far: int) -> None:
-        """Check one chunk of outputs against a batched reference FFT."""
-        scale = 1.0 / self.n_points if self.fixed_point else 1.0
-        tolerance = 0.05 if self.fixed_point else 1e-6
-        references = np.fft.fft(np.stack(inputs), axis=1) * scale
-        close = np.isclose(np.stack(outputs), references, atol=tolerance)
-        bad = ~np.all(close, axis=1)
-        if bad.any():
-            first_bad = symbols_so_far - len(inputs) + int(np.argmax(bad)) + 1
-            raise AssertionError(f"streamed symbol {first_bad} is wrong")

@@ -32,7 +32,9 @@ The transform-running subcommands (``fft``, ``stream``, ``bench``,
 ``--workers`` and run through :func:`repro.engine`, so every registered
 backend is reachable from the command line; ``run`` resolves named
 presets from the scenario registry (:mod:`repro.scenarios`) into
-pipelines.
+pipelines.  ``--workers`` sizes the ``sharded`` backend's thread pool;
+``fft`` and ``stream`` exit with the facade's message when another
+backend is given ``--workers`` of 2 or more.
 """
 
 from __future__ import annotations
@@ -77,9 +79,8 @@ def _engine_flags() -> argparse.ArgumentParser:
                              "q15; default float, or the scenario's own "
                              "for `run`)")
     common.add_argument("--workers", type=int, default=None,
-                        help="shard count: threads for the sharded "
-                             "backend, processes for `stream` on the "
-                             "ASIP backends")
+                        help="thread count for the sharded backend "
+                             "(other backends reject 2 or more)")
     return common
 
 
@@ -322,6 +323,17 @@ def _cmd_hw(group_size: int) -> str:
     )
 
 
+def _open_engine(size: int, backend: str, precision: str, workers: int,
+                 batch: int = None):
+    """Build the facade engine ``fft``/``stream`` run on; a combination
+    the facade rejects exits with its message, not a traceback."""
+    try:
+        return build_engine(size, backend=backend, precision=precision,
+                            workers=workers, batch=batch)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+
+
 def _cmd_fft(size: int, backend: str, precision: str, workers: int,
              seed: int) -> str:
     backend = backend or "asip"
@@ -330,12 +342,7 @@ def _cmd_fft(size: int, backend: str, precision: str, workers: int,
     x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     if fixed:
         x *= 0.25
-    try:
-        eng = build_engine(size, backend=backend, precision=precision,
-                           workers=workers)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    with eng:
+    with _open_engine(size, backend, precision, workers) as eng:
         result = eng.transform(x)
         stats = eng.stats
         scale = 1.0 / size if fixed else 1.0
@@ -377,25 +384,11 @@ def _cmd_stream(size: int, symbols: int, backend: str, precision: str,
     fixed = precision == "q15"
     blocks = _stream_blocks(size, symbols, fixed, seed)
     started = time.perf_counter()
-    if workers and workers >= 2 and backend in ("asip", "asip-batch"):
-        # Multi-process instruction-level streams keep the dedicated
-        # sharded driver (worker-local machines, merged StreamStats).
-        from .core.parallel import stream_sharded
-
-        stats = stream_sharded(
-            size, blocks, workers=workers, fixed_point=fixed,
-            verify=verify, batch=batch,
-        )
-        elapsed = time.perf_counter() - started
-        cycles = stats.per_symbol_cycles
-        n_symbols = stats.symbols
-    else:
-        with build_engine(size, backend=backend, precision=precision,
-                          workers=workers, batch=batch) as eng:
-            result = eng.stream(blocks, batch=batch, verify=verify)
-        elapsed = time.perf_counter() - started
-        cycles = result.cycles
-        n_symbols = result.n_symbols
+    with _open_engine(size, backend, precision, workers, batch) as eng:
+        result = eng.stream(blocks, batch=batch, verify=verify)
+    elapsed = time.perf_counter() - started
+    cycles = result.cycles
+    n_symbols = result.n_symbols
     total_cycles = int(sum(cycles))
     per_symbol = total_cycles / n_symbols if n_symbols else 0.0
     deterministic = len(set(cycles)) <= 1

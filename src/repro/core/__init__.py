@@ -14,7 +14,7 @@ from .fixed_point import (
     round_shift_array,
     snr_db,
 )
-from .parallel import ShardedEngine, available_workers, stream_sharded
+from .parallel import ShardedEngine, available_workers
 from .plan import ArrayFFTPlan, EpochPlan, StagePlan, build_plan
 from .schedule import BUOp, horizontal_schedule, interleaved_schedule
 
@@ -23,7 +23,6 @@ __all__ = [
     "ShardedEngine",
     "CircuitBreaker",
     "available_workers",
-    "stream_sharded",
     "CompiledArrayFFT",
     "CompiledStage",
     "InterleavedArrayFFT",

@@ -35,22 +35,18 @@ overflow-count delta, which is folded into the parent engine's
 :class:`FixedPointContext`, and the parent's ``ButterflyUnit`` op count
 advances by the plan total per symbol exactly as the serial path does.
 
-The module also shards the *instruction-level* streaming workload:
-:func:`stream_sharded` splits a symbol stream across worker
-**processes**, each streaming through a facade ``asip-batch`` engine —
-the ASIP interpreter holds the GIL, so threads would serialise it.  The
-per-shard :class:`~repro.engines.TransformResult`\\ s merge through
-:func:`repro.engines.concat_results` (cycle counts are deterministic,
-so the merged totals equal a single-machine run).
+Instruction-level streams are not sharded: an ASIP stream runs on one
+facade engine (:meth:`repro.engines.Engine.stream`), which beat both
+worker threads and forked worker processes at every size measured
+(DESIGN.md, "Sharding and fallback rules").
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -60,7 +56,7 @@ from .breaker import CircuitBreaker
 
 from .. import telemetry
 
-__all__ = ["ShardedEngine", "available_workers", "stream_sharded"]
+__all__ = ["ShardedEngine", "available_workers"]
 
 
 def available_workers() -> int:
@@ -69,14 +65,6 @@ def available_workers() -> int:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
         return os.cpu_count() or 1
-
-
-def _pool_context():
-    """Prefer fork (cheap, shares the imported package); fall back."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
 
 
 class ShardedEngine:
@@ -290,78 +278,3 @@ class ShardedEngine:
         except Exception:
             pass
 
-
-def _result_to_stream_stats(result, n_points: int):
-    """Fold a facade TransformResult into the streaming API's StreamStats."""
-    from ..asip.streaming import StreamStats
-
-    return StreamStats(
-        n_points=n_points,
-        symbols=result.n_symbols,
-        total_cycles=result.total_cycles,
-        per_symbol_cycles=list(result.cycles),
-    )
-
-
-def _stream_shard(n_points: int, precision: str, blocks, verify: bool,
-                  batch: int):
-    """Stream one shard through a fresh ``asip-batch`` facade engine.
-
-    The pool task of :func:`stream_sharded` (it runs in the worker
-    process) and, for the whole stream, its local fallback.
-    """
-    from ..engines import engine as build_engine
-
-    with build_engine(n_points, backend="asip-batch",
-                      precision=precision) as eng:
-        return eng.stream(blocks, batch=batch, verify=verify)
-
-
-def stream_sharded(n_points: int, blocks, workers: int = None,
-                   fixed_point: bool = False, verify: bool = True,
-                   batch: int = None, as_result: bool = False):
-    """Shard a symbol stream across worker processes running the ASIP.
-
-    Splits ``blocks`` (an ``(n_symbols, N)`` array or list of blocks)
-    into one shard per worker, streams each through a worker-local
-    facade engine (``asip-batch`` backend), and merges the per-shard
-    :class:`~repro.engines.TransformResult`\\ s through
-    :func:`repro.engines.concat_results` — the same merge path every
-    chunked consumer uses.  Per-symbol cycle counts are deterministic,
-    so the merged totals are identical to a single-machine run; only
-    host wall-clock changes.  Falls back to a local streamed run when
-    the pool is unavailable or the stream is too short to shard.
-
-    Returns the merged result folded into :class:`StreamStats` (the
-    historical return type); pass ``as_result=True`` for the raw merged
-    :class:`TransformResult` (spectra, cycles, stats and overflow
-    deltas included).
-    """
-    from ..engines import concat_results
-
-    blocks = np.asarray(blocks, dtype=complex)
-    if blocks.ndim != 2 or blocks.shape[1] != n_points:
-        raise ValueError(
-            f"expected an (n_symbols, {n_points}) stream, "
-            f"got shape {blocks.shape}"
-        )
-    precision = "q15" if fixed_point else "float"
-    run_shard = partial(_stream_shard, n_points, precision,
-                        verify=verify, batch=batch)
-    workers = available_workers() if workers is None else max(int(workers), 0)
-    if workers < 2 or len(blocks) < 2 * workers:
-        merged = run_shard(blocks)
-    else:
-        shards = [s for s in np.array_split(blocks, workers) if len(s)]
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=_pool_context(),
-            ) as pool:
-                results = list(pool.map(run_shard, shards))
-            merged = concat_results(
-                results, n_points=n_points, backend="asip-batch",
-                precision=precision,
-            )
-        except Exception:
-            merged = run_shard(blocks)
-    return merged if as_result else _result_to_stream_stats(merged, n_points)

@@ -198,8 +198,7 @@ def concat_results(results, *, engine: "Engine" = None, n_points: int = None,
     """Merge per-chunk :class:`TransformResult`\\ s into one batch result.
 
     The canonical merge path for anything that executes a stream in
-    chunks — :class:`~repro.sessions.StreamSession`, `Engine.stream`,
-    and :func:`~repro.core.parallel.stream_sharded`'s worker shards all
+    chunks — :class:`~repro.sessions.StreamSession` and `Engine.stream`
     route through it.  Spectra concatenate along the symbol axis,
     per-symbol cycles concatenate, :class:`SimStats` deltas and Q1.15
     overflow deltas sum.  ``engine`` (or the explicit keywords) supplies

@@ -28,8 +28,8 @@ front-end for any facade backend:
 
 :meth:`Engine.stream <repro.engines.Engine.stream>` is a thin wrapper
 that feeds a whole iterable through one session and merges the chunk
-results; :class:`~repro.asip.streaming.StreamingFFT` and
-:func:`~repro.core.parallel.stream_sharded` ride on the same substrate.
+results; :class:`~repro.asip.streaming.StreamingFFT` rides on the same
+substrate.
 """
 
 from __future__ import annotations

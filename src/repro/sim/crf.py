@@ -6,17 +6,17 @@ its input column from one bank (at the AC-generated addresses) and writes
 its output column to the other bank at natural positions, then the banks
 swap — matching Fig. 2's two data columns sandwiching the butterflies.
 
-Two storage modes model the same architectural state:
+Two storage modes, one per datapath precision:
 
-* **complex mode** (default) — each bank is a complex vector; in
-  fixed-point operation the ASIP quantises on load, so every stored value
-  lies on the Q1.15 grid and the CRF merely stores what it is given.
+* **complex mode** (default) — each bank is a complex vector; the float
+  ASIP uses it.
 * **int mode** (``int_mode=True``) — each bank is a struct-of-arrays pair
   of ``re``/``im`` component vectors in the Q1.15 lane format (int32,
   :data:`~repro.core.fixed_point.LANE_DTYPE`) holding the integers
-  directly.  This is the storage the vectorised Q1.15 BUT4 path operates
-  on; the scalar accessors convert on the fly (losslessly, since every
-  value is on the grid), so the per-op oracle path stays bit-true.
+  directly; every Q1.15 ASIP uses it.  The vectorised Q1.15 paths move
+  whole component columns; the scalar accessors quantise on write and
+  convert back on read (losslessly, since every value is on the grid),
+  so the per-op oracle path stays bit-true.
 
 The CRF models one symbol.  Multi-symbol batches
 (:meth:`repro.asip.FFTASIP.run_batch`) never widen it: they track which

@@ -61,8 +61,7 @@ class TestIntDatapath:
         x = random_blocks(1, n, seed=n, scale=0.3)[0]
         program = generate_fft_program(n)
         fast = FFTASIP(n, fixed_point=True)
-        oracle = FFTASIP(n, fixed_point=True, vectorized=False,
-                         int_datapath=False)
+        oracle = FFTASIP(n, fixed_point=True, vectorized=False)
         fast.load_input(x)
         fast.run(program)
         oracle.load_input(x)
@@ -71,20 +70,6 @@ class TestIntDatapath:
         assert fast.fx.overflow_count == oracle.fx.overflow_count
         assert_machines_equal(fast, oracle)
 
-    def test_pr1_scalar_lane_config_still_equal(self):
-        """int_datapath=False reproduces the PR-1 path exactly."""
-        n = 64
-        x = random_blocks(1, n, seed=5, scale=0.3)[0]
-        program = generate_fft_program(n)
-        fast = FFTASIP(n, fixed_point=True)
-        pr1 = FFTASIP(n, fixed_point=True, int_datapath=False)
-        for machine in (fast, pr1):
-            machine.load_input(x)
-            machine.run(program)
-        assert np.array_equal(fast.read_output(), pr1.read_output())
-        assert fast.fx.overflow_count == pr1.fx.overflow_count
-        assert_machines_equal(fast, pr1)
-
     def test_overflow_counts_match_when_saturating(self):
         """With per-stage scaling off, large inputs saturate in the
         butterflies; the vectorised counts must agree exactly."""
@@ -92,8 +77,7 @@ class TestIntDatapath:
         x = random_blocks(1, n, seed=7, scale=0.9)[0]
         program = generate_fft_program(n)
         fast = FFTASIP(n, fixed_point=True)
-        oracle = FFTASIP(n, fixed_point=True, vectorized=False,
-                         int_datapath=False)
+        oracle = FFTASIP(n, fixed_point=True, vectorized=False)
         fast.fx.scale_stages = oracle.fx.scale_stages = False
         fast.load_input(x)
         fast.run(program)
@@ -545,11 +529,6 @@ class TestBatchFallbacks:
         )
         assert np.array_equal(outs, outs_ref)
         assert cycles == cycles_ref
-
-    def test_pr1_fixed_config_falls_back(self):
-        n = 16
-        machine = FFTASIP(n, fixed_point=True, int_datapath=False)
-        assert not machine._can_batch(generate_fft_program(n))
 
     def test_charged_cache_latency_falls_back(self):
         n = 16

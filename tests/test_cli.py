@@ -116,9 +116,13 @@ class TestFacadeFlags:
             main(["bench", "--sizes", "16", "--backend", "bogus",
                   "--record", ""])
 
-    def test_fft_workers_on_serial_backend_is_loud(self):
+    @pytest.mark.parametrize("command,backend", [
+        ("fft", "compiled"), ("stream", "compiled"), ("stream", "asip"),
+        ("stream", "asip-batch"),
+    ])
+    def test_workers_on_serial_backend_is_loud(self, command, backend):
         with pytest.raises(SystemExit, match="workers"):
-            main(["fft", "--size", "16", "--backend", "compiled",
+            main([command, "--size", "16", "--backend", backend,
                   "--workers", "2"])
 
     def test_bench_single_backend_no_write(self, capsys):

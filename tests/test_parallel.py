@@ -8,8 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.asip.streaming import StreamingFFT
-from repro.core import ArrayFFT, CircuitBreaker, ShardedEngine, stream_sharded
+from repro.core import ArrayFFT, CircuitBreaker, ShardedEngine
 from repro.core.parallel import available_workers
 from repro.ofdm import MultipathChannel, OfdmLink
 
@@ -404,34 +403,6 @@ class TestDegradedMarker:
         assert merged.degraded
         clean = repro.concat_results([a, b], engine=eng)
         assert clean.degraded is False
-
-
-class TestStreamSharded:
-    def test_merged_stats_equal_local_run(self):
-        n, symbols = 64, 16
-        blocks = random_blocks(symbols, n, seed=12)
-        merged = stream_sharded(n, blocks, workers=2)
-        local = StreamingFFT(n).process(blocks)
-        assert merged.symbols == local.symbols
-        assert merged.total_cycles == local.total_cycles
-        assert merged.is_deterministic
-        assert merged.msamples_per_second == pytest.approx(
-            local.msamples_per_second
-        )
-
-    def test_short_stream_runs_locally(self):
-        n = 64
-        blocks = random_blocks(3, n, seed=13)
-        stats = stream_sharded(n, blocks, workers=2)
-        assert stats.symbols == 3
-
-    def test_merge_rejects_size_mismatch(self):
-        from repro.asip.streaming import StreamStats
-
-        a = StreamStats(n_points=64)
-        b = StreamStats(n_points=128)
-        with pytest.raises(ValueError):
-            a.merge(b)
 
 
 class TestLinkWorkers:

@@ -8,7 +8,6 @@ import pytest
 
 import repro
 from repro.asip.streaming import StreamingFFT
-from repro.core.parallel import stream_sharded
 from repro.sessions import (
     SessionBackpressure,
     SessionClosed,
@@ -576,28 +575,6 @@ class TestStreamingParity:
 
 
 class TestShardedStreamMerge:
-    def test_stream_sharded_returns_merged_transform_result(self):
-        blocks = _blocks(8, 16, seed=5)
-        merged = stream_sharded(16, blocks, workers=2, as_result=True)
-        assert isinstance(merged, repro.TransformResult)
-        assert merged.n_symbols == 8
-        local = StreamingFFT(16).process(blocks)
-        assert merged.total_cycles == local.total_cycles
-        assert list(merged.cycles) == local.per_symbol_cycles
-
-    def test_stream_sharded_stats_compatible(self):
-        blocks = _blocks(6, 16, seed=6)
-        stats = stream_sharded(16, blocks, workers=2)
-        assert stats.symbols == 6
-        assert stats.is_deterministic
-        serial = StreamingFFT(16).process(blocks)
-        assert stats.total_cycles == serial.total_cycles
-
-    def test_short_stream_falls_back_locally(self):
-        blocks = _blocks(2, 16, seed=7)
-        stats = stream_sharded(16, blocks, workers=4)
-        assert stats.symbols == 2
-
     def test_concat_results_validates_sizes(self):
         with repro.engine(16) as eng:
             a = eng.transform_many(_blocks(2, 16))
