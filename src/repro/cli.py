@@ -175,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "across a backend pair in lockstep")
     verify.add_argument("--inject", type=str, default=None,
                         choices=["twiddle", "branch-metric", "llr-sign",
-                                 "worker-shard", "asip-step",
-                                 "engine-stall", "all"],
+                                 "slicer-threshold", "worker-shard",
+                                 "asip-step", "engine-stall", "all"],
                         help="inject one fault class (or every class) "
                              "and prove the harness localises it")
     verify.add_argument("--backends", type=str,

@@ -170,13 +170,11 @@ class CodedOfdmLink:
         """Push a coded burst end to end; one code block per symbol."""
         if symbols < 1:
             raise ValueError("need at least one symbol")
-        info = np.stack([
-            self.link.rng.integers(0, 2, size=self.geometry.info_bits)
-            for _ in range(symbols)
-        ])
+        info = self.link.rng.integers(
+            0, 2, size=(symbols, self.geometry.info_bits))
         coded = self.code.encode(info, capacity=self.link.bits_per_symbol)
         air = self.interleaver.interleave(coded)
-        time_signals = self.link._transmit_burst(list(air))
+        time_signals = self.link._transmit_burst(air)
         noisy = self.link._channel_burst(time_signals, self.link.snr_db)
         equalised, cycles = self.link.receive_many(noisy)
         llrs = self.interleaver.deinterleave(self.demapper.llrs(equalised))

@@ -214,24 +214,28 @@ class OfdmLink:
         """
         if count < 1:
             raise ValueError("need at least one symbol")
-        payloads = [self.random_bits() for _ in range(count)]
+        payloads = self._random_burst(count)
         time_signals = self._transmit_burst(payloads)
         time_signals = self._channel_burst(time_signals, self.snr_db)
         equalised, cycles = self.receive_many(time_signals)
+        rx_bits = self.constellation.unmap_symbols(equalised)
         return [
             LinkResult(
                 tx_bits=payloads[k],
-                rx_bits=self.constellation.unmap_symbols(equalised[k]),
+                rx_bits=rx_bits[k],
                 equalised=equalised[k],
                 fft_cycles=cycles[k],
             )
             for k in range(count)
         ]
 
-    def _transmit_burst(self, payloads: list) -> np.ndarray:
-        subcarriers = np.stack(
-            [self.constellation.map_bits(bits) for bits in payloads]
-        )
+    def _random_burst(self, count: int) -> np.ndarray:
+        # One (count, payload) draw: the same bits and generator state as
+        # ``count`` calls of random_bits (pinned in tests/test_ofdm.py).
+        return self.rng.integers(0, 2, size=(count, self.bits_per_symbol))
+
+    def _transmit_burst(self, payloads: np.ndarray) -> np.ndarray:
+        subcarriers = self.constellation.map_bits(payloads)
         return self._tx_engine.inverse_many(subcarriers).spectrum * self.n
 
     def _channel_burst(self, time_signals: np.ndarray,
@@ -274,8 +278,7 @@ class OfdmLink:
             raise ValueError("need at least one SNR point")
         if symbols < 1:
             raise ValueError("need at least one symbol")
-        total = len(snr_dbs) * symbols
-        payloads = [self.random_bits() for _ in range(total)]
+        payloads = self._random_burst(len(snr_dbs) * symbols)
         time_signals = self._transmit_burst(payloads)
         noisy = np.concatenate([
             self._channel_burst(
@@ -284,11 +287,9 @@ class OfdmLink:
             for k, snr in enumerate(snr_dbs)
         ])
         equalised, _ = self.receive_many(noisy)
+        wrong = self.constellation.unmap_symbols(equalised) != payloads
         sweep = {}
         for k, snr in enumerate(snr_dbs):
-            errors = 0
-            for j in range(k * symbols, (k + 1) * symbols):
-                rx = self.constellation.unmap_symbols(equalised[j])
-                errors += int(np.sum(rx != payloads[j]))
+            errors = int(np.sum(wrong[k * symbols:(k + 1) * symbols]))
             sweep[snr] = errors / (symbols * self.bits_per_symbol)
         return sweep

@@ -4,9 +4,10 @@ Each stage is a small object with one method, ``run(ctx, data)``, where
 ``ctx`` is the run's :class:`PipelineContext` (engines, rng, link
 parameters, accumulated artefacts) and ``data`` is the output of the
 previous stage.  The built-ins reproduce the hand-wired
-:class:`~repro.ofdm.OfdmLink` datapath *operation for operation* — same
-numpy calls, same rng draw order — so a pipeline run is bit-identical
-to the link it replaces (asserted in ``tests/test_pipeline.py``).
+:class:`~repro.ofdm.OfdmLink` datapath *operation for operation* — the
+same burst-wide calls (one bit draw, one map and one demap per burst),
+same rng draw order — so a pipeline run is bit-identical to the link it
+replaces (asserted in ``tests/test_pipeline.py``).
 
 Stage contract (also documented in DESIGN.md):
 
@@ -112,10 +113,11 @@ class Stage:
 class RandomBitsSource(Stage):
     """Draw one payload of random bits per symbol (OfdmLink's source).
 
-    In a coded chain (``ctx.code`` set) the payload is the terminated
-    code block's **information bits** — ``code_geometry.info_bits`` per
-    OFDM symbol, drawn in the same one-draw-per-symbol order — and the
-    downstream ``encode`` stage expands it to the coded capacity.
+    The whole ``(symbols, payload)`` burst comes from one draw.  In a
+    coded chain (``ctx.code`` set) the payload is the terminated code
+    block's **information bits** — ``code_geometry.info_bits`` per OFDM
+    symbol — and the downstream ``encode`` stage expands it to the coded
+    capacity.
 
     Explicit input overrides the draw: ``Pipeline.run(data=bits)``
     passes a ``(symbols, payload)`` matrix straight through, so parity
@@ -133,11 +135,9 @@ class RandomBitsSource(Stage):
                     f"bits, got shape {bits.shape}"
                 )
         else:
-            # One draw per symbol, exactly OfdmLink.random_bits' order.
-            bits = np.stack([
-                ctx.rng.integers(0, 2, size=payload)
-                for _ in range(ctx.symbols)
-            ])
+            # Equal to one draw of ``payload`` bits per symbol, generator
+            # state included (pinned in tests/test_ofdm.py).
+            bits = ctx.rng.integers(0, 2, size=(ctx.symbols, payload))
         if ctx.code is not None:
             ctx.tx_info_bits = bits
         else:
@@ -172,12 +172,14 @@ class RandomBlocksSource(Stage):
 
 
 class ModulateStage(Stage):
-    """Map bit payloads onto subcarriers with the chain's constellation."""
+    """Map bit payloads onto subcarriers with the chain's constellation.
+
+    One call maps the whole ``(symbols, payload)`` burst; a bit outside
+    {0, 1} raises ``ValueError``.
+    """
 
     def run(self, ctx: PipelineContext, data):
-        subcarriers = np.stack([
-            ctx.constellation.map_bits(bits) for bits in np.asarray(data)
-        ])
+        subcarriers = ctx.constellation.map_bits(data)
         ctx.reference_symbols = subcarriers
         return subcarriers
 
@@ -241,12 +243,13 @@ class EqualizeStage(Stage):
 
 
 class DemodulateStage(Stage):
-    """Hard-decision demap of equalised subcarriers back to bits."""
+    """Hard-decision demap of equalised subcarriers back to bits.
+
+    One slicer call over the whole ``(symbols, N)`` burst.
+    """
 
     def run(self, ctx: PipelineContext, data):
-        rx_bits = np.stack([
-            ctx.constellation.unmap_symbols(row) for row in np.asarray(data)
-        ])
+        rx_bits = ctx.constellation.unmap_symbols(data)
         ctx.rx_bits = rx_bits
         return rx_bits
 
@@ -294,7 +297,7 @@ def _register_builtin_stages() -> None:
         StageSpec(
             name="source", factory=RandomBitsSource,
             consumes="none", produces="bits",
-            description="random bit payloads, one draw per symbol",
+            description="random bit payloads, one draw per burst",
         ),
         StageSpec(
             name="block-source", factory=RandomBlocksSource,

@@ -8,14 +8,14 @@ subsystem — ROADMAP item 3 — in three layers:
 
 * :mod:`~repro.verify.coexec` — lockstep differential runners that
   localise the **first** divergence (instruction, butterfly, trellis
-  step, LLR bit, or spectrum bin) into a structured
+  step, LLR bit, hard-decision bit, or spectrum bin) into a structured
   :class:`~repro.verify.coexec.DivergenceReport`.
 * :mod:`~repro.verify.faults` — context-manager fault hooks (twiddle
-  flip, branch-metric flip, LLR sign flip, corrupted worker shard,
-  instruction-level register corruption, pool death, engine stall)
-  used both to prove the harness catches and localises every fault
-  class and to drive the graceful-degradation paths in the sharded
-  engine, sessions and serving tier.
+  flip, branch-metric flip, LLR sign flip, slicer threshold shift,
+  corrupted worker shard, instruction-level register corruption, pool
+  death, engine stall) used both to prove the harness catches and
+  localises every fault class and to drive the graceful-degradation
+  paths in the sharded engine, sessions and serving tier.
 * :mod:`~repro.verify.fuzz` — seeded property fuzzing (random ISA
   programs, engine workloads, scenario configs, coded-link parameters,
   multi-tenant serve workloads with injected pool faults) across every
@@ -30,6 +30,7 @@ from .coexec import (
     DivergenceReport,
     coexec_asip,
     coexec_backends,
+    coexec_demap,
     coexec_fft,
     coexec_llrs,
     coexec_machines,
@@ -44,6 +45,7 @@ from .faults import (
     engine_stall,
     llr_sign_flip,
     pool_failure,
+    slicer_threshold_shift,
     twiddle_flip,
     worker_shard_corruption,
 )
@@ -60,6 +62,7 @@ __all__ = [
     "DivergenceReport",
     "coexec_asip",
     "coexec_backends",
+    "coexec_demap",
     "coexec_fft",
     "coexec_llrs",
     "coexec_machines",
@@ -72,6 +75,7 @@ __all__ = [
     "engine_stall",
     "llr_sign_flip",
     "pool_failure",
+    "slicer_threshold_shift",
     "twiddle_flip",
     "worker_shard_corruption",
     "FUZZ_KINDS",

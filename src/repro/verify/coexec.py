@@ -27,6 +27,8 @@ site:
   with both sides' decisions and path metrics.
 * :func:`coexec_llrs` — two soft demappers over the same symbols;
   localises to the first mismatching (symbol, bit) LLR.
+* :func:`coexec_demap` — the hard slicer of one constellation against
+  its argmin oracle; localises to the first mismatching (symbol, bit).
 * :func:`coexec_backends` — end-to-end facade diff between two
   registered engine backends; localises to the first mismatching
   (symbol, bin) and carries the overflow-count delta.
@@ -55,6 +57,7 @@ __all__ = [
     "coexec_asip",
     "coexec_viterbi",
     "coexec_llrs",
+    "coexec_demap",
     "coexec_backends",
 ]
 
@@ -67,7 +70,7 @@ class DivergenceReport:
     ----------
     kind:
         The comparison plane: ``"fft-butterfly"``, ``"asip-instruction"``,
-        ``"viterbi-step"``, ``"llr"``, ``"spectrum"`` or
+        ``"viterbi-step"``, ``"llr"``, ``"demap"``, ``"spectrum"`` or
         ``"machine-state"``.
     backends:
         ``(side_a, side_b)`` labels of the co-executed datapaths.
@@ -675,6 +678,50 @@ def coexec_llrs(a, b, symbols, *, noise_var: float = None,
         return CoexecResult("llr", names, steps, report,
                             time.perf_counter() - start)
     return CoexecResult("llr", names, steps, None,
+                        time.perf_counter() - start)
+
+
+# Hard-decision slicer vs its oracle -------------------------------------
+
+
+def coexec_demap(constellation, symbols) -> CoexecResult:
+    """Compare ``constellation``'s hard slicer with its argmin oracle.
+
+    Both :meth:`~repro.ofdm.modulation.Constellation.unmap_symbols` and
+    :meth:`~repro.ofdm.modulation.Constellation.unmap_symbols_reference`
+    demap the same ``(..., N)`` symbols; bits and dtype must match
+    exactly.  The first mismatch localises to (symbol, bit), the symbol
+    counted flat over any leading axes, with the symbol's value and both
+    sides' bits for it.
+    """
+    start = time.perf_counter()
+    names = ("slicer", "argmin-reference")
+    symbols = np.asarray(symbols, dtype=complex)
+    width = constellation.bits_per_symbol
+    fast = constellation.unmap_symbols(symbols)
+    oracle = constellation.unmap_symbols_reference(symbols)
+    steps = int(symbols.size)
+    flat = symbols.reshape(-1)
+    fast_rows = fast.reshape(-1, width)
+    oracle_rows = oracle.reshape(-1, width)
+    wrong = np.argwhere(fast_rows != oracle_rows)
+    if len(wrong) or fast.dtype != oracle.dtype:
+        sym, bit = (int(i) for i in wrong[0]) if len(wrong) else (0, 0)
+        report = DivergenceReport(
+            kind="demap",
+            backends=names,
+            step_index=sym,
+            location={"symbol": sym, "bit": bit},
+            operands={"symbol": complex(flat[sym]),
+                      "a": fast_rows[sym].tolist(),
+                      "b": oracle_rows[sym].tolist(),
+                      "dtype_a": str(fast.dtype),
+                      "dtype_b": str(oracle.dtype)},
+            message=f"{len(wrong)} bit(s) differ",
+        )
+        return CoexecResult("demap", names, steps, report,
+                            time.perf_counter() - start)
+    return CoexecResult("demap", names, steps, None,
                         time.perf_counter() - start)
 
 

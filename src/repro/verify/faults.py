@@ -25,6 +25,8 @@ Fault classes
   :class:`~repro.coding.viterbi.ViterbiDecoder`.
 * :func:`llr_sign_flip` — one LLR output position of one
   :class:`~repro.coding.demap.SoftDemapper`.
+* :func:`slicer_threshold_shift` — one decision threshold of one
+  :class:`~repro.ofdm.modulation.Constellation`'s hard slicer.
 * :func:`worker_shard_corruption` — one symbol of one
   :class:`~repro.core.parallel.ShardedEngine`'s merged result (models a
   worker returning a corrupted shard).
@@ -57,6 +59,7 @@ __all__ = [
     "twiddle_flip",
     "branch_metric_flip",
     "llr_sign_flip",
+    "slicer_threshold_shift",
     "worker_shard_corruption",
     "asip_step_corruption",
     "pool_failure",
@@ -169,6 +172,30 @@ def llr_sign_flip(demapper, position: int = 0):
         )
     finally:
         del demapper.__dict__["llrs"]
+
+
+@contextmanager
+def slicer_threshold_shift(constellation, axis: int = 0,
+                           threshold: int = 0):
+    """Move one decision threshold of ``constellation``'s hard slicer up
+    by 0.2 (``axis`` 0 is in-phase, 1 quadrature).  Symbols between the
+    old and the new threshold then slice to the wrong level; the argmin
+    oracle reads only the points, so it stays right (inject into a
+    fresh :class:`~repro.ofdm.modulation.Constellation`, not a registry
+    one)."""
+    thresholds = constellation._thresholds[axis]
+    old = float(thresholds[threshold])
+    new = old + 0.2
+    thresholds[threshold] = new
+    try:
+        yield InjectedFault(
+            kind="slicer-threshold",
+            target=f"Constellation({constellation.name})",
+            location={"axis": "IQ"[axis], "threshold": threshold,
+                      "old": old, "new": new},
+        )
+    finally:
+        thresholds[threshold] = old
 
 
 @contextmanager
@@ -290,8 +317,9 @@ def engine_stall(engine, seconds: float = 30.0):
 
 #: the fault classes the acceptance criteria require the harness to
 #: detect *and* localise; each maps to a zero-argument demonstration.
-FAULT_CLASSES = ("twiddle", "branch-metric", "llr-sign", "worker-shard",
-                 "asip-step", "engine-stall")
+FAULT_CLASSES = ("twiddle", "branch-metric", "llr-sign",
+                 "slicer-threshold", "worker-shard", "asip-step",
+                 "engine-stall")
 
 
 def demonstrate_fault(kind: str, seed: int = 0):
@@ -304,6 +332,7 @@ def demonstrate_fault(kind: str, seed: int = 0):
     """
     from .coexec import (
         coexec_backends,
+        coexec_demap,
         coexec_fft,
         coexec_llrs,
         coexec_machines,
@@ -341,6 +370,22 @@ def demonstrate_fault(kind: str, seed: int = 0):
         with llr_sign_flip(faulted, position=5) as fault:
             result = coexec_llrs(faulted, clean, symbols,
                                  names=("demap-faulted", "demap-clean"))
+        return fault, result
+
+    if kind == "slicer-threshold":
+        from ..ofdm.modulation import Constellation
+
+        faulted = Constellation("16qam", 4)
+        rng = np.random.default_rng(seed)
+        symbols = faulted.map_bits(rng.integers(0, 2, 16 * 4))
+        symbols = symbols + 0.02 * (rng.standard_normal(16)
+                                    + 1j * rng.standard_normal(16))
+        # Symbol 5 sits between the quadrature threshold at 0 and where
+        # the fault moves it, so only the faulted slicer misreads it.
+        symbols[5] = symbols[5].real + 0.1j
+        with slicer_threshold_shift(faulted, axis=1,
+                                    threshold=1) as fault:
+            result = coexec_demap(faulted, symbols)
         return fault, result
 
     if kind == "worker-shard":

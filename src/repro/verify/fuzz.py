@@ -16,7 +16,9 @@ Six generator families, all driven by one ``numpy`` PCG64 stream so a
   overflow counts included; float to 1e-9).
 * ``scenario`` — a registered scenario preset with randomised
   ``n_points``/``symbols`` overrides, run twice with the same seed on a
-  random backend pair; spectra and the received bits must agree.
+  random backend pair; spectra and the received bits must agree, and
+  for a modulated preset the hard slicer must equal its argmin oracle
+  on the equalised subcarriers (:func:`~repro.verify.coexec.coexec_demap`).
 * ``coded`` — random coded-link parameters (code, puncture rate,
   interleaver, constellation, SNR): encoder fast path vs the
   shift-register oracle, interleave/deinterleave round trip, and the
@@ -51,7 +53,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coexec import DivergenceReport, coexec_backends, coexec_viterbi
+from .coexec import (
+    DivergenceReport,
+    coexec_backends,
+    coexec_demap,
+    coexec_viterbi,
+)
 
 __all__ = [
     "FuzzCase",
@@ -298,6 +305,13 @@ def _run_scenario(config) -> DivergenceReport:
                       "b": int(np.asarray(bits_b)[tuple(diff)])},
             message="received bits diverged between backends",
         )
+    if spec.scheme is not None and res_a.equalised is not None:
+        from ..ofdm.modulation import CONSTELLATIONS
+
+        demap = coexec_demap(CONSTELLATIONS[spec.scheme], res_a.equalised)
+        if not demap.ok:
+            demap.report.location["scenario"] = config["scenario"]
+            return demap.report
     return None
 
 

@@ -48,6 +48,114 @@ class TestConstellations:
         bits = np.array([0, 1, 1, 0])
         assert np.array_equal(demodulate(modulate(bits)), bits)
 
+    @pytest.mark.parametrize("bits", [[0, 2], [0, -1], [[0, 1], [1, 3]]])
+    def test_non_binary_bits_rejected(self, bits):
+        with pytest.raises(ValueError, match="0 or 1"):
+            modulate(bits, scheme="qpsk")
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int32, np.int64])
+    def test_bits_of_any_integer_width_map(self, dtype):
+        c = CONSTELLATIONS["16qam"]
+        bits = np.array([0, 1, 1, 0, 1, 1, 0, 1])
+        assert np.array_equal(c.map_bits(bits.astype(dtype)),
+                              c.points[[0b0110, 0b1101]])
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_leading_axes_round_trip(self, scheme):
+        c = CONSTELLATIONS[scheme]
+        bits = np.random.default_rng(4).integers(
+            0, 2, size=(3, 2, 5 * c.bits_per_symbol))
+        symbols = c.map_bits(bits)
+        assert symbols.shape == (3, 2, 5)
+        assert np.array_equal(symbols[1, 0], c.map_bits(bits[1, 0]))
+        assert np.array_equal(c.unmap_symbols(symbols), bits)
+        assert np.array_equal(c.unmap_symbols_reference(symbols), bits)
+
+    def test_divisibility_checked_per_row(self):
+        # Six bits in all, but each row's three cannot fill QPSK points.
+        with pytest.raises(ValueError, match="not divisible"):
+            CONSTELLATIONS["qpsk"].map_bits(np.zeros((2, 3), dtype=int))
+
+
+def _grid_values(c) -> np.ndarray:
+    """Every level and threshold of ``c`` with its 4 nearest floats on
+    either side, plus signed zeros, subnormals, huge values, inf, NaN."""
+    anchors = np.concatenate([c.points.real, c.points.imag,
+                              *c._thresholds, [0.0]])
+    values = []
+    for anchor in np.unique(anchors):
+        for direction in (-np.inf, np.inf):
+            value = anchor
+            for _ in range(5):
+                values.append(value)
+                value = np.nextafter(value, direction)
+    values += [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e16, -1e16, 1e300,
+               1.7e308, -1.7e308, np.inf, -np.inf, np.nan]
+    return np.array(values)
+
+
+def _assert_same_as_oracle(c, symbols):
+    # The oracle's hypot overflows for components near the float max,
+    # as it did when it was the only demapper; values are still compared.
+    with np.errstate(over="ignore"):
+        fast = c.unmap_symbols(symbols)
+        oracle = c.unmap_symbols_reference(symbols)
+    assert fast.dtype == oracle.dtype == np.intp
+    assert np.array_equal(fast, oracle)
+
+
+class TestHardSlicer:
+    """The per-axis slicer equals the argmin oracle, values and dtype."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_ulp_grid_around_thresholds_and_levels(self, scheme):
+        c = CONSTELLATIONS[scheme]
+        values = _grid_values(c)
+        real = np.repeat(values, len(values))
+        imag = np.tile(values, len(values))
+        symbols = np.empty(real.size, dtype=complex)
+        symbols.real, symbols.imag = real, imag
+        _assert_same_as_oracle(c, symbols)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e8, 1e300])
+    def test_random_and_scaled_symbols(self, scheme, scale):
+        rng = np.random.default_rng(11)
+        symbols = rng.standard_normal((4, 256)) \
+            + 1j * rng.standard_normal((4, 256))
+        _assert_same_as_oracle(CONSTELLATIONS[scheme], symbols * scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        values=st.lists(
+            st.complex_numbers(allow_nan=True, allow_infinity=True),
+            min_size=1, max_size=16),
+    )
+    def test_arbitrary_complex_input(self, scheme, values):
+        _assert_same_as_oracle(CONSTELLATIONS[scheme],
+                               np.array(values, dtype=complex))
+
+    def test_non_finite_input_raises_no_warning(self, recwarn):
+        symbols = np.array([complex(np.nan, 0.3), complex(np.inf, -np.inf),
+                            complex(1e300, 0.0), 0.7 + 0.7j])
+        CONSTELLATIONS["16qam"].unmap_symbols(symbols)
+        assert not recwarn.list
+
+
+class TestBurstDraws:
+    @pytest.mark.parametrize("payload", [1, 3, 1365, 2047, 2048, 5461])
+    def test_one_draw_equals_per_symbol_draws(self, payload):
+        """Pins numpy's stream: the bit stages draw a burst at once."""
+        burst = np.random.default_rng(21)
+        rows = np.random.default_rng(21)
+        got = burst.integers(0, 2, size=(5, payload))
+        want = np.stack([rows.integers(0, 2, size=payload)
+                         for _ in range(5)])
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert burst.bit_generator.state == rows.bit_generator.state
+
 
 class TestChannel:
     def test_awgn_snr_accuracy(self):

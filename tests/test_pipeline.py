@@ -126,6 +126,13 @@ class TestPipelineRun:
         assert np.allclose(result.spectrum, np.fft.fft(blocks, axis=1),
                            atol=1e-8)
 
+    def test_non_binary_payload_is_loud(self):
+        with repro.build_scenario("uwb-ofdm", n_points=64) as pipe:
+            bits = np.zeros((2, 128), dtype=int)
+            bits[1, 7] = 2
+            with pytest.raises(ValueError, match="0 or 1"):
+                pipe.run(data=bits)
+
     def test_result_array_protocol(self):
         with pipeline(16, SPECTRUM_CHAIN, seed=0) as pipe:
             result = pipe.run(symbols=2)

@@ -22,11 +22,13 @@ from repro.verify import (
     branch_metric_flip,
     coexec_asip,
     coexec_backends,
+    coexec_demap,
     coexec_fft,
     coexec_viterbi,
     demonstrate_fault,
     fuzz_backends,
     shrink_config,
+    slicer_threshold_shift,
     twiddle_flip,
 )
 
@@ -54,6 +56,17 @@ class TestCoexecClean:
         result = coexec_viterbi(steps=24)
         assert result.ok
         assert result.steps == 24
+
+    @pytest.mark.parametrize("scheme", ["bpsk", "qpsk", "16qam", "64qam"])
+    def test_demap_slicer(self, scheme):
+        from repro.ofdm import CONSTELLATIONS
+
+        rng = np.random.default_rng(3)
+        symbols = rng.standard_normal((3, 40)) \
+            + 1j * rng.standard_normal((3, 40))
+        result = coexec_demap(CONSTELLATIONS[scheme], symbols)
+        assert result.ok
+        assert result.steps == 120
 
     def test_backend_pair(self):
         result = coexec_backends(64, ("compiled", "reference"), symbols=4)
@@ -107,6 +120,18 @@ class TestFaultLocalisation:
         assert result.report.location["bit"] == fault.location["position"]
         assert result.report.location["sign_flipped"] is True
 
+    def test_slicer_threshold_localised_to_symbol_bit(self):
+        fault, result = demonstrate_fault("slicer-threshold")
+        report = result.report
+        assert report.kind == "demap"
+        assert fault.location["axis"] == "Q"
+        # The diverging symbol lies between the old and the moved
+        # threshold, and the diverging bit is a quadrature (low-half) bit.
+        low, high = sorted((fault.location["old"], fault.location["new"]))
+        assert low < report.operands["symbol"].imag < high
+        assert report.location["bit"] >= 2
+        assert report.operands["a"] != report.operands["b"]
+
     def test_worker_shard_localised_to_symbol(self):
         fault, result = demonstrate_fault("worker-shard")
         assert result.report.kind == "spectrum"
@@ -140,6 +165,15 @@ class TestFaultLocalisation:
         with twiddle_flip(a, epoch=0, stage=1, index=2):
             assert not coexec_fft(a=a, b=b).ok
         assert coexec_fft(a=a, b=b).ok  # tables restored
+
+    def test_slicer_threshold_hook_restores_on_exit(self):
+        from repro.ofdm.modulation import Constellation
+
+        c = Constellation("qpsk", 2)
+        symbols = np.array([0.1 + 0.5j, -0.4 - 0.1j])
+        with slicer_threshold_shift(c, axis=0, threshold=0):
+            assert not coexec_demap(c, symbols).ok
+        assert coexec_demap(c, symbols).ok  # threshold restored
 
     def test_branch_metric_hook_restores_on_exit(self):
         from repro.coding.convolutional import get_code
