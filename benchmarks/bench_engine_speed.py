@@ -20,19 +20,15 @@ silently:
   eat the batching win;
 * sharded 512-symbol ``transform_many`` — 2-worker thread pool vs the
   serial batch engine (bit-identical), floor **1.5x**, asserted only
-  when the host actually exposes >= 2 CPUs (recorded regardless);
+  when the host actually exposes >= 2 CPUs (measured regardless);
 * vectorised Viterbi decode — the numpy add-compare-select trellis vs
   the per-step reference oracle (bit-identical) on 64-state, 1k-bit
   blocks, floor **5x** (same floor in quick mode — the reference is
   pure Python, so the margin is wide).
 
 Each run also executes every registered **scenario preset** through the
-pipeline API (``repro.run_scenario``) and records the per-scenario rows
-(BER/EVM/wall-clock) in the dated trajectory.
-
-Each run appends a dated entry to the ``history`` list in
-``BENCH_engine.json`` at the repo root (the perf trajectory across PRs);
-``latest`` always mirrors the newest entry.
+pipeline API (``repro.run_scenario``) and checks each preset produced a
+row (BER/EVM/wall-clock).
 
 Each run (quick included) also times the lockstep co-execution harness
 (:func:`repro.verify.coexec_backends`) against a bare parity check on
@@ -48,19 +44,21 @@ rule**: the instrumented engine facade with no tracer installed must
 cost <= 2% over the bare datapath (floored), with the enabled-tracer
 cost recorded alongside as an informational column.
 
-Quick mode prints its rows and writes no file.
+No flow writes a file: the pytest flow prints each floor's reading,
+the script prints the whole result as one JSON document, and quick mode
+prints one row per check.
 
 Run:     pytest benchmarks/bench_engine_speed.py -s
+         python benchmarks/bench_engine_speed.py   (results as JSON)
 Quick:   python benchmarks/bench_engine_speed.py --quick
-         (small sizes, floors only, no trajectory write — the tier-1
-         regression gate, see tests/test_engine_speed_quick.py)
+         (small sizes, floors only — the tier-1 regression gate, see
+         tests/test_engine_speed_quick.py)
 """
 
 import argparse
 import json
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,7 +69,6 @@ from repro.asip.streaming import StreamingFFT
 from repro.core import ArrayFFT, ShardedEngine, available_workers
 from repro.core.registry import backend_names
 from repro.engines import benchmark_backends
-from repro.telemetry import atomic_write_json
 
 FLOORS = {
     "float": 10.0,
@@ -107,8 +104,6 @@ QUICK_FLOORS = {
 }
 
 SWEEP_SIZES = [256, 512, 1024, 2048]
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-HISTORY_LIMIT = 200
 
 # Disabled-tracer ceiling: with no tracer installed the instrumented
 # facade may cost at most this ratio over the bare datapath.  The true
@@ -591,36 +586,12 @@ def collect_measurements(quick=False):
     return results
 
 
-def record_trajectory(results, path=RESULT_PATH):
-    """Append the run to the dated history (never overwrite the past)."""
-    history = []
-    if path.exists():
-        try:
-            stored = json.loads(path.read_text())
-        except (ValueError, OSError):
-            stored = None
-        if isinstance(stored, dict):
-            if isinstance(stored.get("history"), list):
-                history = stored["history"]
-            elif stored:
-                # Pre-history flat format (PR 1): keep it as the first
-                # trajectory point rather than discarding it.
-                history = [{"date": "pre-history", **stored}]
-    history.append(results)
-    history = history[-HISTORY_LIMIT:]
-    # Atomic (tmp file + os.replace): a crashed or interrupted run must
-    # never leave a truncated trajectory behind.
-    atomic_write_json(path, {"latest": results, "history": history})
-
-
-# Pytest flow (full sizes, floors + trajectory) ---------------------------
+# Pytest flow (full sizes, floors) ---------------------------------------
 
 
 @pytest.fixture(scope="module")
 def measurements():
-    results = collect_measurements(quick=False)
-    record_trajectory(results)
-    return results
+    return collect_measurements(quick=False)
 
 
 def test_float_2048_speedup_floor(measurements):
@@ -695,7 +666,7 @@ def test_sharded_scaling_floor(measurements):
           f"({row['speedup']:.2f}x, {measurements['cpus']} cpus)")
     if measurements["cpus"] < 2:
         pytest.skip("sharded scaling needs >= 2 CPUs; measurement "
-                    "recorded in BENCH_engine.json")
+                    "printed above")
     assert row["speedup"] >= FLOORS["sharded"]
 
 
@@ -747,20 +718,15 @@ def test_uarch_overlay_overhead_floor(measurements):
     assert row["overhead"] <= UARCH_OVERHEAD_MAX
 
 
-def test_trajectory_appends_history(measurements):
-    assert RESULT_PATH.exists()
-    stored = json.loads(RESULT_PATH.read_text())
-    assert isinstance(stored["history"], list) and stored["history"]
-    assert stored["latest"] == stored["history"][-1]
-    latest = stored["latest"]
-    assert "date" in latest
-    assert set(latest["sweep"]) == {str(n) for n in SWEEP_SIZES}
-    for row in latest["sweep"].values():
+def test_sweep_speedups(measurements):
+    sweep = measurements["sweep"]
+    assert set(sweep) == set(SWEEP_SIZES)
+    for row in sweep.values():
         assert row["float_speedup"] > 1.0
         assert row["fixed_speedup"] > 1.0
 
 
-# Quick flow (small sizes, floors only, no write) -------------------------
+# Quick flow (small sizes, floors only) -----------------------------------
 
 
 def run_quick() -> int:
@@ -845,12 +811,11 @@ def run_quick() -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="small sizes, floors only, no trajectory write")
+                        help="small sizes, floors only")
     args = parser.parse_args(argv)
     if args.quick:
         return run_quick()
     results = collect_measurements(quick=False)
-    record_trajectory(results)
     print(json.dumps(results, indent=2))
     return 0
 

@@ -128,7 +128,7 @@ def breaker_heals_a_dead_pool():
 
 
 def concurrent_load():
-    print("== the load generator (python -m repro serve --bench) ==")
+    print("== the load generator (python -m repro serve) ==")
     measure = run_load(tenants=4, symbols=16, n_points=64, batch=8)
     print(f"  {measure['tenants']} tenants x "
           f"{measure['symbols_per_tenant']} symbols: "

@@ -9,11 +9,14 @@ Usage::
                                         # one verified transform
     python -m repro stream --size N --symbols K [--backend B] [--workers W]
                                         # steady-state streamed throughput
-    python -m repro bench [--sizes N,M] [--record PATH]
-                                        # per-backend facade benchmark
+    python -m repro bench [--sizes N,M] # per-backend facade benchmark
     python -m repro run <scenario> [--symbols K] [--backend B]
     python -m repro run --list          # registered scenario presets
     python -m repro run --all           # every preset, one table
+    python -m repro run <scenario> --record PATH
+                                        # append stage_seconds to PATH
+    python -m repro trace <scenario> [--regress PATH]
+                                        # span tree, stages vs PATH
     python -m repro verify --fuzz N [--seed S]
                                         # seeded differential fuzzing
     python -m repro verify --coexec <scenario> [--backends a,b]
@@ -21,10 +24,8 @@ Usage::
     python -m repro verify --inject <fault|all>
                                         # fault-injection self-test
     python -m repro serve [--tenants T --symbols K --size N]
-                                        # multi-tenant serving demo + health
-    python -m repro serve --bench       # concurrent load generator
-                                        # (sessions/s + tail latency ->
-                                        # BENCH_engine.json)
+                                        # threaded tenants on one pool:
+                                        # sessions/s, tail latency, health
     python -m repro listing --size N    # the generated program listing
 
 The transform-running subcommands (``fft``, ``stream``, ``bench``,
@@ -35,12 +36,17 @@ presets from the scenario registry (:mod:`repro.scenarios`) into
 pipelines.  ``--workers`` sizes the ``sharded`` backend's thread pool;
 ``fft`` and ``stream`` exit with the facade's message when another
 backend is given ``--workers`` of 2 or more.
+
+No command writes a file it was not asked for.  ``run --record PATH``
+appends the run's rows to the one record file, which ``trace --regress
+PATH`` reads back (:mod:`repro.telemetry.regress` owns its format);
+``trace`` writes its export (``--out``, default ``trace.json``), and
+``--trace`` / ``report --output`` write the files they name.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import time
 from pathlib import Path
 
@@ -120,9 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--no-verify", action="store_true",
                         help="skip per-symbol output verification")
     stream.add_argument("--seed", type=int, default=0)
-    stream.add_argument("--record", type=str, default="",
-                        help="append this run's per-backend row to a "
-                             "BENCH_engine.json-style file")
 
     bench = sub.add_parser(
         "bench", parents=[common],
@@ -132,9 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated FFT sizes")
     bench.add_argument("--symbols", type=int, default=32)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--record", type=str, default="BENCH_engine.json",
-                       help="JSON file receiving the per-backend rows "
-                            "('' disables the write)")
     bench.add_argument("--trace", type=str, default="", metavar="PATH",
                        help="also record a Chrome trace-event file of "
                             "the benchmark's spans")
@@ -154,9 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="list registered scenarios and exit")
     run.add_argument("--all", action="store_true",
                      help="run every registered scenario (one table)")
-    run.add_argument("--record", type=str, default="",
-                     help="append this run's per-scenario rows to a "
-                          "BENCH_engine.json-style file")
+    run.add_argument("--record", type=str, default="", metavar="PATH",
+                     help="append this run's per-scenario rows (with "
+                          "stage_seconds) to this JSON file, the history "
+                          "`trace --regress PATH` compares against")
     run.add_argument("--trace", type=str, default="", metavar="PATH",
                      help="also record a Chrome trace-event file of the "
                           "run's spans (pipeline stages, engine "
@@ -188,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve", parents=[common],
-        help="supervised multi-tenant session serving (demo or --bench "
-             "load generator)",
+        help="supervised multi-tenant session serving under the "
+             "threaded load generator",
     )
     serve.add_argument("--tenants", type=int, default=8,
                        help="concurrent tenant sessions to drive")
@@ -204,12 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--exec-timeout", type=float, default=None,
                        help="per-chunk watchdog bound in seconds")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--bench", action="store_true",
-                       help="run the threaded load generator and record "
-                            "sessions/s + tail latency")
-    serve.add_argument("--record", type=str, default="BENCH_engine.json",
-                       help="JSON file receiving the --bench row "
-                            "('' disables the write)")
     serve.add_argument("--trace", type=str, nargs="?", const="trace.json",
                        default="", metavar="PATH",
                        help="also record a Chrome trace-event file of "
@@ -239,11 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also run an N-point interpreted ASIP "
                                 "FFT and merge its instruction timeline "
                                 "into the trace-event file")
-    trace_cmd.add_argument("--regress", type=str,
-                           default="BENCH_engine.json",
-                           help="bench file whose recorded stage history "
-                                "the run is compared against ('' "
-                                "disables the check)")
+    trace_cmd.add_argument("--regress", type=str, default="",
+                           metavar="PATH",
+                           help="compare the run's stages against the "
+                                "history `run --record PATH` wrote "
+                                "(off by default)")
 
     uarch = sub.add_parser(
         "uarch",
@@ -260,10 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the issue-width x cache design study "
                             "(the extended Table II)")
     uarch.add_argument("--seed", type=int, default=2009)
-    uarch.add_argument("--record", type=str, nargs="?", default="",
-                       const="BENCH_engine.json", metavar="PATH",
-                       help="append the rows to this bench file's "
-                            "'uarch' section (default BENCH_engine.json)")
 
     listing = sub.add_parser("listing", help="show the generated program")
     listing.add_argument("--size", type=int, default=64)
@@ -378,8 +369,7 @@ def _stream_blocks(size: int, symbols: int, fixed: bool,
 
 
 def _cmd_stream(size: int, symbols: int, backend: str, precision: str,
-                workers: int, batch: int, verify: bool, seed: int,
-                record: str) -> str:
+                workers: int, batch: int, verify: bool, seed: int) -> str:
     backend = backend or "asip-batch"
     fixed = precision == "q15"
     blocks = _stream_blocks(size, symbols, fixed, seed)
@@ -409,20 +399,11 @@ def _cmd_stream(size: int, symbols: int, backend: str, precision: str,
         f"host wall-clock = {elapsed:.2f} s "
         f"({n_symbols / elapsed:.1f} symbols/s simulated)",
     ]
-    if record:
-        row = {
-            "backend": backend, "n": size, "symbols": n_symbols,
-            "precision": precision, "workers": workers,
-            "cycles_per_symbol": per_symbol, "wall_s": elapsed,
-            "symbols_per_s": n_symbols / elapsed if elapsed else 0.0,
-        }
-        record_backend_rows(Path(record), "cli_stream", [row])
-        lines.append(f"recorded -> {record}")
     return "\n".join(lines)
 
 
 def _cmd_bench(sizes: str, symbols: int, backend: str, precision: str,
-               workers: int, seed: int, record: str) -> str:
+               workers: int, seed: int) -> str:
     try:
         size_list = [int(s) for s in sizes.split(",") if s.strip()]
     except ValueError:
@@ -444,41 +425,12 @@ def _cmd_bench(sizes: str, symbols: int, backend: str, precision: str,
         )
         for row in rows
     ]
-    out = render_table(
+    return render_table(
         ["backend", "N", "symbols", "wall ms", "symbols/s",
          "cycles/symbol"],
         body,
         title=f"Facade backends ({precision} datapath, parity-checked)",
     )
-    if record:
-        record_backend_rows(Path(record), "cli_bench", rows)
-        out += f"\nrecorded -> {record}"
-    return out
-
-
-def record_backend_rows(path: Path, section: str, rows: list) -> None:
-    """Append dated per-backend rows into a BENCH_engine.json-style file.
-
-    The file's other sections (the engine-speed trajectory's ``latest``
-    / ``history``) are preserved; each section keeps its own dated
-    ``latest`` entry plus a bounded ``history`` list.
-    """
-    stored = {}
-    if path.exists():
-        try:
-            loaded = json.loads(path.read_text())
-            if isinstance(loaded, dict):
-                stored = loaded
-        except (ValueError, OSError):
-            pass
-    entry = {"date": time.strftime("%Y-%m-%d %H:%M:%S"), "rows": rows}
-    block = stored.get(section)
-    history = block.get("history", []) if isinstance(block, dict) else []
-    history.append(entry)
-    stored[section] = {"latest": entry, "history": history[-50:]}
-    # Atomic replace: a bench run racing a serve run must never leave a
-    # half-written history behind.
-    telemetry.atomic_write_json(path, stored)
 
 
 def _scenario_listing() -> str:
@@ -583,7 +535,10 @@ def _cmd_run(args) -> str:
             lines.append(f"overflow count = {row.get('overflow_count', 0)}")
         out = "\n".join(lines)
     if args.record:
-        record_backend_rows(Path(args.record), "cli_run", rows)
+        try:
+            telemetry.record_run_rows(args.record, rows)
+        except ValueError as exc:
+            raise SystemExit(str(exc))
         out += f"\nrecorded -> {args.record}"
     return out
 
@@ -593,10 +548,10 @@ def _cmd_trace(args) -> tuple:
 
     The scenario executes through the pipeline API with a fresh tracer
     installed; the finished spans export through the chosen registered
-    exporter, the console summary tree prints either way, and the
-    ``stage.*`` aggregates are compared against the stage history
-    recorded in ``BENCH_engine.json`` (informational — a flagged stage
-    is reported, not fatal).
+    exporter, the console summary tree prints either way, and with
+    ``--regress PATH`` the ``stage.*`` aggregates are compared against
+    the stage history ``run --record PATH`` wrote (informational — a
+    flagged stage is reported, not fatal).
     """
     from .analysis.sweep import scenario_sweep
     from .scenarios import get_scenario
@@ -724,8 +679,6 @@ def _cmd_serve(args) -> tuple:
         deadline=args.deadline, exec_timeout=args.exec_timeout,
         seed=args.seed,
     )
-    title = ("Serve load generator" if args.bench
-             else "Serve demo (threaded tenants, shared engine pool)")
     body = [
         ("tenants", measure["tenants"]),
         ("symbols/tenant", measure["symbols_per_tenant"]),
@@ -744,12 +697,10 @@ def _cmd_serve(args) -> tuple:
          "ok" if measure["ok"] else f"FAILED {measure['errors']}"
                                     f"{measure['mismatches']}"),
     ]
-    out = render_table(["metric", "value"], body, title=title)
-    if args.bench and args.record:
-        row = {key: value for key, value in measure.items()
-               if key not in ("errors", "mismatches")}
-        record_backend_rows(Path(args.record), "serve_bench", [row])
-        out += f"\nrecorded -> {args.record}"
+    out = render_table(
+        ["metric", "value"], body,
+        title="Serve load generator (threaded tenants, shared engine pool)",
+    )
     code = 0 if measure["ok"] and measure["shed"] == 0 \
         and measure["timeouts"] == 0 else 1
     return out, code
@@ -790,9 +741,6 @@ def _cmd_uarch(args) -> tuple:
             title=f"Issue-width design study — {n_points}-point FFT "
                   f"(extended Table II)",
         )
-        if args.record:
-            record_backend_rows(Path(args.record), "uarch", rows)
-            out += f"\nrecorded -> {args.record}"
         return out, 0
 
     ops, machine = record_fft_trace(n_points, seed=args.seed)
@@ -822,19 +770,6 @@ def _cmd_uarch(args) -> tuple:
     ok = floor <= dual <= single
     out += (f"\nsandwich: critical-path {floor} <= dual-issue {dual} "
             f"<= single-issue {single}: {'ok' if ok else 'VIOLATED'}")
-    if args.record:
-        rows = [
-            {"config": name, "issue_width": result.issue_width,
-             "n_points": n_points, "cycles": result.cycles,
-             "cpi": round(result.cpi, 3),
-             "dcache_misses": result.dcache_misses, **{
-                 f"stall_{kind}": cycles
-                 for kind, cycles in result.stalls.items()
-             }}
-            for name, result in results.items()
-        ]
-        record_backend_rows(Path(args.record), "uarch", rows)
-        out += f"\nrecorded -> {args.record}"
     return out, 0 if ok else 1
 
 
@@ -881,13 +816,12 @@ def _dispatch(args) -> int:
         print(_cmd_stream(
             args.size, args.symbols, args.backend,
             _resolve_precision(args), args.workers, args.batch,
-            not args.no_verify, args.seed, args.record,
+            not args.no_verify, args.seed,
         ))
     elif args.command == "bench":
         print(_cmd_bench(
             args.sizes, args.symbols, args.backend,
             _resolve_precision(args), args.workers, args.seed,
-            args.record,
         ))
     elif args.command == "run":
         print(_cmd_run(args))

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Constellation", "CONSTELLATIONS", "modulate", "demodulate"]
+__all__ = ["Constellation", "CONSTELLATIONS", "binary_bits", "modulate",
+           "demodulate"]
 
 #: The slicer defers a symbol to the oracle when a component lies within
 #: ``(_BAND_ROOT * (1 + |z| + R))**2 = 2**-30 * (1 + |z| + R)**2`` of a
@@ -20,6 +21,16 @@ __all__ = ["Constellation", "CONSTELLATIONS", "modulate", "demodulate"]
 #: the oracle's rounded distances provably keep the slicer's nearest
 #: point strictly first (DESIGN.md, "Hard-decision slicer").
 _BAND_ROOT = 2.0 ** -15
+
+
+def binary_bits(bits) -> np.ndarray:
+    """``bits`` as an ``int64`` array; ``ValueError`` unless each is 0 or 1."""
+    bits = np.asarray(bits, dtype=np.int64)
+    # One pass, no temporary: OR-ing the unsigned views sets a bit above
+    # bit 0 for any value outside {0, 1} (negative ints wrap high).
+    if np.bitwise_or.reduce(bits.view(np.uint64), axis=None) > 1:
+        raise ValueError("bits must be 0 or 1")
+    return bits
 
 
 def _gray_levels(bits_per_axis: int) -> np.ndarray:
@@ -98,16 +109,12 @@ class Constellation:
         ``P`` must be divisible by ``bits_per_symbol`` and every bit must
         be 0 or 1; leading axes (one row per OFDM symbol) map in one call.
         """
-        bits = np.asarray(bits, dtype=np.int64)
+        bits = binary_bits(bits)
         width = self.bits_per_symbol
         if bits.shape[-1] % width:
             raise ValueError(
                 f"bit count {bits.shape[-1]} not divisible by {width}"
             )
-        # One pass, no temporary: OR-ing the unsigned views sets a bit above
-        # bit 0 for any value outside {0, 1} (negative ints wrap high).
-        if np.bitwise_or.reduce(bits.view(np.uint64), axis=None) > 1:
-            raise ValueError("bits must be 0 or 1")
         groups = bits.reshape(bits.shape[:-1] + (-1, width))
         return self.points[groups @ (1 << self._shifts)]
 

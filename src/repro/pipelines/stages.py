@@ -30,7 +30,7 @@ import numpy as np
 
 from ..engines import Engine, TransformResult
 from ..ofdm.channel import MultipathChannel, awgn
-from ..ofdm.modulation import Constellation
+from ..ofdm.modulation import Constellation, binary_bits
 from .registry import StageSpec, register_stage
 
 __all__ = [
@@ -120,15 +120,17 @@ class RandomBitsSource(Stage):
     capacity.
 
     Explicit input overrides the draw: ``Pipeline.run(data=bits)``
-    passes a ``(symbols, payload)`` matrix straight through, so parity
-    tests and replay runs can inject exact payloads.
+    passes a ``(symbols, payload)`` matrix of 0/1 bits straight through,
+    so parity tests and replay runs can inject exact payloads.  Any other
+    value raises ``ValueError`` here, before a coded chain's encoder
+    could wrap it into a valid-looking bit.
     """
 
     def run(self, ctx: PipelineContext, data):
         payload = (ctx.code_geometry.info_bits if ctx.code is not None
                    else ctx.bits_per_symbol)
         if data is not None:
-            bits = np.asarray(data, dtype=int)
+            bits = binary_bits(data)
             if bits.ndim != 2 or bits.shape[1] != payload:
                 raise ValueError(
                     f"expected ({ctx.symbols}, {payload}) "

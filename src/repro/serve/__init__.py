@@ -20,8 +20,8 @@ Layers (bottom-up):
   rest (pool self-healing itself lives in
   :class:`repro.core.CircuitBreaker` under the sharded engine);
 * :mod:`repro.serve.metrics` — the per-tenant health registry;
-* :mod:`repro.serve.loadgen` — the ``python -m repro serve --bench``
-  concurrent load generator.
+* :mod:`repro.serve.loadgen` — the concurrent load generator behind
+  ``python -m repro serve``.
 """
 
 from .errors import (

@@ -4,9 +4,9 @@
 one :class:`~repro.serve.server.SessionServer` — each tenant feeds its
 own random symbol stream under a deadline, drains its own results, and
 verifies the merged spectrum against a serial ``np.fft.fft`` oracle.
-The return value is the flat measurement dict ``python -m repro serve
---bench`` records into ``BENCH_engine.json``: sessions/s, aggregate
-symbols/s, p50/p99 chunk latency and the shed/backpressure counts.
+The return value is the flat measurement dict ``python -m repro serve``
+prints: sessions/s, aggregate symbols/s, p50/p99 chunk latency and the
+shed/backpressure counts.
 
 At *nominal* load (every tenant within its own session capacity and a
 consumer that drains) the admission controller must shed nothing —

@@ -16,8 +16,8 @@ across worker threads) > ``session.chunk`` > ``pool.execute`` >
 ``stage_seconds`` metric is derived) > ``viterbi.branch-metrics`` /
 ``viterbi.acs`` / ``viterbi.traceback``; circuit-breaker state changes
 land as instant events.  With no tracer installed every site costs one
-attribute load and a ``None`` check (pinned <= 2% by the
-``telemetry_quick`` bench row).
+attribute load and a ``None`` check (pinned <= 2% by the quick
+engine-speed bench's telemetry row).
 
 Submodules:
 
@@ -27,11 +27,12 @@ Submodules:
   nearest-rank :func:`percentile` the serve tier uses;
 * :mod:`repro.telemetry.export`  — the exporter registry
   (``chrome-trace`` / ``jsonl`` / ``console``) + trace validation;
-* :mod:`repro.telemetry.regress` — span aggregates vs the
-  ``BENCH_engine.json`` history, and the atomic JSON writer.
+* :mod:`repro.telemetry.regress` — the ``run --record`` stage
+  history (its one writer and reader), span aggregates compared
+  against it, and the atomic JSON writer.
 
-Surfaced on the CLI as ``python -m repro trace <scenario>`` and the
-``--trace`` flag on ``run`` / ``serve`` / ``bench``.
+Surfaced on the CLI as ``python -m repro trace <scenario> [--regress
+PATH]`` and the ``--trace`` flag on ``run`` / ``serve`` / ``bench``.
 """
 
 from .export import (
@@ -52,6 +53,7 @@ from .regress import (
     RegressionReport,
     atomic_write_json,
     compare_with_history,
+    record_run_rows,
     span_aggregates,
 )
 from .spans import (
@@ -101,6 +103,7 @@ __all__ = [
     "validate_trace_events",
     # regress
     "atomic_write_json",
+    "record_run_rows",
     "span_aggregates",
     "compare_with_history",
     "RegressionReport",

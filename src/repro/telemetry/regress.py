@@ -1,15 +1,16 @@
-"""Span-aggregate regression checks against ``BENCH_engine.json``.
+"""Per-scenario stage history: the run record and its regression check.
 
-``python -m repro run --record`` (and the full benchmark) have been
-appending per-scenario ``stage_seconds`` into the bench file's dated
-history since PR 5; this module closes the loop: aggregate a traced
-run's ``stage.*`` spans and compare each stage against the median of
-the recorded history, flagging stages that got materially slower.
+``python -m repro run --record PATH`` appends each run's per-scenario
+rows, ``stage_seconds`` included, to the ``cli_run`` section of a JSON
+file (:func:`record_run_rows`); ``python -m repro trace --regress PATH``
+closes the loop: it aggregates a traced run's ``stage.*`` spans and
+compares each stage against the median of that recorded history,
+flagging stages that got materially slower.  This module owns the
+file's format: one writer, one reader (:func:`stage_history`).
 
 Also home to :func:`atomic_write_json` — the tmp-file + ``os.replace``
-writer every ``BENCH_engine.json`` mutation goes through, so a bench
-run racing a serve run can no longer clobber the history with a
-half-written file.
+writer the record goes through, so an interrupted run can never leave a
+half-written history behind.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 __all__ = [
     "atomic_write_json",
+    "record_run_rows",
     "span_aggregates",
     "stage_history",
     "Regression",
@@ -55,6 +58,39 @@ def atomic_write_json(path, data) -> None:
         raise
 
 
+#: The record file's section that holds the run history.
+_SECTION = "cli_run"
+
+
+def record_run_rows(path, rows: list) -> None:
+    """Append one dated entry of per-scenario ``rows`` to the record.
+
+    The entry becomes the ``cli_run`` section's ``latest`` and joins its
+    ``history`` (the newest 50 kept); every other key in the file is
+    preserved.  A file that is not a JSON object raises ``ValueError``
+    naming it and stays untouched, so a mistyped path never destroys
+    someone's data.
+    """
+    path = Path(path)
+    stored = {}
+    if path.exists():
+        try:
+            stored = json.loads(path.read_text())
+        except ValueError:
+            stored = None
+        if not isinstance(stored, dict):
+            raise ValueError(
+                f"{path} is not a JSON object, so not a run record; "
+                f"left it untouched"
+            )
+    entry = {"date": time.strftime("%Y-%m-%d %H:%M:%S"), "rows": rows}
+    section = stored.get(_SECTION)
+    history = section.get("history", []) if isinstance(section, dict) else []
+    history.append(entry)
+    stored[_SECTION] = {"latest": entry, "history": history[-50:]}
+    atomic_write_json(path, stored)
+
+
 def span_aggregates(source) -> dict:
     """``{span name: {count, total_s, max_s}}`` for a tracer/span list."""
     if hasattr(source, "aggregates"):
@@ -79,11 +115,10 @@ def _median(values) -> float:
 
 
 def stage_history(path, scenario: str) -> dict:
-    """Per-stage baselines from the bench file's recorded history.
+    """Per-stage baselines from a run record's history.
 
-    Collects every ``stage_seconds`` dict recorded for ``scenario``
-    across the ``cli_run`` section and the full-bench trajectory's
-    ``scenarios`` rows, and reduces each stage to the **median** of
+    Collects every ``stage_seconds`` dict recorded for ``scenario`` in
+    the ``cli_run`` section and reduces each stage to the **median** of
     its history (robust to one slow outlier run).  Returns
     ``{stage: {"seconds": median, "runs": n}}`` (empty when the file
     or scenario has no history).
@@ -98,30 +133,18 @@ def stage_history(path, scenario: str) -> dict:
     if not isinstance(stored, dict):
         return {}
     samples: dict = {}
-
-    def _collect(rows):
+    section = stored.get(_SECTION)
+    entries = section.get("history", []) if isinstance(section, dict) else []
+    for entry in entries:
+        rows = entry.get("rows") if isinstance(entry, dict) else None
         for row in rows or []:
-            if not isinstance(row, dict):
-                continue
-            if row.get("scenario") != scenario:
+            if not isinstance(row, dict) or row.get("scenario") != scenario:
                 continue
             stage_seconds = row.get("stage_seconds")
             if not isinstance(stage_seconds, dict):
                 continue
             for stage, seconds in stage_seconds.items():
                 samples.setdefault(stage, []).append(float(seconds))
-
-    section = stored.get("cli_run")
-    if isinstance(section, dict):
-        for entry in section.get("history", []):
-            if isinstance(entry, dict):
-                _collect(entry.get("rows"))
-    for entry in stored.get("history", []) or []:
-        if isinstance(entry, dict):
-            _collect(entry.get("scenarios"))
-    latest = stored.get("latest")
-    if isinstance(latest, dict) and not stored.get("history"):
-        _collect(latest.get("scenarios"))
     return {
         stage: {"seconds": _median(values), "runs": len(values)}
         for stage, values in samples.items()
@@ -220,11 +243,11 @@ def _measured_run(source):
 def compare_with_history(source, scenario: str, path,
                          threshold: float = 2.0,
                          min_seconds: float = 2e-3) -> RegressionReport:
-    """Compare a traced run's ``stage.*`` spans against bench history.
+    """Compare a traced run's ``stage.*`` spans against a run record.
 
     ``source`` is a tracer or span list; span names ``stage.<name>``
-    map onto the ``stage_seconds`` keys recorded in
-    ``BENCH_engine.json`` for ``scenario``.  When the source holds
+    map onto the ``stage_seconds`` keys :func:`record_run_rows` wrote
+    to ``path`` for ``scenario``.  When the source holds
     several top-level ``pipeline.run`` spans (a warm-up, then the
     measured run), only the last run's stages are compared.
     Informational by design — the caller decides whether a flagged

@@ -19,10 +19,10 @@ The module-level API is what instrumented code calls:
 * :func:`trace` — install a fresh tracer for a ``with`` block;
 * :func:`enabled` — is any tracer installed right now?
 
-**Disabled-overhead rule** (pinned by the ``telemetry_quick`` bench
-row): with no tracer installed, :func:`span` returns one cached no-op
-context manager — a module attribute load, a ``None`` check and a
-constant return.  No ``Span`` object, no clock read, no lock.  Hot
+**Disabled-overhead rule** (pinned by the quick engine-speed bench's
+telemetry row): with no tracer installed, :func:`span` returns one
+cached no-op context manager — a module attribute load, a ``None``
+check and a constant return.  No ``Span`` object, no clock read, no lock.  Hot
 loops that want to skip even argument building can guard with
 ``if telemetry.enabled():``.
 """

@@ -126,10 +126,15 @@ class TestPipelineRun:
         assert np.allclose(result.spectrum, np.fft.fft(blocks, axis=1),
                            atol=1e-8)
 
-    def test_non_binary_payload_is_loud(self):
-        with repro.build_scenario("uwb-ofdm", n_points=64) as pipe:
-            bits = np.zeros((2, 128), dtype=int)
+    @pytest.mark.parametrize("name,payload", [
+        ("uwb-ofdm", 128),        # QPSK, 64 carriers
+        ("uwb-ofdm-coded", 58),   # r1/2 K=7 block: 64 steps, 6 tail bits
+    ], ids=["uwb-ofdm", "uwb-ofdm-coded"])
+    def test_non_binary_payload_is_loud(self, name, payload):
+        with repro.build_scenario(name, n_points=64) as pipe:
+            bits = np.zeros((2, payload), dtype=int)
             bits[1, 7] = 2
+            bits[0, 3] = -1
             with pytest.raises(ValueError, match="0 or 1"):
                 pipe.run(data=bits)
 

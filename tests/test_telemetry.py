@@ -15,12 +15,14 @@ The acceptance spine of :mod:`repro.telemetry`:
 * exported Chrome trace-event files validate (sorted ``ts``,
   non-negative ``dur``, complete ``X`` events) and the simulator's
   instruction timeline merges into the same file;
-* ``BENCH_engine.json`` writes are atomic and the span-aggregate
-  regression check reads the recorded stage history back.
+* the ``run --record`` writer appends atomically and refuses a file it
+  cannot parse, and the span-aggregate regression check reads the
+  recorded stage history back.
 """
 
 import json
 import os
+import re
 import threading
 
 import numpy as np
@@ -40,6 +42,7 @@ from repro.telemetry import (
     compare_with_history,
     get_exporter,
     percentile,
+    record_run_rows,
     span_aggregates,
     validate_trace_events,
 )
@@ -437,7 +440,7 @@ class TestRegress:
         assert flagged[0].ratio == pytest.approx(5.0)
 
     def test_compare_with_history_round_trip(self, tmp_path):
-        bench = tmp_path / "BENCH_engine.json"
+        bench = tmp_path / "runs.json"
         atomic_write_json(bench, {
             "cli_run": {"history": [{"rows": [
                 {"scenario": "unit", "stage_seconds": {"fft": 0.010}},
@@ -456,7 +459,7 @@ class TestRegress:
         assert "within threshold" in report.describe()
 
     def test_compare_with_history_uses_the_last_pipeline_run(self, tmp_path):
-        bench = tmp_path / "BENCH_engine.json"
+        bench = tmp_path / "runs.json"
         atomic_write_json(bench, {"cli_run": {"history": [{"rows": [
             {"scenario": "unit", "stage_seconds": {"fft": 0.006}},
         ]}]}})
@@ -469,6 +472,36 @@ class TestRegress:
             spans += [root, stage]
         report = compare_with_history(spans, "unit", bench, threshold=2.0)
         assert report.checked == 1 and report.ok
+
+    def test_record_run_rows_appends_history(self, tmp_path):
+        target = tmp_path / "runs.json"
+        atomic_write_json(target, {"uarch": {"rows": []}})  # an old section
+        for seconds in (0.010, 0.030):
+            record_run_rows(target, [
+                {"scenario": "unit", "stage_seconds": {"fft": seconds}},
+            ])
+        stored = json.loads(target.read_text())
+        assert stored["uarch"] == {"rows": []}
+        section = stored["cli_run"]
+        assert len(section["history"]) == 2
+        assert section["latest"] == section["history"][-1]
+        assert stage_history(target, "unit") == {
+            "fft": {"seconds": pytest.approx(0.020), "runs": 2},
+        }
+        assert os.listdir(tmp_path) == ["runs.json"]
+
+    @pytest.mark.parametrize("text", [
+        '{"name": "stage.fft"}\n{"name": "stage.ifft"}\n',  # a span log
+        "[1, 2]\n",
+        "not json",
+    ], ids=["jsonl", "json-list", "text"])
+    def test_record_run_rows_refuses_a_non_object(self, tmp_path, text):
+        target = tmp_path / "t.jsonl"
+        target.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(target))):
+            record_run_rows(target, [{"scenario": "unit"}])
+        assert target.read_text() == text
+        assert os.listdir(tmp_path) == ["t.jsonl"]
 
     def test_compare_with_history_missing_baseline(self, tmp_path):
         report = compare_with_history([], "ghost",
