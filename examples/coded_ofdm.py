@@ -9,15 +9,14 @@ as pure configuration:
    -> deinterleave -> decode) and reports coded *and* uncoded BER.
 2. The coding gain — ``analysis.coded_ber_sweep`` sweeps SNR and shows
    soft-decision Viterbi decoding cleaning up the raw channel.
-3. The imperative twin — ``CodedOfdmLink`` for callers who want a live
-   object instead of a stage graph (bit-identical to the pipeline).
+3. The same chain on the instruction-level ASIP — only the backend name
+   changes, and the result gains FFT cycle accounting.
 
 Run:  python examples/coded_ofdm.py
 """
 
 import repro
 from repro.analysis import coded_ber_sweep, render_table
-from repro.ofdm import CodedOfdmLink
 
 
 def main():
@@ -48,19 +47,10 @@ def main():
         title="\nuwb-ofdm-coded: soft-decision Viterbi coding gain",
     ))
 
-    # --- 3. the imperative twin ---------------------------------------
-    with CodedOfdmLink.from_scenario("wimax-ofdm-coded") as link:
-        burst = link.run_coded(8)
-    print(f"\nCodedOfdmLink wimax-ofdm-coded: "
-          f"{burst.symbols} blocks x {link.info_bits_per_symbol} info "
-          f"bits, coded BER = {burst.coded_ber:.5f} "
-          f"(uncoded {burst.uncoded_ber:.5f})")
-
-    # The same chain on the instruction-level ASIP — only the backend
-    # name changes, and the uniform result gains cycle accounting.
+    # --- 3. the same chain on the simulated ASIP ----------------------
     result = repro.run_scenario("wimax-ofdm-coded", symbols=2,
                                 n_points=64, backend="asip-batch")
-    print(f"on the simulated ASIP: "
+    print(f"\nwimax-ofdm-coded on the simulated ASIP: "
           f"{result.metrics['cycles_per_symbol']:.0f} FFT cycles/symbol, "
           f"coded BER = {result.metrics['coded_ber']:.5f}")
 

@@ -31,9 +31,10 @@ def main():
           f"errors in {result.metrics['total_bits']} bits, "
           f"FFT = {result.total_cycles} cycles")
 
-    # BER waterfall with the fast algorithm-level engine: the whole
-    # sweep is one batched burst through the link's facade engine (add
-    # workers=2 to shard the curve across a thread pool).
+    # BER waterfall with the fast algorithm-level engine: one pipeline
+    # built from the preset, rerun once per SNR point with the same
+    # payload seed (add workers=2 to shard bursts of 64+ symbols across
+    # a thread pool).
     curve = ber_sweep(snr_dbs=(8, 12, 16, 20, 24, 28), symbols=8,
                       scenario="multipath-eq", seed=3)
     rows = [(int(snr), f"{ber:.4f}") for snr, ber in curve.items()]

@@ -1,9 +1,9 @@
 """Parameter sweeps over FFT sizes (Table I and the scalability claims).
 
-All sweeps run through the unified facade (:func:`repro.engine`):
-:func:`size_sweep` drives an instruction-level backend per size, and
-:func:`ber_sweep` pushes a whole BER curve through one link whose
-engine may shard the burst across worker threads.
+:func:`size_sweep` drives an instruction-level facade backend
+(:func:`repro.engine`) per size.  :func:`ber_sweep` and
+:func:`coded_ber_sweep` build one :class:`~repro.pipelines.Pipeline`
+and rerun it once per SNR point; :func:`scenario_sweep` runs presets.
 """
 
 from __future__ import annotations
@@ -83,35 +83,22 @@ def table1_rows(results: dict) -> list:
 
 
 def ber_sweep(n_points: int = None, snr_dbs=None, symbols: int = 10,
-              scheme: str = "qpsk", channel=None, seed: int = 0,
+              scheme: str = None, channel=None, seed: int = 0,
               workers: int = None, backend: str = None,
               scenario: str = None) -> dict:
-    """BER curve over ``snr_dbs`` through one facade-backed link.
+    """BER at each SNR point through one pipeline; ``{snr_db: ber}``.
 
-    The entire sweep (every SNR point's symbol burst) is batched
-    through the link's engine in one pass per direction, so
-    ``workers >= 2`` shards the curve across a
-    :class:`~repro.core.parallel.ShardedEngine` thread pool (serial
-    fallback as usual).  ``scenario=`` names a registered preset to
-    supply the link parameters (size, scheme, channel) instead of the
-    explicit arguments.  Returns ``{snr_db: ber}``.
+    ``scenario=`` names a registered preset with bits to compare (a
+    coded preset reports its decoded BER); passing ``scheme`` or
+    ``channel`` alongside it is a loud conflict.  Without a scenario,
+    pass ``n_points``: the default OFDM chain with ``scheme`` (default
+    ``"qpsk"``) and ``channel``.  ``workers >= 2`` selects the sharded
+    backend, as for any pipeline.
     """
-    from ..ofdm.link import OfdmLink
-
-    if snr_dbs is None:
-        raise ValueError("ber_sweep needs snr_dbs")
-    if scenario is not None:
-        link = OfdmLink.from_scenario(
-            scenario, seed=seed, workers=workers, backend=backend,
-            **({"n_subcarriers": n_points} if n_points else {}),
-        )
-    elif n_points is None:
-        raise ValueError("ber_sweep needs n_points or scenario=")
-    else:
-        link = OfdmLink(n_points, scheme=scheme, channel=channel,
-                        seed=seed, workers=workers, backend=backend)
-    with link:
-        return link.measure_ber_sweep(snr_dbs, symbols=symbols)
+    points = _sweep("ber_sweep", snr_dbs, symbols, seed, scenario,
+                    n_points, backend, workers,
+                    dict(scheme=scheme, channel=channel))
+    return {snr: metrics["ber"] for snr, metrics in points.items()}
 
 
 def coded_ber_sweep(snr_dbs, scenario: str = None, n_points: int = None,
@@ -121,72 +108,82 @@ def coded_ber_sweep(snr_dbs, scenario: str = None, n_points: int = None,
                     backend: str = None, workers: int = None) -> dict:
     """Coded vs uncoded BER (and FER) at each SNR point.
 
-    Builds the coded OFDM chain (``CODED_OFDM_CHAIN``) **once** through
-    the pipeline API and reruns it per SNR point (the engine and
-    compiled plan are reused; only the noise draw changes), reporting
-    both ends of the coding gain.  ``scenario=`` names a registered
-    **coded** preset supplying the workload *and* codec configuration —
-    passing ``scheme``/``code``/``code_rate``/``interleaver``/
-    ``channel`` alongside it is a loud conflict, not a silent ignore.
-    Without a scenario, pass ``n_points`` (``scheme`` defaults to
-    ``"qpsk"``, ``code`` to ``"conv-k7"`` at rate 1/2).  Returns
+    ``scenario=`` names a registered **coded** preset supplying the
+    workload *and* codec configuration — passing ``scheme``/``code``/
+    ``code_rate``/``interleaver``/``channel`` alongside it is a loud
+    conflict, not a silent ignore.  Without a scenario, pass
+    ``n_points``: ``CODED_OFDM_CHAIN`` with ``scheme`` defaulting to
+    ``"qpsk"`` and ``code`` to ``"conv-k7"`` at rate 1/2.  Returns
     ``{snr_db: {"coded_ber", "uncoded_ber", "fer"}}`` in the order
     given.
     """
-    from ..pipelines import CODED_OFDM_CHAIN, Pipeline
+    points = _sweep("coded_ber_sweep", snr_dbs, symbols, seed, scenario,
+                    n_points, backend, workers,
+                    dict(scheme=scheme, code=code, code_rate=code_rate,
+                         interleaver=interleaver, channel=channel))
+    return {
+        snr: {key: metrics[key] for key in ("coded_ber", "uncoded_ber",
+                                            "fer")}
+        for snr, metrics in points.items()
+    }
+
+
+def _sweep(caller: str, snr_dbs, symbols: int, seed: int, scenario: str,
+           n_points: int, backend: str, workers: int, link: dict) -> dict:
+    """``{snr_db: metrics}``: one pipeline rerun per SNR point.
+
+    The pipeline is built once, from the ``scenario`` preset or from
+    ``n_points`` and the ``link`` fields (None means unset), and each
+    point reruns it with ``seed`` and only the SNR changed, so the
+    engines and compiled plans are reused.  A ``link`` field set
+    alongside ``scenario`` is a conflict; a coded sweep (``link`` has
+    ``code``) needs a coded preset, any sweep one with bits.
+    """
+    from ..pipelines import CODED_OFDM_CHAIN, DEFAULT_OFDM_CHAIN, Pipeline
     from ..scenarios import get_scenario
 
-    snr_dbs = [float(s) for s in snr_dbs]
+    snr_dbs = [float(s) for s in (() if snr_dbs is None else snr_dbs)]
     if not snr_dbs:
-        raise ValueError("coded_ber_sweep needs snr_dbs")
+        raise ValueError(f"{caller} needs snr_dbs")
+    coded = "code" in link
+    options = {name: value for name, value in (
+        ("n_points", n_points), ("backend", backend), ("workers", workers),
+    ) if value is not None}
     if scenario is not None:
-        conflicts = [name for name, value in (
-            ("scheme", scheme), ("code", code), ("code_rate", code_rate),
-            ("interleaver", interleaver), ("channel", channel),
-        ) if value is not None]
+        conflicts = [name for name, value in link.items()
+                     if value is not None]
         if conflicts:
             raise ValueError(
-                f"scenario={scenario!r} already fixes the codec "
-                f"configuration; drop {', '.join(conflicts)} or sweep "
-                f"without scenario="
+                f"scenario={scenario!r} already fixes "
+                f"{', '.join(conflicts)}; drop them or sweep without "
+                f"scenario="
             )
         spec = get_scenario(scenario)
-        if spec.code is None:
+        if coded and spec.code is None:
             raise ValueError(
-                f"scenario {scenario!r} is uncoded; coded_ber_sweep "
-                f"needs a coded preset or explicit code= parameters"
+                f"scenario {scenario!r} is uncoded; {caller} needs a "
+                f"coded preset or explicit code= parameters"
             )
-        overrides = {}
-        if n_points is not None:
-            overrides["n_points"] = n_points
-        if backend is not None:
-            overrides["backend"] = backend
-        if workers is not None:
-            overrides["workers"] = workers
-        pipe = spec.build(**overrides)
+        if spec.scheme is None:
+            raise ValueError(
+                f"scenario {scenario!r} carries no bits; {caller} needs "
+                f"a modulated preset"
+            )
+        pipe = spec.build(**options)
     elif n_points is None:
-        raise ValueError("coded_ber_sweep needs n_points or scenario=")
+        raise ValueError(f"{caller} needs n_points or scenario=")
     else:
-        pipe = Pipeline(
-            n_points, CODED_OFDM_CHAIN,
-            scheme=scheme if scheme is not None else "qpsk",
-            code=code if code is not None else "conv-k7",
-            code_rate=code_rate if code_rate is not None else "1/2",
-            interleaver=interleaver, channel=channel, backend=backend,
-            workers=workers,
-        )
-
-    sweep = {}
+        options.update((name, value) for name, value in link.items()
+                       if value is not None)
+        if coded:
+            options.setdefault("code", "conv-k7")
+        pipe = Pipeline(options.pop("n_points"),
+                        CODED_OFDM_CHAIN if coded else DEFAULT_OFDM_CHAIN,
+                        **options)
     with pipe:
-        for snr in snr_dbs:
-            metrics = pipe.run(symbols=symbols, seed=seed,
-                               snr_db=snr).metrics
-            sweep[snr] = {
-                "coded_ber": metrics["coded_ber"],
-                "uncoded_ber": metrics["uncoded_ber"],
-                "fer": metrics["fer"],
-            }
-    return sweep
+        return {snr: pipe.run(symbols=symbols, seed=seed,
+                              snr_db=snr).metrics
+                for snr in snr_dbs}
 
 
 def scenario_sweep(names=None, symbols: int = None, backend: str = None,

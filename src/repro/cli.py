@@ -34,8 +34,8 @@ The transform-running subcommands (``fft``, ``stream``, ``bench``,
 backend is reachable from the command line; ``run`` resolves named
 presets from the scenario registry (:mod:`repro.scenarios`) into
 pipelines.  ``--workers`` sizes the ``sharded`` backend's thread pool;
-``fft`` and ``stream`` exit with the facade's message when another
-backend is given ``--workers`` of 2 or more.
+``fft``, ``stream``, ``run`` and ``trace`` exit with the facade's
+message when another backend is given ``--workers`` of 2 or more.
 
 No command writes a file it was not asked for.  ``run --record PATH``
 appends the run's rows to the one record file, which ``trace --regress
@@ -483,15 +483,26 @@ def _scenario_overrides(args) -> dict:
     return {k: v for k, v in overrides.items() if v is not None}
 
 
-def _cmd_run(args) -> str:
+def _scenario_rows(**options) -> list:
+    """``scenario_sweep`` rows for ``run``/``trace``; a configuration the
+    pipeline refuses (say ``--workers 2`` on a serial backend) exits with
+    its message, as :func:`_open_engine` does for ``fft``/``stream``."""
     from .analysis.sweep import scenario_sweep
+
+    try:
+        return scenario_sweep(**options)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+
+
+def _cmd_run(args) -> str:
     from .scenarios import get_scenario, scenario_names
 
     if args.list:
         return _scenario_listing()
     overrides = _scenario_overrides(args)
     if args.all:
-        rows = scenario_sweep(**overrides)
+        rows = _scenario_rows(**overrides)
         out = _scenario_row_table(rows, "Scenario sweep (pipeline API)")
     else:
         if not args.scenario:
@@ -500,7 +511,7 @@ def _cmd_run(args) -> str:
                 f"registered: {', '.join(scenario_names())}"
             )
         spec = get_scenario(args.scenario)
-        rows = scenario_sweep(names=[spec.name], **overrides)
+        rows = _scenario_rows(names=[spec.name], **overrides)
         row = rows[0]
         lines = [
             f"{spec.name}: {spec.description}",
@@ -553,13 +564,13 @@ def _cmd_trace(args) -> tuple:
     the stage history ``run --record PATH`` wrote (informational — a
     flagged stage is reported, not fatal).
     """
-    from .analysis.sweep import scenario_sweep
     from .scenarios import get_scenario
 
     spec = get_scenario(args.scenario)
     exporter_spec = telemetry.get_exporter(args.exporter)
     with telemetry.trace(f"trace:{spec.name}") as tracer:
-        rows = scenario_sweep(names=[spec.name], **_scenario_overrides(args))
+        rows = _scenario_rows(names=[spec.name],
+                              **_scenario_overrides(args))
     extra_events = None
     if args.instructions:
         extra_events = _instruction_timeline(args.instructions)

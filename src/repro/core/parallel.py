@@ -10,6 +10,8 @@ releases the GIL inside the compiled column ops, so the shards overlap
 without copying any data between processes.  The compiled datapaths
 are deterministic element-wise per symbol, so sharded output is
 bit-identical to the serial path — asserted in ``tests/test_parallel.py``.
+The API is batch-only: the facade (:mod:`repro.engines`) sends a single
+symbol as a one-row ``transform_many`` batch.
 
 Robustness rules (all covered by tests):
 
@@ -139,16 +141,6 @@ class ShardedEngine:
     def plan(self):
         """The underlying :class:`ArrayFFTPlan`."""
         return self.engine.plan
-
-    # Single-symbol passthrough (OfdmLink's transmitter etc.) -------------
-
-    def transform(self, x) -> np.ndarray:
-        """Serial single-symbol transform on the inner engine."""
-        return self.engine.transform(x)
-
-    def inverse(self, spectrum) -> np.ndarray:
-        """Serial single-symbol inverse on the inner engine."""
-        return self.engine.inverse(spectrum)
 
     # Sharded batch API ----------------------------------------------------
 

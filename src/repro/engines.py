@@ -575,6 +575,19 @@ class _AsipBatchBackend(_AsipBackend):
 # Facade entry points -------------------------------------------------------
 
 
+def check_workers(spec, workers: int) -> None:
+    """Refuse ``workers >= 2`` on a backend without a thread pool.
+
+    The facade's one ``workers`` rule; :class:`~repro.pipelines.Pipeline`
+    applies it at construction, before any engine is built.
+    """
+    if workers is not None and workers >= 2 and not spec.supports_workers:
+        raise ValueError(
+            f"backend {spec.name!r} does not take workers; use "
+            f"backend='sharded' for thread-pool sharding"
+        )
+
+
 def engine(n_points: int, *, backend: str = "compiled",
            precision: str = "float", workers: int = None,
            batch: int = None, **options) -> Engine:
@@ -607,11 +620,7 @@ def engine(n_points: int, *, backend: str = "compiled",
             f"backend {backend!r} does not support precision "
             f"{resolved!r} (supports: {', '.join(spec.precisions)})"
         )
-    if workers is not None and workers >= 2 and not spec.supports_workers:
-        raise ValueError(
-            f"backend {backend!r} does not take workers; use "
-            f"backend='sharded' for thread-pool sharding"
-        )
+    check_workers(spec, workers)
     impl = spec.factory(
         n_points, fixed_point=(resolved == "q15"), workers=workers,
         batch=batch, **options,

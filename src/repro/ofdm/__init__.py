@@ -1,20 +1,12 @@
 """OFDM substrate: the communication chain the paper's intro motivates."""
 
 from .channel import MultipathChannel, awgn, ebn0_to_noise_sigma
-from .coded import CodedLinkResult, CodedOfdmLink
-from .link import LinkResult, OfdmLink
-from .modulation import CONSTELLATIONS, Constellation, demodulate, modulate
+from .modulation import CONSTELLATIONS, Constellation
 
 __all__ = [
     "Constellation",
     "CONSTELLATIONS",
-    "modulate",
-    "demodulate",
     "awgn",
     "ebn0_to_noise_sigma",
     "MultipathChannel",
-    "OfdmLink",
-    "LinkResult",
-    "CodedOfdmLink",
-    "CodedLinkResult",
 ]

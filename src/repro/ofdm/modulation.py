@@ -1,8 +1,9 @@
 """Subcarrier constellation mapping for the OFDM substrate.
 
-The paper motivates the ASIP with OFDM systems (MB-UWB, WiMAX); this
-package provides the minimal transceiver around the FFT so the examples
-and system-level tests exercise the ASIP inside a realistic signal chain.
+The paper motivates the ASIP with OFDM systems (MB-UWB, WiMAX); the
+pipeline stages (:mod:`repro.pipelines.stages`) wrap these mappers and
+the channel models around the FFT so the ASIP runs inside a realistic
+signal chain.
 Gray-coded BPSK/QPSK/16-QAM/64-QAM mappers with unit average power, plus
 hard-decision demappers: a per-axis slicer and its argmin oracle twin
 (DESIGN.md, "Hard-decision slicer").
@@ -12,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Constellation", "CONSTELLATIONS", "binary_bits", "modulate",
-           "demodulate"]
+__all__ = ["Constellation", "CONSTELLATIONS", "binary_bits"]
 
 #: The slicer defers a symbol to the oracle when a component lies within
 #: ``(_BAND_ROOT * (1 + |z| + R))**2 = 2**-30 * (1 + |z| + R)**2`` of a
@@ -183,13 +183,3 @@ CONSTELLATIONS = {
     "16qam": Constellation("16qam", 4),
     "64qam": Constellation("64qam", 6),
 }
-
-
-def modulate(bits, scheme: str = "qpsk") -> np.ndarray:
-    """Map ``bits`` with the named constellation."""
-    return CONSTELLATIONS[scheme].map_bits(bits)
-
-
-def demodulate(symbols, scheme: str = "qpsk") -> np.ndarray:
-    """Hard-decision demap with the named constellation."""
-    return CONSTELLATIONS[scheme].unmap_symbols(symbols)

@@ -7,10 +7,9 @@ composable API the scenario registry resolves to.  A pipeline owns
   ready-made stage objects), validated at build time so incompatible
   graphs fail before any work runs;
 * the **facade engines** executing it: one receiver engine on the
-  configured backend (any registered :func:`repro.engine` backend) and,
-  for modulated chains, an algorithm-level transmitter engine — exactly
-  the split :class:`~repro.ofdm.OfdmLink` uses, so results are
-  bit-identical to the hand-wired link;
+  configured backend (any registered :func:`repro.engine` backend) and
+  the transmitter engine the ``ifft`` stage runs on — the receiver
+  itself unless it is a simulated machine, else a ``compiled`` engine;
 * the **link parameters** (constellation scheme, channel model, SNR,
   seed) stages read from the run context.
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from ..coding import get_demapper, resolve_code, resolve_interleaver
 from ..core.registry import get_backend
-from ..engines import TransformResult
+from ..engines import TransformResult, check_workers
 from ..engines import engine as build_engine
 from ..ofdm.modulation import CONSTELLATIONS
 from .registry import build_stage
@@ -50,7 +49,7 @@ __all__ = [
     "pipeline",
 ]
 
-#: the canonical modulated receive chain (what OfdmLink hard-wired)
+#: the canonical modulated receive chain
 DEFAULT_OFDM_CHAIN = (
     "source", "modulate", "ifft", "channel",
     "transform", "equalize", "demodulate", "metrics",
@@ -161,7 +160,9 @@ class Pipeline:
     backend, precision, workers, batch:
         Receiver engine configuration, as for :func:`repro.engine`.
         ``backend`` defaults to ``"sharded"`` when ``workers >= 2``,
-        else ``"compiled"`` (OfdmLink's rule).
+        else ``"compiled"``.  ``workers >= 2`` on a backend without a
+        thread pool raises the facade's ``ValueError`` here, at
+        construction, as does an unknown backend name.
     scheme, channel, snr_db:
         Link parameters the built-in stages read from the run context.
     source_scale:
@@ -182,9 +183,10 @@ class Pipeline:
                 f"unknown scheme {scheme!r}; known schemes: "
                 f"{', '.join(sorted(CONSTELLATIONS))}"
             )
-        sharded = workers is not None and workers >= 2
         if backend is None:
+            sharded = workers is not None and workers >= 2
             backend = "sharded" if sharded else "compiled"
+        check_workers(get_backend(backend), workers)
         self._config = dict(
             n_points=n_points, backend=backend, precision=precision,
             workers=workers, batch=batch, scheme=scheme, channel=channel,
@@ -293,26 +295,17 @@ class Pipeline:
                  "scheme", "channel", "snr_db", "source_scale", "code",
                  "code_rate", "interleaver", "seed", "name"}
         extra = {k: v for k, v in cfg.items() if k not in known}
-        spec = get_backend(cfg["backend"])
         self._engine = build_engine(
             cfg["n_points"], backend=cfg["backend"],
-            precision=cfg["precision"],
-            workers=cfg["workers"] if spec.supports_workers else None,
+            precision=cfg["precision"], workers=cfg["workers"],
             batch=cfg["batch"], **extra,
         )
-        # The transmitter always runs host-side on an algorithm-level
-        # engine (the receiver is what the paper's ASIP implements); a
-        # non-simulated receiver engine doubles as the transmitter —
-        # exactly OfdmLink's split.
-        if self._engine.machine is None:
-            self._tx_engine = self._engine
-        else:
-            sharded = cfg["workers"] is not None and cfg["workers"] >= 2
-            self._tx_engine = build_engine(
-                cfg["n_points"],
-                backend="sharded" if sharded else "compiled",
-                workers=cfg["workers"] if sharded else None,
-            )
+        # The transmitter runs host-side (the receiver is what the
+        # paper's ASIP implements): a non-simulated receiver engine
+        # doubles as the transmitter, a simulated one gets a compiled
+        # engine beside it.
+        self._tx_engine = (self._engine if self._engine.machine is None
+                           else build_engine(cfg["n_points"]))
 
     @property
     def engine(self):

@@ -3,11 +3,10 @@
 Each stage is a small object with one method, ``run(ctx, data)``, where
 ``ctx`` is the run's :class:`PipelineContext` (engines, rng, link
 parameters, accumulated artefacts) and ``data`` is the output of the
-previous stage.  The built-ins reproduce the hand-wired
-:class:`~repro.ofdm.OfdmLink` datapath *operation for operation* — the
-same burst-wide calls (one bit draw, one map and one demap per burst),
-same rng draw order — so a pipeline run is bit-identical to the link it
-replaces (asserted in ``tests/test_pipeline.py``).
+previous stage.  Each built-in makes one burst-wide call (one bit draw,
+one map, one demap per burst) in a fixed rng draw order, so a run is
+bit-identical to the same primitives composed by hand in chain order
+(asserted in ``tests/test_pipeline.py``).
 
 Stage contract (also documented in DESIGN.md):
 
@@ -111,7 +110,7 @@ class Stage:
 
 
 class RandomBitsSource(Stage):
-    """Draw one payload of random bits per symbol (OfdmLink's source).
+    """Draw one payload of random bits per symbol.
 
     The whole ``(symbols, payload)`` burst comes from one draw.  In a
     coded chain (``ctx.code`` set) the payload is the terminated code
@@ -190,8 +189,7 @@ class IfftStage(Stage):
     """Transmitter IFFT: subcarriers to unit-power time-domain signals.
 
     Runs on the pipeline's algorithm-level transmitter engine (the
-    receiver is what the paper's ASIP implements), exactly like
-    ``OfdmLink._transmit_burst``.
+    receiver is what the paper's ASIP implements).
     """
 
     def run(self, ctx: PipelineContext, data):
@@ -202,8 +200,7 @@ class ChannelStage(Stage):
     """Multipath convolution (when taps are set) plus AWGN (when SNR is).
 
     Both halves broadcast over the whole ``(symbols, N)`` burst in one
-    vectorised pass — the same call order as ``OfdmLink._channel_burst``,
-    so the rng stream stays aligned with the hand-wired link.
+    vectorised pass; the noise for the whole burst is drawn at once.
     """
 
     def run(self, ctx: PipelineContext, data):

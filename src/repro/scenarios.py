@@ -36,8 +36,8 @@ Built-in presets (``repro.scenario_names()``):
 
 The registry is open like the backend and stage registries: register a
 spec under a new name and it is immediately reachable from
-``repro.run_scenario``, ``OfdmLink.from_scenario``,
-``analysis.scenario_sweep`` and ``python -m repro run <name>``.
+``repro.run_scenario``, ``analysis.scenario_sweep``,
+``analysis.ber_sweep(scenario=...)`` and ``python -m repro run <name>``.
 """
 
 from __future__ import annotations

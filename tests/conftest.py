@@ -1,7 +1,9 @@
-"""Test-suite hooks."""
+"""Test-suite hooks and the hand-composed OFDM chain fixture."""
 
 import warnings
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import is_hypothesis_test
 
@@ -28,3 +30,65 @@ def pytest_runtest_makereport(item, call):
             import hypothesis.extra._patching  # noqa: F401
         except ImportError:  # libcst is an optional extra
             pass
+
+
+def _hand_chain(n_points, symbols, *, backend="compiled", scheme="qpsk",
+                channel=None, snr_db=None, seed=0, code=None,
+                code_rate="1/2", interleaver=None):
+    """The OFDM chain composed by hand from its primitives, in chain order.
+
+    Bits, (encode, interleave,) map, transmitter IFFT on the compiled
+    engine, channel, AWGN, receiver FFT on ``backend``, equalise, then
+    the hard demap or (soft demap, deinterleave, decode): the datapath
+    and rng draw order a pipeline run must reproduce bit for bit.
+    """
+    # Imported here: tests/test_suite_hooks.py runs this file where
+    # repro is not importable.
+    import repro
+    from repro.coding import get_demapper, resolve_code, resolve_interleaver
+    from repro.ofdm import CONSTELLATIONS, awgn
+
+    rng = np.random.default_rng(seed)
+    constellation = CONSTELLATIONS[scheme]
+    capacity = n_points * constellation.bits_per_symbol
+    out = SimpleNamespace()
+    if code is None:
+        air = out.tx_bits = rng.integers(0, 2, size=(symbols, capacity))
+    else:
+        codec = resolve_code(code, code_rate)
+        geometry = codec.block_geometry(capacity)
+        permute = resolve_interleaver(interleaver or "block", capacity)
+        out.tx_info = rng.integers(0, 2, size=(symbols, geometry.info_bits))
+        out.coded = codec.encode(out.tx_info, capacity=capacity)
+        air = permute.interleave(out.coded)
+    with repro.engine(n_points) as tx, \
+            repro.engine(n_points, backend=backend) as rx:
+        signal = tx.inverse_many(constellation.map_bits(air)).spectrum
+        signal = signal * n_points
+        if channel is not None:
+            signal = channel.apply(signal)
+        if snr_db is not None:
+            signal = awgn(signal, snr_db, rng=rng)
+        received = rx.transform_many(signal)
+    out.cycles = received.cycles
+    out.equalised = received.spectrum / n_points
+    if channel is not None:
+        out.equalised = out.equalised / channel.frequency_response(n_points)
+    if code is None:
+        out.rx_bits = constellation.unmap_symbols(out.equalised)
+        out.bit_errors = int(np.sum(out.rx_bits != out.tx_bits))
+        return out
+    out.llrs = permute.deinterleave(get_demapper(scheme).llrs(out.equalised))
+    out.rx_info = codec.decode(out.llrs[..., :geometry.coded_bits])
+    wrong = out.rx_info != out.tx_info
+    out.coded_ber = int(np.sum(wrong)) / wrong.size
+    out.fer = int(np.sum(np.any(wrong, axis=-1))) / symbols
+    raw = int(np.sum((out.llrs < 0) != out.coded))
+    out.uncoded_ber = raw / out.coded.size
+    return out
+
+
+@pytest.fixture
+def hand_chain():
+    """:func:`_hand_chain`, the reference for pipeline parity tests."""
+    return _hand_chain

@@ -115,6 +115,16 @@ class TestFacadeFlags:
             main([command, "--size", "16", "--backend", backend,
                   "--workers", "2"])
 
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    @pytest.mark.parametrize("backend", ["compiled", "asip-batch"])
+    def test_workers_on_serial_scenario_backend_is_loud(
+            self, command, backend, tmp_path):
+        with pytest.raises(SystemExit, match="does not take workers"):
+            main([command, "uwb-ofdm", "--size", "64", "--symbols", "2",
+                  "--backend", backend, "--workers", "2",
+                  *(["--out", str(tmp_path / "t.json")]
+                    if command == "trace" else [])])
+
     def test_bench_single_backend_no_write(self, capsys):
         assert main(["bench", "--sizes", "16", "--symbols", "2",
                      "--backend", "compiled"]) == 0

@@ -7,7 +7,6 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.ofdm import CodedOfdmLink
 from repro.pipelines import CODED_OFDM_CHAIN
 from repro.scenarios import get_scenario, scenario_names
 
@@ -128,23 +127,29 @@ class TestCodedPresets:
 
 
 class TestCodedLinkParity:
-    """The pipeline chain is bit-identical to the hand-wired coded link."""
+    """The coded chain equals the coded link composed by hand, bit for
+    bit, on every parity backend."""
 
     @pytest.mark.parametrize("name",
                              ("uwb-ofdm-coded", "wimax-ofdm-coded"))
-    def test_pipeline_matches_coded_link(self, name):
+    def test_pipeline_matches_coded_link(self, name, hand_chain):
         spec = get_scenario(name)
-        with spec.build(n_points=64) as pipe:
-            pres = pipe.run(symbols=3)
-        with CodedOfdmLink.from_scenario(name, n_subcarriers=64) as link:
-            lres = link.run_coded(3)
-        assert np.array_equal(pres.stage_outputs["source"],
-                              lres.tx_info_bits)
-        assert np.array_equal(pres.output, lres.rx_info_bits)
-        assert np.array_equal(pres.equalised, lres.equalised)
-        assert pres.metrics["coded_ber"] == lres.coded_ber
-        assert pres.metrics["uncoded_ber"] == lres.uncoded_ber
-        assert pres.metrics["fer"] == lres.frame_error_rate
+        for backend in ("compiled", "asip-batch", "sharded"):
+            with spec.build(n_points=64, backend=backend) as pipe:
+                pres = pipe.run(symbols=3)
+            link = hand_chain(64, 3, backend=backend, scheme=spec.scheme,
+                              channel=spec.make_channel(),
+                              snr_db=spec.snr_db, seed=spec.seed,
+                              code=spec.code, code_rate=spec.code_rate,
+                              interleaver=spec.interleaver)
+            assert np.array_equal(pres.stage_outputs["source"],
+                                  link.tx_info), backend
+            assert np.array_equal(pres.output, link.rx_info), backend
+            assert np.array_equal(pres.equalised, link.equalised), backend
+            assert pres.transform.cycles == link.cycles, backend
+            assert pres.metrics["coded_ber"] == link.coded_ber, backend
+            assert pres.metrics["uncoded_ber"] == link.uncoded_ber, backend
+            assert pres.metrics["fer"] == link.fer, backend
 
 
 class TestStageSeconds:

@@ -28,6 +28,8 @@ from repro.coding import (
     unregister_interleaver,
 )
 from repro.ofdm.modulation import CONSTELLATIONS
+from repro.pipelines import CODED_OFDM_CHAIN
+from repro.scenarios import build_scenario
 
 RATES = tuple(sorted(PUNCTURE_PATTERNS))
 
@@ -387,47 +389,44 @@ class TestCodingRegistries:
 
 
 class TestCodedOfdmLink:
-    def test_run_coded_clean_at_high_snr(self):
-        from repro.ofdm import CodedOfdmLink
+    """The coded OFDM link, run as the coded pipeline."""
 
-        with CodedOfdmLink(64, scheme="qpsk", rate="1/2",
-                           snr_db=30.0, seed=0) as link:
-            result = link.run_coded(4)
-        assert result.symbols == 4
-        assert result.coded_ber == 0.0
-        assert result.frame_error_rate == 0.0
-        assert result.tx_info_bits.shape == (4, link.info_bits_per_symbol)
+    def test_run_coded_clean_at_high_snr(self):
+        with repro.pipeline(64, CODED_OFDM_CHAIN, scheme="qpsk",
+                            code="conv-k7", code_rate="1/2", snr_db=30.0,
+                            seed=0) as pipe:
+            result = pipe.run(symbols=4)
+        metrics = result.metrics
+        assert metrics["symbols"] == 4
+        assert metrics["coded_ber"] == 0.0
+        assert metrics["fer"] == 0.0
+        assert result.stage_outputs["source"].shape == (
+            4, metrics["info_bits_per_symbol"])
 
     def test_coded_beats_uncoded_in_noise(self):
-        from repro.ofdm import CodedOfdmLink
-
-        with CodedOfdmLink(128, scheme="qpsk", rate="1/2",
-                           snr_db=6.0, seed=1) as link:
-            result = link.run_coded(16)
-        assert result.uncoded_ber > 0.0
-        assert result.coded_ber <= result.uncoded_ber
+        with repro.pipeline(128, CODED_OFDM_CHAIN, scheme="qpsk",
+                            code="conv-k7", code_rate="1/2", snr_db=6.0,
+                            seed=1) as pipe:
+            metrics = pipe.run(symbols=16).metrics
+        assert metrics["uncoded_ber"] > 0.0
+        assert metrics["coded_ber"] <= metrics["uncoded_ber"]
 
     def test_from_scenario_coded_preset(self):
-        from repro.ofdm import CodedOfdmLink
-
-        with CodedOfdmLink.from_scenario(
-            "wimax-ofdm-coded", n_subcarriers=64
-        ) as link:
-            assert link.code.rate == "3/4"
-            metrics = link.measure_coded_ber(symbols=2)
-        assert set(metrics) == {"coded_ber", "uncoded_ber", "fer"}
+        with build_scenario("wimax-ofdm-coded", n_points=64) as pipe:
+            metrics = pipe.run(symbols=2).metrics
+        assert metrics["code_rate"] == "3/4"
+        assert {"coded_ber", "uncoded_ber", "fer"} <= set(metrics)
 
     def test_from_scenario_rejects_uncoded(self):
-        from repro.ofdm import CodedOfdmLink
-
-        with pytest.raises(ValueError, match="uncoded"):
-            CodedOfdmLink.from_scenario("uwb-ofdm")
+        with build_scenario("uwb-ofdm", n_points=64,
+                            stages=CODED_OFDM_CHAIN) as pipe:
+            with pytest.raises(ValueError, match="coded pipeline"):
+                pipe.run(symbols=1)
 
     def test_needs_a_code(self):
-        from repro.ofdm import CodedOfdmLink
-
-        with pytest.raises(ValueError, match="needs a code"):
-            CodedOfdmLink(64, code=None)
+        with repro.pipeline(64, CODED_OFDM_CHAIN, scheme="qpsk") as pipe:
+            with pytest.raises(ValueError, match="pass code="):
+                pipe.run(symbols=1)
 
 
 class TestCodedBerSweep:

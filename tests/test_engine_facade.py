@@ -325,51 +325,50 @@ class TestLifecycle:
 
 
 class TestOfdmLinkOnFacade:
-    def test_backend_selection_rules(self):
-        from repro.ofdm import OfdmLink
+    """The OFDM link (a pipeline) over the facade's backends."""
 
-        with OfdmLink(64) as link:
-            assert link.backend == "compiled"
-        with OfdmLink(64, use_asip=True) as link:
-            assert link.backend == "asip-batch"
-        with OfdmLink(64, workers=2) as link:
-            assert link.backend == "sharded"
-        with OfdmLink(64, backend="asip") as link:
-            assert link.backend == "asip"
-            assert link.use_asip
+    def test_backend_selection_rules(self):
+        with repro.pipeline(64) as pipe:
+            assert pipe.engine.backend == "compiled"
+        with repro.pipeline(64, workers=2) as pipe:
+            assert pipe.engine.backend == "sharded"
+        for backend in ("asip", "asip-batch"):
+            with repro.pipeline(64, backend=backend) as pipe:
+                assert pipe.engine.backend == backend
+            with pytest.raises(ValueError, match="does not take workers"):
+                repro.pipeline(64, backend=backend, workers=2)
 
     def test_asip_burst_runs_one_persistent_machine(self):
-        from repro.ofdm import OfdmLink
-
-        with OfdmLink(64, snr_db=35.0, use_asip=True, seed=2) as link:
-            machine = link.engine.machine
-            results = link.run_symbols(6)
-            assert link.engine.machine is machine  # no per-symbol rebuild
-        cycles = [r.fft_cycles for r in results]
+        with repro.pipeline(64, snr_db=35.0, backend="asip-batch",
+                            seed=2) as pipe:
+            machine = pipe.engine.machine
+            first = pipe.run(symbols=6)
+            again = pipe.run(symbols=6, seed=3)
+            assert pipe.engine.machine is machine  # no per-run rebuild
+        cycles = first.transform.cycles + again.transform.cycles
         assert len(set(cycles)) == 1 and cycles[0] > 0
-        assert all(r.bit_errors == 0 for r in results)
+        assert first.metrics["bit_errors"] == 0
+        assert again.metrics["bit_errors"] == 0
 
     def test_asip_batch_matches_serial_asip_link(self):
-        from repro.ofdm import OfdmLink
-
-        with OfdmLink(64, snr_db=30.0, backend="asip", seed=3) as serial, \
-                OfdmLink(64, snr_db=30.0, backend="asip-batch",
-                         seed=3) as batched:
-            a = serial.run_symbols(4)
-            b = batched.run_symbols(4)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.tx_bits, rb.tx_bits)
-            assert np.allclose(ra.equalised, rb.equalised, atol=1e-12)
-            assert ra.fft_cycles == rb.fft_cycles
+        with repro.pipeline(64, snr_db=30.0, backend="asip",
+                            seed=3) as serial, \
+                repro.pipeline(64, snr_db=30.0, backend="asip-batch",
+                               seed=3) as batched:
+            a = serial.run(symbols=4)
+            b = batched.run(symbols=4)
+        assert np.array_equal(a.tx_bits, b.tx_bits)
+        assert np.allclose(a.equalised, b.equalised, atol=1e-12)
+        assert a.transform.cycles == b.transform.cycles
 
     def test_measure_ber_sweep_shards_and_matches_serial(self):
-        from repro.ofdm import OfdmLink
+        from repro.analysis import ber_sweep
 
-        snrs = [4.0, 12.0, 30.0]
-        with OfdmLink(32, scheme="16qam", seed=5) as serial:
-            want = serial.measure_ber_sweep(snrs, symbols=6)
-        with OfdmLink(32, scheme="16qam", seed=5, workers=2) as sharded:
-            got = sharded.measure_ber_sweep(snrs, symbols=6)
+        # 64 symbols per point: a burst big enough for the pool to shard.
+        snrs = [30.0, 4.0, 12.0]
+        want = ber_sweep(32, snrs, symbols=64, scheme="16qam", seed=5)
+        got = ber_sweep(32, snrs, symbols=64, scheme="16qam", seed=5,
+                        workers=2)
         assert got == want
         assert list(got) == snrs
         assert got[4.0] >= got[30.0]

@@ -85,18 +85,19 @@ class TestBinaryProgramPath:
 
 class TestSystemLevel:
     def test_ofdm_symbol_through_full_stack(self):
-        """Transmitter (ArrayFFT inverse) -> channel -> instruction-level
+        """Transmitter (compiled IFFT) -> channel -> instruction-level
         ASIP receiver -> demap, with multipath equalisation."""
-        from repro.ofdm import MultipathChannel, OfdmLink
+        from repro.ofdm import MultipathChannel
 
         channel = MultipathChannel.exponential_profile(
             3, rng=np.random.default_rng(11)
         )
-        link = OfdmLink(64, scheme="16qam", channel=channel,
-                        snr_db=35.0, use_asip=True, seed=8)
-        result = link.run_symbol()
-        assert result.bit_errors == 0
-        assert result.fft_cycles > 0
+        with repro.pipeline(64, scheme="16qam", channel=channel,
+                            snr_db=35.0, backend="asip-batch",
+                            seed=8) as pipe:
+            result = pipe.run(symbols=1)
+        assert result.metrics["bit_errors"] == 0
+        assert result.total_cycles > 0
 
     def test_back_to_back_symbols_are_independent(self):
         """Repeated ASIP runs on one machine stay correct (no state

@@ -1,17 +1,11 @@
-"""OFDM substrate: constellations, channels, and the ASIP-backed link."""
+"""OFDM substrate: constellations, channels, and the link they form."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ofdm import (
-    CONSTELLATIONS,
-    MultipathChannel,
-    OfdmLink,
-    awgn,
-    demodulate,
-    modulate,
-)
+from repro.ofdm import CONSTELLATIONS, MultipathChannel, awgn
+from repro.pipelines import Pipeline
 
 SCHEMES = ["bpsk", "qpsk", "16qam", "64qam"]
 
@@ -42,16 +36,12 @@ class TestConstellations:
 
     def test_bit_count_validated(self):
         with pytest.raises(ValueError):
-            modulate([0, 1, 1], scheme="qpsk")
-
-    def test_module_level_helpers(self):
-        bits = np.array([0, 1, 1, 0])
-        assert np.array_equal(demodulate(modulate(bits)), bits)
+            CONSTELLATIONS["qpsk"].map_bits([0, 1, 1])
 
     @pytest.mark.parametrize("bits", [[0, 2], [0, -1], [[0, 1], [1, 3]]])
     def test_non_binary_bits_rejected(self, bits):
         with pytest.raises(ValueError, match="0 or 1"):
-            modulate(bits, scheme="qpsk")
+            CONSTELLATIONS["qpsk"].map_bits(bits)
 
     @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int32, np.int64])
     def test_bits_of_any_integer_width_map(self, dtype):
@@ -222,42 +212,45 @@ class TestChannel:
 
 
 class TestLink:
+    """The OFDM link end to end, run as the default pipeline chain."""
+
     def test_clean_channel_zero_errors(self):
-        link = OfdmLink(64, scheme="qpsk", snr_db=40.0, seed=1)
-        result = link.run_symbol()
-        assert result.bit_errors == 0
-        assert result.fft_cycles == 0  # algorithm engine
+        with Pipeline(64, scheme="qpsk", snr_db=40.0, seed=1) as pipe:
+            result = pipe.run(symbols=1)
+        assert result.metrics["bit_errors"] == 0
+        assert result.total_cycles == 0  # algorithm engine
 
     def test_asip_backed_receiver(self):
-        link = OfdmLink(64, scheme="qpsk", snr_db=35.0,
-                        use_asip=True, seed=2)
-        result = link.run_symbol()
-        assert result.bit_errors == 0
-        assert result.fft_cycles > 0
+        with Pipeline(64, scheme="qpsk", snr_db=35.0, backend="asip-batch",
+                      seed=2) as pipe:
+            result = pipe.run(symbols=1)
+        assert result.metrics["bit_errors"] == 0
+        assert result.total_cycles > 0
 
     def test_multipath_with_equalisation(self):
         channel = MultipathChannel.exponential_profile(
             3, rng=np.random.default_rng(9)
         )
-        link = OfdmLink(128, scheme="qpsk", channel=channel,
-                        snr_db=35.0, seed=3)
-        assert link.run_symbol().bit_errors == 0
+        with Pipeline(128, scheme="qpsk", channel=channel, snr_db=35.0,
+                      seed=3) as pipe:
+            assert pipe.run(symbols=1).metrics["bit_errors"] == 0
 
     def test_ber_degrades_with_snr(self):
-        low = OfdmLink(64, scheme="16qam", snr_db=5.0, seed=4)
-        high = OfdmLink(64, scheme="16qam", snr_db=30.0, seed=4)
-        assert low.measure_ber(5) > high.measure_ber(5)
+        with Pipeline(64, scheme="16qam", seed=4) as pipe:
+            low = pipe.run(symbols=5, snr_db=5.0).ber
+            high = pipe.run(symbols=5, snr_db=30.0).ber
+        assert low > high
 
     def test_higher_order_needs_more_snr(self):
-        qpsk = OfdmLink(64, scheme="qpsk", snr_db=12.0, seed=5)
-        qam64 = OfdmLink(64, scheme="64qam", snr_db=12.0, seed=5)
-        assert qam64.measure_ber(5) > qpsk.measure_ber(5)
+        with Pipeline(64, scheme="qpsk", snr_db=12.0, seed=5) as qpsk, \
+                Pipeline(64, scheme="64qam", snr_db=12.0, seed=5) as qam64:
+            assert qam64.run(symbols=5).ber > qpsk.run(symbols=5).ber
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            OfdmLink(64, scheme="8psk")
-        with pytest.raises(ValueError):
-            OfdmLink(64).measure_ber(0)
+            Pipeline(64, scheme="8psk")
+        with Pipeline(64) as pipe, pytest.raises(ValueError):
+            pipe.run(symbols=0)
 
 
 class TestInverseTransform:

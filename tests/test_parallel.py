@@ -10,7 +10,8 @@ import pytest
 
 from repro.core import ArrayFFT, CircuitBreaker, ShardedEngine
 from repro.core.parallel import available_workers
-from repro.ofdm import MultipathChannel, OfdmLink
+from repro.ofdm import MultipathChannel
+from repro.pipelines import pipeline
 
 
 def refuse_thread_start(monkeypatch):
@@ -159,18 +160,6 @@ class TestShardedEngine:
             engine.transform_many(np.zeros((2, 32), dtype=complex))
         with pytest.raises(ValueError):
             engine.transform_many(np.zeros(64, dtype=complex))
-        engine.close()
-
-    def test_single_symbol_passthrough(self):
-        n = 64
-        x = random_blocks(1, n, seed=8)[0]
-        engine = ShardedEngine(n, workers=1)
-        assert np.array_equal(
-            engine.transform(x), ArrayFFT(n).transform(x)
-        )
-        assert np.allclose(
-            engine.inverse(engine.transform(x)), x, atol=1e-9
-        )
         engine.close()
 
     def test_available_workers_positive(self):
@@ -406,21 +395,25 @@ class TestDegradedMarker:
 
 
 class TestLinkWorkers:
+    """The OFDM link (a pipeline) with ``workers=2``: sharded backend."""
+
     def test_run_symbols_identical_with_and_without_pool(self):
         channel = MultipathChannel.exponential_profile(
             3, rng=np.random.default_rng(20)
         )
-        plain = OfdmLink(64, scheme="qpsk", snr_db=35.0, seed=21,
+        plain = pipeline(64, scheme="qpsk", snr_db=35.0, seed=21,
                          channel=channel)
-        with OfdmLink(64, scheme="qpsk", snr_db=35.0, seed=21,
-                      channel=channel, workers=2) as pooled:
-            for a, b in zip(plain.run_symbols(6), pooled.run_symbols(6)):
-                assert np.array_equal(a.tx_bits, b.tx_bits)
-                assert np.array_equal(a.rx_bits, b.rx_bits)
-                assert np.array_equal(a.equalised, b.equalised)
+        with pipeline(64, scheme="qpsk", snr_db=35.0, seed=21,
+                      channel=channel, workers=2,
+                      min_parallel_symbols=2) as pooled:
+            a, b = plain.run(symbols=6), pooled.run(symbols=6)
+            assert pooled.engine.backend == "sharded"
+        assert np.array_equal(a.tx_bits, b.tx_bits)
+        assert np.array_equal(a.rx_bits, b.rx_bits)
+        assert np.array_equal(a.equalised, b.equalised)
         plain.close()  # no pool: must be a no-op
 
     def test_measure_ber_clean_channel(self):
-        with OfdmLink(64, scheme="qpsk", snr_db=40.0, seed=22,
-                      workers=2) as link:
-            assert link.measure_ber(4) == 0.0
+        with pipeline(64, scheme="qpsk", snr_db=40.0, seed=22,
+                      workers=2) as pipe:
+            assert pipe.run(symbols=4).ber == 0.0

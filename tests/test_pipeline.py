@@ -5,7 +5,7 @@ import pytest
 
 import repro
 from repro.core import ArrayFFT
-from repro.ofdm import MultipathChannel, OfdmLink
+from repro.ofdm import MultipathChannel
 from repro.pipelines import (
     DEFAULT_OFDM_CHAIN,
     SPECTRUM_CHAIN,
@@ -162,6 +162,13 @@ class TestPipelineRun:
         pipe = pipeline(16, workers=2)
         assert pipe.backend == "sharded"
 
+    @pytest.mark.parametrize("backend", ("compiled", "asip-batch"))
+    def test_workers_on_serial_backend_is_loud(self, backend):
+        with pytest.raises(ValueError, match="does not take workers"):
+            pipeline(16, backend=backend, workers=2)
+        with pytest.raises(ValueError, match="does not take workers"):
+            pipeline(16, backend=backend).with_options(workers=2)
+
     def test_unknown_scheme_is_loud(self):
         with pytest.raises(ValueError, match="unknown scheme"):
             pipeline(16, scheme="513qam")
@@ -208,46 +215,34 @@ class TestStageSwapping:
 
 
 class TestOfdmLinkParity:
-    """Pipeline runs are bit-identical to the hand-wired OfdmLink."""
+    """Pipeline runs equal the link composed by hand, bit for bit."""
 
     @pytest.mark.parametrize("backend", PARITY_BACKENDS)
-    def test_multipath_link_parity(self, backend):
-        channel = _channel()
-        with pipeline(64, scheme="16qam", channel=channel, snr_db=25.0,
+    def test_multipath_link_parity(self, backend, hand_chain):
+        with pipeline(64, scheme="16qam", channel=_channel(), snr_db=25.0,
                       backend=backend, seed=5) as pipe:
             result = pipe.run(symbols=4)
-        with OfdmLink(64, scheme="16qam", channel=_channel(),
-                      snr_db=25.0, seed=5, backend=backend) as link:
-            link_results = link.run_symbols(4)
-        assert np.array_equal(
-            result.equalised,
-            np.stack([r.equalised for r in link_results]),
-        )
-        assert np.array_equal(
-            result.rx_bits, np.stack([r.rx_bits for r in link_results])
-        )
-        link_errors = sum(r.bit_errors for r in link_results)
-        assert result.metrics["bit_errors"] == link_errors
-        assert result.ber == link_errors / result.metrics["total_bits"]
+        link = hand_chain(64, 4, backend=backend, scheme="16qam",
+                          channel=_channel(), snr_db=25.0, seed=5)
+        assert np.array_equal(result.tx_bits, link.tx_bits)
+        assert np.array_equal(result.equalised, link.equalised)
+        assert np.array_equal(result.rx_bits, link.rx_bits)
+        assert result.metrics["bit_errors"] == link.bit_errors
+        assert result.ber == link.bit_errors / link.tx_bits.size
+        assert result.transform.cycles == link.cycles
         if backend == "asip-batch":
-            assert result.transform.cycles == [
-                r.fft_cycles for r in link_results
-            ]
+            assert min(link.cycles) > 0
 
     @pytest.mark.parametrize("backend", PARITY_BACKENDS)
-    def test_awgn_link_parity(self, backend):
+    def test_awgn_link_parity(self, backend, hand_chain):
         with pipeline(32, scheme="qpsk", snr_db=15.0, backend=backend,
                       seed=9) as pipe:
             result = pipe.run(symbols=6)
-        with OfdmLink(32, scheme="qpsk", snr_db=15.0, seed=9,
-                      backend=backend) as link:
-            link_results = link.run_symbols(6)
-        assert np.array_equal(
-            result.rx_bits, np.stack([r.rx_bits for r in link_results])
-        )
-        assert result.metrics["bit_errors"] == sum(
-            r.bit_errors for r in link_results
-        )
+        link = hand_chain(32, 6, backend=backend, snr_db=15.0, seed=9)
+        assert np.array_equal(result.equalised, link.equalised)
+        assert np.array_equal(result.rx_bits, link.rx_bits)
+        assert result.metrics["bit_errors"] == link.bit_errors
+        assert result.transform.cycles == link.cycles
 
 
 class TestQ15SpectralParity:

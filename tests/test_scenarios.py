@@ -8,7 +8,6 @@ import pytest
 import repro
 from repro.analysis import scenario_sweep
 from repro.cli import main
-from repro.ofdm import OfdmLink
 from repro.scenarios import (
     ScenarioSpec,
     build_scenario,
@@ -88,6 +87,12 @@ class TestPresets:
         assert result.transform.backend == "asip-batch"
         assert result.total_cycles > 0
 
+    def test_workers_override_selects_sharded(self):
+        with build_scenario("uwb-ofdm", workers=2) as pipe:
+            assert pipe.engine.backend == "sharded"
+        with pytest.raises(ValueError, match="does not take workers"):
+            build_scenario("uwb-ofdm", backend="compiled", workers=2)
+
     def test_spectral_preset_is_q15(self):
         result = run_scenario("spectral", symbols=3, n_points=32)
         assert result.precision == "q15"
@@ -95,29 +100,24 @@ class TestPresets:
 
 
 class TestScenarioParity:
-    """Presets through the pipeline match the hand-wired OfdmLink."""
+    """Presets through the pipeline match the link composed by hand."""
 
     @pytest.mark.parametrize("backend",
                              ("compiled", "asip-batch", "sharded"))
     @pytest.mark.parametrize("name",
                              ("uwb-ofdm", "wimax-ofdm", "multipath-eq"))
-    def test_ber_and_bits_match_link(self, name, backend):
+    def test_ber_and_bits_match_link(self, name, backend, hand_chain):
         spec = get_scenario(name)
         n = 32  # shrink the geometry; the chain shape is what's under test
         with spec.build(n_points=n, backend=backend) as pipe:
             result = pipe.run(symbols=3)
-        with OfdmLink.from_scenario(name, n_subcarriers=n,
-                                    backend=backend) as link:
-            link_results = link.run_symbols(3)
-        assert np.array_equal(
-            result.rx_bits, np.stack([r.rx_bits for r in link_results])
-        )
-        assert np.array_equal(
-            result.equalised,
-            np.stack([r.equalised for r in link_results]),
-        )
-        link_errors = sum(r.bit_errors for r in link_results)
-        assert result.metrics["bit_errors"] == link_errors
+        link = hand_chain(n, 3, backend=backend, scheme=spec.scheme,
+                          channel=spec.make_channel(), snr_db=spec.snr_db,
+                          seed=spec.seed)
+        assert np.array_equal(result.rx_bits, link.rx_bits)
+        assert np.array_equal(result.equalised, link.equalised)
+        assert result.metrics["bit_errors"] == link.bit_errors
+        assert result.transform.cycles == link.cycles
 
     def test_spectral_matches_streaming_fft_engine(self):
         from repro.asip.streaming import StreamingFFT
@@ -135,8 +135,10 @@ class TestScenarioParity:
         assert np.array_equal(result.spectrum, spectra)
 
     def test_link_from_scenario_rejects_unmodulated(self):
-        with pytest.raises(ValueError, match="not a modulated"):
-            OfdmLink.from_scenario("spectral")
+        from repro.analysis import ber_sweep
+
+        with pytest.raises(ValueError, match="'spectral' carries no bits"):
+            ber_sweep(snr_dbs=(10,), scenario="spectral")
 
 
 class TestScenarioSweepHelpers:
@@ -159,6 +161,25 @@ class TestScenarioSweepHelpers:
 
         with pytest.raises(ValueError, match="n_points or scenario"):
             ber_sweep(snr_dbs=(10,))
+
+    def test_ber_sweep_of_coded_preset_is_decoded_ber(self):
+        from repro.analysis import ber_sweep
+
+        curve = ber_sweep(snr_dbs=(2.0,), symbols=2, n_points=256,
+                          scenario="uwb-ofdm-coded")
+        result = run_scenario("uwb-ofdm-coded", symbols=2, n_points=256,
+                              snr_db=2.0)
+        assert curve == {2.0: result.metrics["coded_ber"]}
+        assert result.metrics["coded_ber"] < result.metrics["uncoded_ber"]
+
+    def test_ber_sweep_rejects_scenario_conflicts(self):
+        from repro.analysis import ber_sweep
+
+        channel = get_scenario("multipath-eq").make_channel()
+        for field, value in (("scheme", "bpsk"), ("channel", channel)):
+            with pytest.raises(ValueError, match=f"already fixes {field}"):
+                ber_sweep(snr_dbs=(10,), symbols=2, n_points=32,
+                          scenario="wimax-ofdm", **{field: value})
 
 
 class TestRunCli:
