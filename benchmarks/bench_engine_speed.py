@@ -12,8 +12,9 @@ silently:
   fused custom-op bursts vs the step interpreter with scalar BUT4
   (``vectorized=False``; Q1.15 spectra and overflow counts
   bit-identical), floor **3x** each;
-* streamed 64-symbol run — multi-symbol ``run_batch`` execution vs the
-  serial per-symbol loop (identical stats), floor **2x**;
+* streamed 64-symbol ``Engine.stream`` — multi-symbol ``run_batch``
+  execution at the default batch vs ``batch=1`` (identical cycles and
+  stats), floor **2x**;
 * streaming-session throughput — the queue-fed ``repro.session``
   front-end at the default batch vs a ``batch=1`` session (identical
   cycles), floor **2x** (quick **1.3x**) — the session layer must not
@@ -65,7 +66,6 @@ import pytest
 
 from repro.asip import generate_fft_program
 from repro.asip.fft_asip import FFTASIP
-from repro.asip.streaming import StreamingFFT
 from repro.core import ArrayFFT, ShardedEngine, available_workers
 from repro.core.registry import backend_names
 from repro.engines import benchmark_backends
@@ -99,7 +99,7 @@ QUICK_FLOORS = {
     "viterbi": 5.0,
     # Serving tier sessions/s at the shrunk quick workload; generous
     # floor — its job is to catch the serve tier grinding to a halt
-    # (lock convoy, leaked backoff sleeps), not to re-measure it.
+    # (lock convoy, producers parked past a drain), not to re-measure it.
     "serve": 2.0,
 }
 
@@ -179,29 +179,28 @@ def _time_asip(n, fixed_point, reps=3):
 
 
 def _time_stream(n, symbols, reps=2):
-    """Streamed run: multi-symbol batch execution vs the serial loop."""
+    """``Engine.stream`` at the default batch vs ``batch=1``."""
+    import repro
+
     rng = np.random.default_rng(n)
     blocks = rng.standard_normal((symbols, n)) + 1j * rng.standard_normal(
         (symbols, n)
     )
-    serial = StreamingFFT(n)
-    batched = StreamingFFT(n)
-    serial.process(blocks[:2], verify=False, batch=1)    # warm predecode
-    batched.process(blocks[:2], verify=False)
 
-    t_ref = _best_of(
-        lambda: serial.process(blocks, verify=False, batch=1), reps
-    )
-    t_fast = _best_of(
-        lambda: batched.process(blocks, verify=False), reps
-    )
-    check_serial = StreamingFFT(n)
-    check_batched = StreamingFFT(n)
-    a = check_serial.process(blocks[:8], batch=1)
-    b = check_batched.process(blocks[:8])
-    assert a.per_symbol_cycles == b.per_symbol_cycles
-    assert (check_serial.asip.stats.as_dict()
-            == check_batched.asip.stats.as_dict())
+    def asip_batch():
+        return repro.engine(n, backend="asip-batch")
+
+    with asip_batch() as serial, asip_batch() as batched:
+        serial.stream(blocks[:2], batch=1)    # warm predecode
+        batched.stream(blocks[:2])
+        t_ref = _best_of(lambda: serial.stream(blocks, batch=1), reps)
+        t_fast = _best_of(lambda: batched.stream(blocks), reps)
+    with asip_batch() as check_serial, asip_batch() as check_batched:
+        a = check_serial.stream(blocks[:8], batch=1, verify=True)
+        b = check_batched.stream(blocks[:8], verify=True)
+        assert a.cycles == b.cycles
+        assert (check_serial.machine.stats.as_dict()
+                == check_batched.machine.stats.as_dict())
     return t_ref, t_fast
 
 

@@ -1,19 +1,20 @@
 """Sustained (streaming) throughput — the deployment view of Table I.
 
 Table I is per-transform; a receiver runs symbols back to back.  This
-bench streams several symbols through one compiled program per size and
-reports the sustained Msample/s, asserting it matches the single-shot
-rate (the design has no warm-up or data-dependent variation — every
-symbol costs identical cycles, which is also asserted).
+bench streams several symbols through one compiled program per size
+(``Engine.stream`` on the ``asip-batch`` backend, every chunk verified)
+and reports the sustained Msample/s.  The design has no warm-up or
+data-dependent variation, so every symbol costs identical cycles, which
+is asserted.
 
 Run:  pytest benchmarks/bench_streaming.py --benchmark-only -s
 """
 
 import numpy as np
-import pytest
 
+import repro
 from repro.analysis import render_table
-from repro.asip import StreamingFFT
+from repro.asip import msamples_per_second
 
 
 def blocks(n, count, seed):
@@ -25,13 +26,15 @@ def blocks(n, count, seed):
 def test_streaming_report():
     rows = []
     for n in (64, 256, 1024):
-        stats = StreamingFFT(n).process(blocks(n, 4, seed=n))
-        assert stats.is_deterministic
+        with repro.engine(n, backend="asip-batch") as eng:
+            result = eng.stream(blocks(n, 4, seed=n), verify=True)
+        assert len(set(result.cycles)) <= 1
         rows.append((
             n,
-            stats.symbols,
-            int(stats.cycles_per_symbol),
-            round(stats.msamples_per_second, 1),
+            result.n_symbols,
+            result.total_cycles // result.n_symbols,
+            round(msamples_per_second(n * result.n_symbols,
+                                      result.total_cycles), 1),
         ))
     print()
     print(render_table(
@@ -42,10 +45,10 @@ def test_streaming_report():
 
 
 def test_bench_streaming_256(benchmark):
-    stream = StreamingFFT(256)
+    with repro.engine(256, backend="asip-batch") as eng:
+        def run():
+            return eng.stream(blocks(256, 2, seed=1),
+                              verify=True).total_cycles
 
-    def run():
-        return stream.process(blocks(256, 2, seed=1)).total_cycles
-
-    total = benchmark(run)
+        total = benchmark(run)
     assert total > 0

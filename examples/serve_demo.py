@@ -99,9 +99,10 @@ def breaker_heals_a_dead_pool():
     with SessionServer(batch=6) as server:
         tenant = server.open_session(
             "shard", 16, backend="sharded", workers=2,
-            min_parallel_symbols=1, breaker_backoff_initial=0.05,
+            min_parallel_symbols=1,
         )
         sharded = tenant.lease.engine.impl.sharded
+        sharded.breaker.backoff_initial = 0.05  # probe again after 50 ms
 
         class ExplodingPool:
             def map(self, *args, **kwargs):

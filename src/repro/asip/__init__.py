@@ -3,7 +3,6 @@
 from .codegen import CodegenLayout, generate_fft_program
 from .fft_asip import FFTASIP, GROUP_SIZE_REG, STOUT_STRIDE_REG, STRIDE_REG
 from .runner import AsipRunResult
-from .streaming import StreamingFFT, StreamStats
 from .throughput import (
     CLOCK_HZ,
     ThroughputReport,
@@ -17,8 +16,6 @@ __all__ = [
     "STRIDE_REG",
     "STOUT_STRIDE_REG",
     "GROUP_SIZE_REG",
-    "StreamingFFT",
-    "StreamStats",
     "generate_fft_program",
     "CodegenLayout",
     "AsipRunResult",

@@ -29,13 +29,15 @@ Usage::
     python -m repro listing --size N    # the generated program listing
 
 The transform-running subcommands (``fft``, ``stream``, ``bench``,
-``run``) share the facade flags ``--backend`` / ``--precision`` /
-``--workers`` and run through :func:`repro.engine`, so every registered
-backend is reachable from the command line; ``run`` resolves named
-presets from the scenario registry (:mod:`repro.scenarios`) into
-pipelines.  ``--workers`` sizes the ``sharded`` backend's thread pool;
-``fft``, ``stream``, ``run`` and ``trace`` exit with the facade's
-message when another backend is given ``--workers`` of 2 or more.
+``run``, ``serve``) share the facade flags ``--backend`` /
+``--precision`` / ``--workers`` and run through :func:`repro.engine`,
+so every registered backend is reachable from the command line; ``run``
+resolves named presets from the scenario registry
+(:mod:`repro.scenarios`) into pipelines.  ``--workers`` sizes the
+``sharded`` backend's thread pool; every one of these commands (and
+``trace``) exits with the facade's message when another backend is
+given ``--workers`` of 2 or more.  ``bench`` without ``--backend``
+times every backend and hands ``--workers`` to ``sharded`` only.
 
 No command writes a file it was not asked for.  ``run --record PATH``
 appends the run's rows to the one record file, which ``trace --regress
@@ -62,8 +64,8 @@ from .analysis import (
 from .asip import generate_fft_program
 from .asip.throughput import msamples_per_second, paper_mbps
 from .baselines import PAPER_TABLE2, run_table2
-from .core.registry import UnknownNameError, backend_names
-from .engines import benchmark_backends
+from .core.registry import UnknownNameError, backend_names, get_backend
+from .engines import benchmark_backends, check_workers
 from .engines import engine as build_engine
 from .hw import hardware_report
 
@@ -325,6 +327,15 @@ def _open_engine(size: int, backend: str, precision: str, workers: int,
         raise SystemExit(str(exc))
 
 
+def _check_workers(backend: str, workers: int) -> None:
+    """The facade's ``workers`` rule for ``bench``/``serve``, which
+    build their engines later; a refusal exits with its message."""
+    try:
+        check_workers(get_backend(backend), workers)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+
+
 def _cmd_fft(size: int, backend: str, precision: str, workers: int,
              seed: int) -> str:
     backend = backend or "asip"
@@ -408,6 +419,8 @@ def _cmd_bench(sizes: str, symbols: int, backend: str, precision: str,
         size_list = [int(s) for s in sizes.split(",") if s.strip()]
     except ValueError:
         raise SystemExit(f"bad --sizes value {sizes!r}")
+    if backend:
+        _check_workers(backend, workers)
     rows = []
     for n in size_list:
         rows.extend(benchmark_backends(
@@ -680,16 +693,20 @@ def _cmd_verify(args) -> tuple:
 def _cmd_serve(args) -> tuple:
     """Returns ``(text, exit_code)``; non-zero when the load generator
     saw errors, mismatches against the serial oracle, or shed load."""
-    from .serve import run_load
+    from .serve import SessionServer, run_load
 
     backend = args.backend or "compiled"
+    _check_workers(backend, args.workers)
     precision = _resolve_precision(args)
-    measure = run_load(
-        tenants=args.tenants, symbols=args.symbols, n_points=args.size,
-        backend=backend, precision=precision, batch=args.batch,
-        deadline=args.deadline, exec_timeout=args.exec_timeout,
-        seed=args.seed,
-    )
+    # ``--workers`` reaches the pooled engines as a server engine option.
+    with SessionServer(batch=args.batch, exec_timeout=args.exec_timeout,
+                       workers=args.workers) as server:
+        measure = run_load(
+            tenants=args.tenants, symbols=args.symbols,
+            n_points=args.size, backend=backend, precision=precision,
+            batch=args.batch, deadline=args.deadline, seed=args.seed,
+            server=server,
+        )
     body = [
         ("tenants", measure["tenants"]),
         ("symbols/tenant", measure["symbols_per_tenant"]),

@@ -82,23 +82,16 @@ class ShardedEngine:
     min_parallel_symbols:
         Smallest batch worth fanning out (default
         :attr:`MIN_PARALLEL_SYMBOLS`); smaller batches run serially.
-    breaker_backoff_initial, breaker_backoff_max:
-        Circuit-breaker backoff window after a pool failure (seconds;
-        defaults :attr:`BREAKER_BACKOFF_INITIAL` /
-        :attr:`BREAKER_BACKOFF_MAX`).  The serve tier shortens these to
-        probe for recovery aggressively; the defaults keep a failed
-        batch workload serial for at least half a second so there is
-        never a retry storm.
+
+    The pool's :class:`CircuitBreaker` keeps its own backoff defaults
+    (0.5 s, doubling to 30 s), so a failed batch workload stays serial
+    for at least half a second and there is never a retry storm.
     """
 
     MIN_PARALLEL_SYMBOLS = 64
-    BREAKER_BACKOFF_INITIAL = 0.5
-    BREAKER_BACKOFF_MAX = 30.0
 
     def __init__(self, n_points: int, fixed_point: bool = False,
-                 workers: int = None, min_parallel_symbols: int = None,
-                 breaker_backoff_initial: float = None,
-                 breaker_backoff_max: float = None):
+                 workers: int = None, min_parallel_symbols: int = None):
         self.engine = ArrayFFT(n_points, fixed_point=fixed_point)
         self.fixed_point = fixed_point
         self.workers = (
@@ -115,12 +108,7 @@ class ShardedEngine:
         # (single warning, ``degraded=True``, serial fallback), a capped
         # exponential backoff later one batch probes a fresh pool, and a
         # successful probe restores parallel execution.
-        self.breaker = CircuitBreaker(
-            backoff_initial=self.BREAKER_BACKOFF_INITIAL
-            if breaker_backoff_initial is None else breaker_backoff_initial,
-            backoff_max=self.BREAKER_BACKOFF_MAX
-            if breaker_backoff_max is None else breaker_backoff_max,
-        )
+        self.breaker = CircuitBreaker()
         self.degraded_reason = None
 
     @property
@@ -146,13 +134,6 @@ class ShardedEngine:
 
     def transform_many(self, blocks) -> np.ndarray:
         """Batch forward transform, sharded across the pool."""
-        return self._run_many(blocks, "forward")
-
-    def inverse_many(self, spectra) -> np.ndarray:
-        """Batch inverse transform, sharded across the pool."""
-        return self._run_many(spectra, "inverse")
-
-    def _run_many(self, blocks, direction: str) -> np.ndarray:
         blocks = np.asarray(blocks, dtype=complex)
         if blocks.ndim != 2 or blocks.shape[1] != self.n_points:
             raise ValueError(
@@ -161,11 +142,11 @@ class ShardedEngine:
             )
         if (self.workers < 2
                 or len(blocks) < self.min_parallel_symbols):
-            return self._run_serial(blocks, direction)
+            return self.engine.transform_many(blocks)
         if not self.breaker.allow_attempt():
             # Open breaker inside its backoff window, or another thread
             # already holds the half-open probe slot: stay serial.
-            return self._run_serial(blocks, direction)
+            return self.engine.transform_many(blocks)
         if self._pool is None:
             # First use, or a half-open probe after `_mark_broken` tore
             # the failed pool down.
@@ -181,17 +162,15 @@ class ShardedEngine:
             with telemetry.span(
                 "sharded.dispatch", workers=self.workers,
                 shards=len(shards), symbols=len(blocks),
-                direction=direction,
             ):
-                run = partial(self._run_shard, direction,
-                              telemetry.current_span())
+                run = partial(self._run_shard, telemetry.current_span())
                 results = list(pool.map(run, shards))
         except Exception as exc:
             # Thread start refused / a shard raised / executor already
             # shut down: never fail — degrade to the serial path until
             # the breaker's backoff admits a fresh-pool probe.
             self._mark_broken(f"{type(exc).__name__}: {exc}")
-            return self._run_serial(blocks, direction)
+            return self.engine.transform_many(blocks)
         self.breaker.record_success()
         out = np.concatenate([result[0] for result in results])
         if self.fixed_point:
@@ -202,14 +181,14 @@ class ShardedEngine:
         self.engine.bu.op_count += len(blocks) * self.plan.total_but4
         return out
 
-    def _run_shard(self, direction: str, parent, shard: np.ndarray):
+    def _run_shard(self, parent, shard: np.ndarray):
         """One shard on the calling pool thread's own engine.
 
         Returns ``(spectra, overflow delta)``; ``parent`` is the caller's
         ``sharded.dispatch`` span, adopted so the shard span nests under it.
         """
         with telemetry.attach(parent), telemetry.span(
-            "sharded.shard", symbols=len(shard), direction=direction,
+            "sharded.shard", symbols=len(shard),
         ):
             engine = getattr(self._local, "engine", None)
             if engine is None:
@@ -217,18 +196,11 @@ class ShardedEngine:
                     self.n_points, fixed_point=self.fixed_point,
                 )
             before = engine.fx.overflow_count if self.fixed_point else 0
-            out = self._run_serial(shard, direction, engine)
+            out = engine.transform_many(shard)
             overflow = (
                 engine.fx.overflow_count - before if self.fixed_point else 0
             )
         return out, overflow
-
-    def _run_serial(self, blocks: np.ndarray, direction: str,
-                    engine: ArrayFFT = None) -> np.ndarray:
-        engine = self.engine if engine is None else engine
-        if direction == "inverse":
-            return engine.inverse_many(blocks)
-        return engine.transform_many(blocks)
 
     # Pool lifecycle -------------------------------------------------------
 
@@ -241,7 +213,7 @@ class ShardedEngine:
             warnings.warn(
                 f"sharded pool failed ({reason}); falling back to the "
                 f"serial engine until a breaker probe succeeds",
-                RuntimeWarning, stacklevel=3,
+                RuntimeWarning, stacklevel=2,
             )
         self.close_pool()
 

@@ -418,17 +418,16 @@ class Engine:
                verify: bool = False) -> TransformResult:
         """Consume an iterable of blocks in chunks; one merged result.
 
-        A convenience wrapper over the streaming-session substrate
-        (:class:`repro.sessions.StreamSession`): the whole iterable is
-        fed through one session in chunks of ``batch`` symbols (default:
-        the engine's ``batch``, else 64) — for the ``asip-batch``
-        backend each chunk is one :meth:`FFTASIP.run_batch` pass — and
-        the per-chunk results merge into one :class:`TransformResult`
-        via :func:`concat_results`.  With ``verify`` every chunk is
-        checked against a batched ``np.fft.fft`` reference before the
-        next executes.  Callers that need incremental consumption or
-        backpressure should hold a session directly
-        (:func:`repro.session`).
+        The one driver for a whole stream: the iterable is fed through
+        one :class:`repro.sessions.StreamSession` in chunks of ``batch``
+        symbols (default: the engine's ``batch``, else 64) — for the
+        ``asip-batch`` backend each chunk is one
+        :meth:`FFTASIP.run_batch` pass — and the per-chunk results merge
+        into one :class:`TransformResult` via :func:`concat_results`.
+        With ``verify`` every chunk is checked against a batched
+        ``np.fft.fft`` reference before the next executes.  Callers that
+        need incremental consumption or backpressure should hold a
+        session directly (:func:`repro.session`).
         """
         self._ensure_open()
         from .sessions import StreamSession
@@ -491,14 +490,10 @@ class _ShardedBackend:
     sim_stats = None
 
     def __init__(self, n_points: int, fixed_point: bool, workers: int,
-                 min_parallel_symbols: int = None,
-                 breaker_backoff_initial: float = None,
-                 breaker_backoff_max: float = None):
+                 min_parallel_symbols: int = None):
         self.sharded = ShardedEngine(
             n_points, fixed_point=fixed_point, workers=workers,
             min_parallel_symbols=min_parallel_symbols,
-            breaker_backoff_initial=breaker_backoff_initial,
-            breaker_backoff_max=breaker_backoff_max,
         )
 
     @property
@@ -725,13 +720,10 @@ def _make_reference(n_points, fixed_point, workers=None, batch=None):
 
 
 def _make_sharded(n_points, fixed_point, workers=None, batch=None,
-                  min_parallel_symbols=None, breaker_backoff_initial=None,
-                  breaker_backoff_max=None):
+                  min_parallel_symbols=None):
     return _ShardedBackend(
         n_points, fixed_point, workers,
         min_parallel_symbols=min_parallel_symbols,
-        breaker_backoff_initial=breaker_backoff_initial,
-        breaker_backoff_max=breaker_backoff_max,
     )
 
 

@@ -23,8 +23,8 @@ Built-in presets (``repro.scenario_names()``):
                     through a 3-tap Rayleigh channel with one-tap
                     equalisation
 ``spectral``        plain Q1.15 spectral analysis of a block stream (no
-                    modulation) — StreamingFFT's workload with overflow
-                    accounting
+                    modulation) — a streamed ``asip-batch`` engine's
+                    workload, with overflow accounting
 ``dvbt-2k``         DVB-T 2k mode: 2048-carrier QPSK behind the K=7
                     rate-2/3 convolutional codec (coded chain)
 ``dvbt-8k``         DVB-T 8k mode: 8192-carrier 16-QAM, K=7 rate 3/4
@@ -200,7 +200,7 @@ _BUILTIN_SCENARIOS = (
     ScenarioSpec(
         name="spectral",
         description="plain Q1.15 spectral analysis of a block stream "
-                    "(StreamingFFT's workload, overflow accounted)",
+                    "(the streamed ASIP workload, overflow accounted)",
         n_points=256,
         stages=SPECTRUM_CHAIN,
         scheme=None,

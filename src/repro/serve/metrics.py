@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 
-# The quantile rule and the latency window live in the shared metrics
-# core (repro.telemetry).
-from ..telemetry.metrics import Histogram, percentile
+# The quantile rule lives in the shared metrics core (repro.telemetry).
+from ..telemetry.metrics import percentile
 
 __all__ = ["TenantMetrics", "MetricsRegistry"]
 
@@ -31,9 +31,7 @@ class TenantMetrics:
         self._clock = clock
         self._lock = threading.Lock()
         self._started = clock()
-        self._latencies = Histogram(
-            name=f"{tenant}.chunk_latency", window=self.LATENCY_WINDOW,
-        )
+        self._latencies = deque(maxlen=self.LATENCY_WINDOW)
         self.symbols_in = 0
         self.symbols_out = 0
         self.chunks = 0
@@ -66,7 +64,7 @@ class TenantMetrics:
         with self._lock:
             self.chunks += 1
             self.symbols_out += result.n_symbols
-            self._latencies.observe(float(seconds))
+            self._latencies.append(float(seconds))
             if result.degraded:
                 self.degraded_chunks += 1
                 if not self._last_degraded:
@@ -90,7 +88,6 @@ class TenantMetrics:
         """One self-consistent dict of everything above."""
         with self._lock:
             elapsed = max(self._clock() - self._started, 1e-9)
-            lat = self._latencies.values()
             return {
                 "tenant": self.tenant,
                 "state": self.state,
@@ -98,8 +95,8 @@ class TenantMetrics:
                 "symbols_out": self.symbols_out,
                 "chunks": self.chunks,
                 "symbols_per_s": self.symbols_out / elapsed,
-                "latency_p50_ms": percentile(lat, 50.0) * 1e3,
-                "latency_p99_ms": percentile(lat, 99.0) * 1e3,
+                "latency_p50_ms": percentile(self._latencies, 50.0) * 1e3,
+                "latency_p99_ms": percentile(self._latencies, 99.0) * 1e3,
                 "shed": self.shed_count,
                 "backpressure": self.backpressure_count,
                 "timeouts": self.timeout_count,

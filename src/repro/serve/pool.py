@@ -130,9 +130,8 @@ class EnginePool:
     """Cache of facade engines keyed by ``(n_points, backend, precision)``.
 
     ``engine_options`` are forwarded to every :func:`repro.engine`
-    build (e.g. ``workers=``, ``min_parallel_symbols=``, breaker
-    backoff knobs) — the serve tier uses this to give sharded tenants
-    fast-healing breakers.
+    build (e.g. ``workers=``, ``min_parallel_symbols=``);
+    ``python -m repro serve`` passes its ``--workers`` this way.
     """
 
     def __init__(self, **engine_options):

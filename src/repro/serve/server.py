@@ -81,21 +81,13 @@ class SessionServer:
     exec_timeout:
         Default per-chunk watchdog bound (seconds) for new sessions;
         ``None`` trusts the engines.
-    backoff_initial, backoff_max:
-        Producer wait-slice bounds forwarded to every session — the
-        serve default (1 ms initial) reacts to drains an order of
-        magnitude faster than the standalone-session default.
     pool:
         An :class:`EnginePool` to share (the server builds and owns one
         otherwise); ``engine_options`` go to the pool's engine builds.
     """
 
-    DEFAULT_BACKOFF_INITIAL = 0.001
-    DEFAULT_BACKOFF_MAX = 0.05
-
     def __init__(self, *, global_budget: int = None, batch: int = None,
                  capacity: int = None, exec_timeout: float = None,
-                 backoff_initial: float = None, backoff_max: float = None,
                  pool: EnginePool = None, **engine_options):
         self.global_budget = (
             None if global_budget is None else max(int(global_budget), 1)
@@ -103,13 +95,6 @@ class SessionServer:
         self.default_batch = batch
         self.default_capacity = capacity
         self.default_exec_timeout = exec_timeout
-        self.backoff_initial = (
-            self.DEFAULT_BACKOFF_INITIAL if backoff_initial is None
-            else backoff_initial
-        )
-        self.backoff_max = (
-            self.DEFAULT_BACKOFF_MAX if backoff_max is None else backoff_max
-        )
         self._own_pool = pool is None
         self.pool = EnginePool(**engine_options) if pool is None else pool
         self.metrics = MetricsRegistry()
@@ -143,8 +128,6 @@ class SessionServer:
                       else self.default_capacity),
             verify=verify,
             own_engine=False,
-            backoff_initial=self.backoff_initial,
-            backoff_max=self.backoff_max,
             exec_timeout=(exec_timeout if exec_timeout is not None
                           else self.default_exec_timeout),
         )
@@ -192,9 +175,10 @@ class SessionServer:
         Admission runs *before* anything is queued: over the global
         budget the whole request is shed with :class:`ServerOverloaded`
         (never partially accepted, never silently queued).  Admitted
-        symbols feed with ``wait=True`` bounded by ``deadline`` seconds
-        — a full per-tenant buffer blocks until the consumer drains or
-        the deadline expires in :class:`SessionBackpressure`.  A chunk
+        symbols feed with ``wait=deadline`` seconds (``None`` waits
+        without bound) — a full per-tenant buffer blocks until the
+        consumer drains or the deadline expires in
+        :class:`SessionBackpressure`.  A chunk
         execution that trips the watchdog fails the whole tenant (see
         :meth:`fail_tenant`) and re-raises the structured timeout.
         """
@@ -229,7 +213,7 @@ class SessionServer:
             fed = 0
             try:
                 fed = state.session.feed(
-                    blocks, wait=True, timeout=deadline,
+                    blocks, wait=True if deadline is None else deadline,
                 )
             except SessionBackpressure as exc:
                 fed = exc.accepted

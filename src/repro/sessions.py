@@ -23,19 +23,18 @@ front-end for any facade backend:
   symbols may sit in the session (pending input plus undrained output).
   A single-threaded producer that overruns gets an immediate
   :class:`SessionBackpressure`; a threaded producer may pass
-  ``feed(..., wait=timeout)`` to block until a consumer's ``drain``
-  frees space.  Nothing is ever silently dropped.
+  ``feed(..., wait=True)`` (or ``wait=`` a number of seconds) to block
+  until a consumer's ``drain`` frees space.  Nothing is ever silently
+  dropped.
 
-:meth:`Engine.stream <repro.engines.Engine.stream>` is a thin wrapper
-that feeds a whole iterable through one session and merges the chunk
-results; :class:`~repro.asip.streaming.StreamingFFT` rides on the same
-substrate.
+:meth:`Engine.stream <repro.engines.Engine.stream>` is the driver for a
+whole iterable: it feeds it through one session and merges the chunk
+results.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 
 import numpy as np
@@ -140,13 +139,6 @@ class StreamSession:
         reference (same tolerance rules as :meth:`Engine.stream`).
     own_engine:
         Close the engine when the session closes.
-    backoff_initial, backoff_max:
-        Wait-slice bounds (seconds) for producers blocked in
-        ``feed(..., wait=)``: slices start at ``backoff_initial`` and
-        double up to ``backoff_max`` (defaults
-        :attr:`_BACKOFF_INITIAL` / :attr:`_BACKOFF_MAX`).  The serve
-        tier shortens these so deadline-bounded feeds react to drains
-        quickly.
     exec_timeout:
         Bound (seconds) on each engine chunk execution, enforced by
         :func:`run_with_watchdog`; a stuck chunk raises
@@ -158,8 +150,7 @@ class StreamSession:
 
     def __init__(self, engine: Engine, batch: int = None,
                  capacity: int = None, verify: bool = False,
-                 own_engine: bool = False, backoff_initial: float = None,
-                 backoff_max: float = None, exec_timeout: float = None):
+                 own_engine: bool = False, exec_timeout: float = None):
         self.engine = engine
         self.batch = max(int(batch or engine.batch or self.DEFAULT_BATCH), 1)
         self.capacity = (
@@ -168,14 +159,6 @@ class StreamSession:
         )
         self.verify = verify
         self._own_engine = own_engine
-        self.backoff_initial = (
-            self._BACKOFF_INITIAL if backoff_initial is None
-            else max(float(backoff_initial), 1e-4)
-        )
-        self.backoff_max = (
-            self._BACKOFF_MAX if backoff_max is None
-            else max(float(backoff_max), self.backoff_initial)
-        )
         self.exec_timeout = (
             None if exec_timeout is None else max(float(exec_timeout), 0.0)
         )
@@ -302,23 +285,22 @@ class StreamSession:
 
     # Producer side -------------------------------------------------------
 
-    def feed(self, blocks, wait: float = None, timeout: float = None) -> int:
+    def feed(self, blocks, wait=None) -> int:
         """Queue one ``(N,)`` block or an iterable of them; returns count.
 
         Each accepted block is copied (producers may reuse one buffer).
         Whenever ``batch`` symbols are pending they execute immediately
         as one chunk.  If accepting a block would push
         :attr:`buffered_symbols` past ``capacity``, the session applies
-        backpressure: with ``wait=None`` it raises
-        :class:`SessionBackpressure` at once; with ``wait=True`` it
-        blocks until a consumer drains space — bounded by ``timeout``
-        seconds when given, so a producer whose consumer died raises
+        backpressure according to ``wait``: ``None`` raises
+        :class:`SessionBackpressure` at once; ``True`` blocks until a
+        consumer drains space; a number of seconds bounds that block,
+        so a producer whose consumer died raises
         :class:`SessionBackpressure` after the deadline instead of
-        hanging forever.  A numeric ``wait`` is an alias for
-        ``wait=True, timeout=wait`` (the historical spelling).  Blocked
-        producers wait in short, doubling slices (bounded backoff) on
-        the session's condition variable, so :meth:`close` still wakes
-        them promptly via :class:`SessionClosed`.
+        hanging forever.  A blocked producer waits on the session's
+        condition variable, which every room-freeing event (a drain, an
+        abort, a failed chunk) and :meth:`close` notify, so it wakes as
+        soon as it can proceed — or with :class:`SessionClosed`.
 
         Feeds are multi-producer safe: appends and chunk cuts are
         serialised under the session's condition variable (chunks are
@@ -351,7 +333,7 @@ class StreamSession:
                     # feed either wins here (we refuse) or sees our
                     # append in its final flush — symbols are never
                     # silently dropped.
-                    self._wait_for_room(wait, timeout)
+                    self._wait_for_room(wait)
                     self._pending.append(np.array(block))
                     self._symbols_fed += 1
                     run_chunk = len(self._pending) >= self.batch
@@ -364,61 +346,33 @@ class StreamSession:
             raise
         return accepted
 
-    #: default bounded-backoff wait slices: start short (fast reaction
-    #: to a drain), double up to the cap (cheap when parked for a
-    #: while).  Per-session values are the ``backoff_initial`` /
-    #: ``backoff_max`` constructor knobs.
-    _BACKOFF_INITIAL = 0.005
-    _BACKOFF_MAX = 0.25
-
-    def _wait_for_room(self, wait, timeout: float = None) -> None:
+    def _wait_for_room(self, wait) -> None:
         # Caller holds self._cond.
         if self._closed or self._closing:
             raise SessionClosed(f"{self!r} is closed")
         if self.buffered_symbols < self.capacity:
             return
-        # Normalise (wait, timeout) into one deadline in seconds (None =
-        # block until woken): wait=None/False never blocks, wait=True
-        # blocks bounded by timeout=, a numeric wait is its own timeout.
         if wait is None or wait is False:
             raise SessionBackpressure(
                 f"session buffer full ({self.buffered_symbols}/"
                 f"{self.capacity} symbols); drain() finished chunks or "
                 f"feed with wait="
             )
-        if wait is True:
-            budget = timeout
-        else:
-            budget = float(wait) if timeout is None \
-                else min(float(wait), float(timeout))
-        deadline = None if budget is None \
-            else time.monotonic() + max(budget, 0.0)
-        pause = self.backoff_initial
-
-        def roomy():
-            return (self.buffered_symbols < self.capacity
-                    or self._closed or self._closing)
-
-        while True:
-            if deadline is None:
-                slice_s = pause
-            else:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise SessionBackpressure(
-                        f"session buffer still full after waiting "
-                        f"{budget} s ({self.buffered_symbols}/"
-                        f"{self.capacity} symbols)"
-                    )
-                slice_s = min(pause, remaining)
-            self._cond.wait_for(roomy, timeout=slice_s)
-            if self._closed or self._closing:
-                raise SessionClosed(
-                    f"{self!r} closed while waiting to feed"
-                )
-            if self.buffered_symbols < self.capacity:
-                return
-            pause = min(pause * 2.0, self.backoff_max)
+        budget = None if wait is True else max(float(wait), 0.0)
+        # One predicate wait (Mesa monitor semantics): every event that
+        # frees room or closes the session notifies the condition.
+        self._cond.wait_for(
+            lambda: (self.buffered_symbols < self.capacity
+                     or self._closed or self._closing),
+            timeout=budget,
+        )
+        if self._closed or self._closing:
+            raise SessionClosed(f"{self!r} closed while waiting to feed")
+        if self.buffered_symbols >= self.capacity:
+            raise SessionBackpressure(
+                f"session buffer still full after waiting {budget} s "
+                f"({self.buffered_symbols}/{self.capacity} symbols)"
+            )
 
     def flush(self) -> None:
         """Execute the pending partial chunk now (no-op when empty).
@@ -549,22 +503,18 @@ class StreamSession:
 def session(n_points: int, *, backend: str = "compiled",
             precision: str = "float", workers: int = None,
             batch: int = None, capacity: int = None,
-            verify: bool = False, backoff_initial: float = None,
-            backoff_max: float = None, exec_timeout: float = None,
+            verify: bool = False, exec_timeout: float = None,
             **options) -> StreamSession:
     """Open a :class:`StreamSession` on a fresh facade engine.
 
     The facade twin of :func:`repro.engine` for streaming workloads:
     same ``backend`` / ``precision`` / ``workers`` / ``batch``
     parameters, plus the session's ``capacity`` bound, optional
-    per-chunk ``verify``, producer backoff knobs and the ``exec_timeout``
-    watchdog bound.  The session owns the engine and closes it on
+    per-chunk ``verify`` and the ``exec_timeout`` watchdog bound.  The session owns the engine and closes it on
     :meth:`StreamSession.close` / context-manager exit.
     """
     eng = build_engine(n_points, backend=backend, precision=precision,
                        workers=workers, batch=batch, **options)
     return StreamSession(eng, batch=batch, capacity=capacity,
                          verify=verify, own_engine=True,
-                         backoff_initial=backoff_initial,
-                         backoff_max=backoff_max,
                          exec_timeout=exec_timeout)

@@ -23,8 +23,8 @@ Submodules:
 
 * :mod:`repro.telemetry.spans`   — the tracer (thread-local context,
   cross-thread :func:`attach`, the no-op disabled path);
-* :mod:`repro.telemetry.metrics` — counters, histograms and the
-  nearest-rank :func:`percentile` the serve tier uses;
+* :mod:`repro.telemetry.metrics` — the nearest-rank
+  :func:`percentile` the serve tier uses;
 * :mod:`repro.telemetry.export`  — the exporter registry
   (``chrome-trace`` / ``jsonl`` / ``console``) + trace validation;
 * :mod:`repro.telemetry.regress` — the ``run --record`` stage
@@ -48,7 +48,7 @@ from .export import (
     unregister_exporter,
     validate_trace_events,
 )
-from .metrics import Counter, Histogram, percentile
+from .metrics import percentile
 from .regress import (
     RegressionReport,
     atomic_write_json,
@@ -86,8 +86,6 @@ __all__ = [
     "install",
     "uninstall",
     # metrics
-    "Counter",
-    "Histogram",
     "percentile",
     # export
     "Exporter",

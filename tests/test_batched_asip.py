@@ -10,9 +10,9 @@ Q1.15 overflow counts.
 import numpy as np
 import pytest
 
+import repro
 from repro.asip import FFTASIP, generate_fft_program
 from repro.asip.fft_asip import GROUP_SIZE_REG
-from repro.asip.streaming import StreamingFFT
 from repro.isa.instructions import Opcode
 from repro.isa.program import ProgramBuilder
 from repro.sim.errors import SimulationError
@@ -24,6 +24,12 @@ def random_blocks(symbols, n, seed=0, scale=1.0):
         rng.standard_normal((symbols, n))
         + 1j * rng.standard_normal((symbols, n))
     )
+
+
+def stream_engine(n, fixed_point=False):
+    """A facade engine on one persistent ASIP, for ``Engine.stream``."""
+    return repro.engine(n, backend="asip-batch",
+                        precision="q15" if fixed_point else "float")
 
 
 def run_serial(machine, program, blocks):
@@ -384,24 +390,26 @@ class TestLevelizedBatchAtScale:
         (the schedule holds no symbol count) and matches the serial
         stream's statistics."""
         n, batch = 1024, 8
-        batched = StreamingFFT(n, fixed_point=True)
-        serial = StreamingFFT(n, fixed_point=True)
+        batched = stream_engine(n, fixed_point=True)
+        serial = stream_engine(n, fixed_point=True)
         calls = []
-        run = batched.asip.run
-        batched.asip.run = lambda p: calls.append(p) or run(p)
+        run = batched.machine.run
+        batched.machine.run = lambda p: calls.append(p) or run(p)
         results = []
         for count, seed in ((2 * batch, 60), (batch + 7, 61)):
             blocks = random_blocks(count, n, seed=seed, scale=0.25)
-            stats_b = batched.process(blocks, batch=batch)
-            stats_s = serial.process(blocks, batch=1)
-            results.append((stats_b, stats_s, len(calls)))
-        del batched.asip.run
+            got_b = batched.stream(blocks, batch=batch, verify=True)
+            got_s = serial.stream(blocks, batch=1, verify=True)
+            results.append((got_b, got_s, len(calls)))
+        del batched.machine.run
         # Warm-up: the power-on and steady records; then two replays.
         assert [made for *_, made in results] == [2, 2]
-        for stats_b, stats_s, _ in results:
-            assert stats_b.per_symbol_cycles == stats_s.per_symbol_cycles
-            assert stats_b.total_cycles == stats_s.total_cycles
-        assert_batch_end_state_equal(batched.asip, serial.asip)
+        for got_b, got_s, _ in results:
+            assert got_b.cycles == got_s.cycles
+            assert got_b.total_cycles == got_s.total_cycles
+        assert_batch_end_state_equal(batched.machine, serial.machine)
+        batched.close()
+        serial.close()
 
 
 class TestReplayInvalidation:
@@ -566,33 +574,32 @@ class TestBatchFallbacks:
 
     def test_streaming_corruption_detected_through_batch(self):
         """A corrupted batched output must still fail verification."""
-        stream = StreamingFFT(16)
-        original = stream.asip.run_batch
+        with stream_engine(16) as eng:
+            original = eng.machine.run_batch
 
-        def corrupt(program, blocks):
-            outputs, cycles = original(program, blocks)
-            outputs[-1] = 0
-            return outputs, cycles
+            def corrupt(program, blocks):
+                outputs, cycles = original(program, blocks)
+                outputs[-1] = 0
+                return outputs, cycles
 
-        stream.asip.run_batch = corrupt
-        blocks = random_blocks(4, 16, seed=6)
-        with pytest.raises(AssertionError):
-            stream.process(blocks)
+            eng.machine.run_batch = corrupt
+            blocks = random_blocks(4, 16, seed=6)
+            with pytest.raises(AssertionError):
+                eng.stream(blocks, verify=True)
 
 
 class TestBatchedStreaming:
     def test_batched_process_equals_serial_process(self):
         n, symbols = 64, 10
         blocks = random_blocks(symbols, n, seed=11)
-        serial = StreamingFFT(n)
-        batched = StreamingFFT(n)
-        stats_s = serial.process(blocks, batch=1)
-        stats_b = batched.process(blocks, batch=4)
-        assert stats_s.per_symbol_cycles == stats_b.per_symbol_cycles
-        assert stats_s.total_cycles == stats_b.total_cycles
-        assert stats_b.is_deterministic
-        assert (serial.asip.stats.as_dict()
-                == batched.asip.stats.as_dict())
+        with stream_engine(n) as serial, stream_engine(n) as batched:
+            got_s = serial.stream(blocks, batch=1, verify=True)
+            got_b = batched.stream(blocks, batch=4, verify=True)
+            assert got_s.cycles == got_b.cycles
+            assert got_s.total_cycles == got_b.total_cycles
+            assert len(set(got_b.cycles)) <= 1
+            assert (serial.machine.stats.as_dict()
+                    == batched.machine.stats.as_dict())
 
     def test_generator_input_with_reused_buffer(self):
         n = 16
@@ -604,18 +611,14 @@ class TestBatchedStreaming:
                 buf[:] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 yield buf
 
-        stats = StreamingFFT(n).process(reused(7), batch=3)
-        assert stats.symbols == 7
-        assert stats.is_deterministic
+        with stream_engine(n) as eng:
+            result = eng.stream(reused(7), batch=3, verify=True)
+        assert result.n_symbols == 7
+        assert len(set(result.cycles)) <= 1
 
     def test_fixed_point_batched_stream(self):
         blocks = random_blocks(6, 64, seed=14, scale=0.2)
-        stats = StreamingFFT(64, fixed_point=True).process(blocks)
-        assert stats.symbols == 6
-        assert stats.is_deterministic
-
-    def test_mbps_paper_convention_property(self):
-        stats = StreamingFFT(64).process(random_blocks(2, 64, seed=15))
-        assert stats.mbps_paper_convention == pytest.approx(
-            6.0 * stats.msamples_per_second
-        )
+        with stream_engine(64, fixed_point=True) as eng:
+            result = eng.stream(blocks, verify=True)
+        assert result.n_symbols == 6
+        assert len(set(result.cycles)) <= 1

@@ -108,12 +108,36 @@ class TestFacadeFlags:
 
     @pytest.mark.parametrize("command,backend", [
         ("fft", "compiled"), ("stream", "compiled"), ("stream", "asip"),
-        ("stream", "asip-batch"),
+        ("stream", "asip-batch"), ("serve", "compiled"),
     ])
     def test_workers_on_serial_backend_is_loud(self, command, backend):
         with pytest.raises(SystemExit, match="workers"):
             main([command, "--size", "16", "--backend", backend,
                   "--workers", "2"])
+
+    def test_workers_on_serial_bench_backend_is_loud(self):
+        with pytest.raises(SystemExit, match="does not take workers"):
+            main(["bench", "--sizes", "16", "--symbols", "2",
+                  "--backend", "compiled", "--workers", "2"])
+
+    def test_serve_forwards_workers_to_pooled_engines(self, monkeypatch,
+                                                      capsys):
+        from repro.serve import pool
+
+        built = []
+        real_build = pool.build_engine
+
+        def spy(*args, **kwargs):
+            built.append(kwargs.get("workers"))
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(pool, "build_engine", spy)
+        assert main(["serve", "--tenants", "2", "--symbols", "8",
+                     "--size", "16", "--backend", "sharded",
+                     "--workers", "3"]) == 0
+        assert built == [3]
+        rows = dict(_table_body(capsys.readouterr().out))
+        assert rows["oracle check"] == "ok"
 
     @pytest.mark.parametrize("command", ["run", "trace"])
     @pytest.mark.parametrize("backend", ["compiled", "asip-batch"])

@@ -425,8 +425,6 @@ class TestPredecodedMachine:
     def test_stream_verify_copies_caller_buffers(self):
         """A caller reusing one buffer per block must still verify clean
         (chunked verification snapshots each input)."""
-        from repro.asip.streaming import StreamingFFT
-
         def reused_buffer_blocks(n, count):
             rng = np.random.default_rng(23)
             buf = np.empty(n, dtype=complex)
@@ -434,17 +432,16 @@ class TestPredecodedMachine:
                 buf[:] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 yield buf
 
-        stats = StreamingFFT(8).process(reused_buffer_blocks(8, 4))
-        assert stats.symbols == 4
+        with repro.engine(8, backend="asip-batch") as eng:
+            result = eng.stream(reused_buffer_blocks(8, 4), verify=True)
+        assert result.n_symbols == 4
 
     def test_streamed_reuse_keeps_stats_identical(self):
         """Burst fusion + predecode cache across repeated runs."""
-        from repro.asip.streaming import StreamingFFT
-
-        stream = StreamingFFT(64)
         rng = np.random.default_rng(11)
         blocks = [rng.standard_normal(64) + 1j * rng.standard_normal(64)
                   for _ in range(3)]
-        stats = stream.process(blocks)
-        assert stats.is_deterministic
-        assert stats.symbols == 3
+        with repro.engine(64, backend="asip-batch") as eng:
+            result = eng.stream(blocks, verify=True)
+        assert len(set(result.cycles)) <= 1
+        assert result.n_symbols == 3

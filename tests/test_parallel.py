@@ -70,11 +70,16 @@ class TestShardedEngine:
             assert engine.engine.bu.op_count == serial.bu.op_count
 
     def test_inverse_many_roundtrip(self):
+        """The facade runs an inverse as conj -> pooled transform_many."""
+        import repro
+
         n = 64
         blocks = random_blocks(20, n, seed=3)
-        with ShardedEngine(n, workers=2, min_parallel_symbols=8) as engine:
-            spectra = engine.transform_many(blocks)
-            back = engine.inverse_many(spectra)
+        with repro.engine(n, backend="sharded", workers=2,
+                          min_parallel_symbols=8) as eng:
+            spectra = eng.transform_many(blocks).spectrum
+            back = eng.inverse_many(spectra).spectrum
+            assert eng.impl.sharded._pool is not None  # ran pooled
         assert np.allclose(back, blocks, atol=1e-9)
 
     def test_small_batch_stays_serial(self):
@@ -254,8 +259,8 @@ class TestPoolSelfHealing:
         n, symbols = 64, 32
         blocks = random_blocks(symbols, n, seed=30)
         want = ArrayFFT(n).transform_many(blocks)
-        engine = ShardedEngine(n, workers=2, min_parallel_symbols=8,
-                               breaker_backoff_initial=0.05)
+        engine = ShardedEngine(n, workers=2, min_parallel_symbols=8)
+        engine.breaker.backoff_initial = 0.05
 
         class ExplodingPool:
             def map(self, *args, **kwargs):
@@ -297,8 +302,8 @@ class TestPoolSelfHealing:
         n, symbols = 64, 24
         blocks = random_blocks(symbols, n, seed=31)
         want = ArrayFFT(n).transform_many(blocks)
-        engine = ShardedEngine(n, workers=2, min_parallel_symbols=8,
-                               breaker_backoff_initial=0.05)
+        engine = ShardedEngine(n, workers=2, min_parallel_symbols=8)
+        engine.breaker.backoff_initial = 0.05
         refuse_thread_start(monkeypatch)
         with pytest.warns(RuntimeWarning, match="falling back"):
             got = engine.transform_many(blocks)
@@ -326,8 +331,8 @@ class TestPoolSelfHealing:
                 raise RuntimeError("shard exploded")
             return real_transform_many(fft, shard)
 
-        engine = ShardedEngine(n, workers=2, min_parallel_symbols=8,
-                               breaker_backoff_initial=0.05)
+        engine = ShardedEngine(n, workers=2, min_parallel_symbols=8)
+        engine.breaker.backoff_initial = 0.05
         try:
             with monkeypatch.context() as patch:
                 patch.setattr(ArrayFFT, "transform_many",

@@ -120,18 +120,16 @@ class TestScenarioParity:
         assert result.transform.cycles == link.cycles
 
     def test_spectral_matches_streaming_fft_engine(self):
-        from repro.asip.streaming import StreamingFFT
-
         spec = get_scenario("spectral")
         with spec.build(n_points=32, backend="asip-batch") as pipe:
             result = pipe.run(symbols=4)
         blocks = result.stage_outputs["block-source"]
-        streamer = StreamingFFT(32, fixed_point=True)
-        stats = streamer.process(blocks)
-        assert stats.symbols == 4
-        assert result.transform.cycles == stats.per_symbol_cycles
-        # Same blocks through the persistent machine: bit-identical.
-        spectra, _ = streamer.asip.run_batch(streamer.program, blocks)
+        with repro.engine(32, backend="asip-batch", precision="q15") as eng:
+            streamed = eng.stream(blocks, verify=True)
+            assert streamed.n_symbols == 4
+            assert result.transform.cycles == streamed.cycles
+            # Same blocks through the persistent machine: bit-identical.
+            spectra, _ = eng.machine.run_batch(eng.impl.program, blocks)
         assert np.array_equal(result.spectrum, spectra)
 
     def test_link_from_scenario_rejects_unmodulated(self):

@@ -262,6 +262,26 @@ class TestAdmissionControl:
                 helper.join(timeout=5.0)
             assert fed == 1
 
+    def test_no_deadline_blocks_until_the_drain(self):
+        with SessionServer(batch=2, capacity=2) as server:
+            server.open_session("alice", 16)
+            server.submit("alice", _blocks(2, 16, seed=12))
+            fed = []
+            # deadline=None waits without bound, so it runs on a daemon
+            # thread: a lost wake-up fails the test instead of hanging.
+            producer = threading.Thread(
+                target=lambda: fed.append(
+                    server.submit("alice", _blocks(1, 16, seed=13))),
+                daemon=True,
+            )
+            producer.start()
+            time.sleep(0.05)
+            assert not fed  # parked on the full buffer, not refused
+            server.drain("alice")
+            producer.join(timeout=5.0)
+            assert not producer.is_alive()
+            assert fed == [1]
+
 
 class TestDeadlineWatchdog:
     def test_stalled_tenant_fails_and_neighbour_survives(self):
@@ -387,9 +407,10 @@ class TestBreakerUnderLiveServer:
         with SessionServer(batch=symbols) as server:
             tenant = server.open_session(
                 "alice", n, backend="sharded", workers=2,
-                min_parallel_symbols=1, breaker_backoff_initial=0.05,
+                min_parallel_symbols=1,
             )
             sharded = tenant.lease.engine.impl.sharded
+            sharded.breaker.backoff_initial = 0.05
 
             class ExplodingPool:
                 def map(self, *args, **kwargs):
@@ -457,6 +478,25 @@ class TestMetrics:
         snap = metrics.snapshot()
         assert snap["degraded_chunks"] == 3
         assert snap["degraded_transitions"] == 2
+
+    def test_latency_window_rolls(self):
+        """Quantiles read only the newest ``LATENCY_WINDOW`` chunks."""
+        class Result:
+            n_symbols = 1
+            degraded = False
+
+        metrics = TenantMetrics("alice")
+        window = TenantMetrics.LATENCY_WINDOW
+        for k in range(window + 10):  # chunk k took k ms
+            metrics.record_chunk(Result(), k * 1e-3)
+        snap = metrics.snapshot()
+        assert snap["chunks"] == window + 10
+        newest = range(10, window + 10)
+        assert snap["latency_p50_ms"] == pytest.approx(
+            percentile(newest, 50.0))
+        # The whole history's median differs: the oldest ten are gone.
+        assert percentile(range(window + 10), 50.0) != percentile(
+            newest, 50.0)
 
 
 class TestHealthConcurrency:

@@ -33,8 +33,6 @@ from repro import telemetry
 from repro.core import CircuitBreaker
 from repro.telemetry import (
     ConsoleExporter,
-    Counter,
-    Histogram,
     NULL_SPAN,
     Span,
     Tracer,
@@ -82,37 +80,6 @@ class TestPercentile:
         shuffled = data[::2] + data[1::2]
         for q in (1.0, 50.0, 90.0, 99.0):
             assert percentile(data, q) == percentile(shuffled, q)
-
-
-class TestMetricsPrimitives:
-    def test_counter(self):
-        counter = Counter("requests")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-
-    def test_histogram_snapshot(self):
-        hist = Histogram(name="lat", window=8)
-        for value in (1.0, 2.0, 3.0, 4.0):
-            hist.observe(value)
-        snap = hist.snapshot()
-        assert snap["count"] == 4
-        assert snap["min"] == 1.0 and snap["max"] == 4.0
-        assert snap["mean"] == pytest.approx(2.5)
-        assert snap["p50"] == 2.0
-        assert len(hist) == 4
-
-    def test_histogram_window_rolls_but_count_totals(self):
-        hist = Histogram(window=4)
-        for value in range(10):
-            hist.observe(float(value))
-        assert hist.count == 10
-        assert hist.values() == [6.0, 7.0, 8.0, 9.0]
-        assert hist.percentile(0.0) == 6.0
-
-    def test_histogram_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            Histogram(window=0)
 
 
 class TestSpans:
@@ -241,7 +208,7 @@ class TestLayerInstrumentation:
         assert {r.parent_id for r in shards} == {dispatch.span_id}
         assert len({r.thread_id for r in shards}) == 2
         assert [r.attributes for r in shards] == \
-            [{"symbols": 128, "direction": "forward"}] * 2
+            [{"symbols": 128}] * 2
         payload = get_exporter("chrome-trace").factory().render(tracer)
         validate_trace_events(payload)
 
