@@ -25,7 +25,8 @@ silently:
 * vectorised Viterbi decode — the numpy add-compare-select trellis vs
   the per-step reference oracle (bit-identical) on 64-state, 1k-bit
   blocks, floor **5x** (same floor in quick mode — the reference is
-  pure Python, so the margin is wide).
+  pure Python, so the margin is wide); the row also prints the fast
+  decode's ACS time per trellis step and its traceback time.
 
 Each run also executes every registered **scenario preset** through the
 pipeline API (``repro.run_scenario``) and checks each preset produced a
@@ -239,8 +240,11 @@ def _time_viterbi(info_bits=1000, reps=2):
     One 64-state (K=7, rate-1/2) block of ``info_bits`` payload bits
     through a noisy soft-decision channel; the two datapaths must stay
     bit-identical, and the vectorised add-compare-select must hold the
-    throughput floor.
+    throughput floor.  Also returns the fast decode's sub-phases, the
+    medians of five traced decodes: ``viterbi.acs`` per trellis step and
+    the ``viterbi.traceback`` time.
     """
+    from repro import telemetry
     from repro.coding import get_code
 
     rng = np.random.default_rng(1009)
@@ -256,7 +260,19 @@ def _time_viterbi(info_bits=1000, reps=2):
 
     t_fast = _best_of(lambda: code.decode(llrs), reps)
     t_ref = _best_of(lambda: code.decode(llrs, reference=True), reps)
-    return t_ref, t_fast
+    with telemetry.trace("bench-viterbi") as tracer:
+        for _ in range(5):
+            code.decode(llrs)
+    median = {
+        name: np.median([r.duration for r in tracer.finished()
+                         if r.name == name])
+        for name in ("viterbi.acs", "viterbi.traceback")
+    }
+    steps = info_bits + code.base.memory
+    return t_ref, t_fast, {
+        "acs_us_per_step": median["viterbi.acs"] / steps * 1e6,
+        "traceback_ms": median["viterbi.traceback"] * 1e3,
+    }
 
 
 def _scenario_rows(quick=False):
@@ -554,13 +570,14 @@ def collect_measurements(quick=False):
         "batched_ms": fast_q * 1e3,
         "speedup": ref_q / fast_q,
     }
-    ref_v, fast_v = _time_viterbi()
+    ref_v, fast_v, phases = _time_viterbi()
     results["viterbi"] = {
         "info_bits": 1000,
         "states": 64,
         "reference_ms": ref_v * 1e3,
         "vectorized_ms": fast_v * 1e3,
         "speedup": ref_v / fast_v,
+        **phases,
     }
     results["scenarios"] = _scenario_rows(quick)
     if not quick:
@@ -643,7 +660,8 @@ def test_viterbi_speedup_floor(measurements):
     row = measurements["viterbi"]
     print(f"\nviterbi {row['states']}-state {row['info_bits']}b: "
           f"{row['reference_ms']:.1f} ms -> {row['vectorized_ms']:.1f} ms "
-          f"({row['speedup']:.1f}x)")
+          f"({row['speedup']:.1f}x)  acs {row['acs_us_per_step']:.2f} "
+          f"us/step  traceback {row['traceback_ms']:.2f} ms")
     assert row["speedup"] >= FLOORS["viterbi"]
 
 
@@ -747,6 +765,10 @@ def run_quick() -> int:
         if speedup < floor:
             failed = True
         print(f"quick {name:<11} {speedup:6.1f}x  (floor {floor}x)  {status}")
+    # Viterbi sub-phases of the fast decode (informational row).
+    vit = results["viterbi"]
+    print(f"quick viterbi phases: acs {vit['acs_us_per_step']:.2f} us/step"
+          f"  traceback {vit['traceback_ms']:.2f} ms  ok")
     # Facade exercise: every registered backend ran both precisions with
     # cross-backend parity asserted inside collect_measurements.
     for row in results["facade"]:

@@ -279,7 +279,13 @@ class PuncturedCode:
         trellis grid; punctured positions get LLR 0 (no information)."""
         llrs = np.asarray(llrs, dtype=np.float64)
         coded = llrs.shape[-1]
-        steps = self.base.memory + 1
+        # coded_length is monotone in steps; land one period short of the
+        # answer and walk up (at most two periods).
+        steps = max(
+            (coded * self.period_steps) // self.kept_per_period
+            - self.period_steps,
+            self.base.memory + 1,
+        )
         while self.coded_length(steps) < coded:
             steps += 1
         if self.coded_length(steps) != coded:

@@ -19,19 +19,35 @@ owns two datapaths over the same trellis tables and the fast one is
     time-chunks — memory no longer grows with ``steps × blocks``;
   - *ACS*: states ``j`` and ``j + S/2`` share the predecessors ``2j``
     and ``2j + 1``, so both read the same ``metrics.reshape(B, S/2, 2)``
-    view — no predecessor gather — and each step is three in-place
-    ufunc calls on ping-pong buffers (``add``, ``greater``,
-    ``copyto(cand0, cand1, where=...)``) with the ``S/2``-wide state
-    column innermost;
+    view — no predecessor gather — with the ``S/2``-wide state column
+    innermost.  One chunk buffer, refilled per time-chunk with the
+    expanded branch metrics, takes each step's candidates in place.
+    When every branch sum of the burst is finite, a step is two ufunc
+    calls (``add``, then ``maximum(cand1, cand0)`` into the metrics)
+    and one ``greater`` over the chunk's stored candidates writes all
+    its decisions; otherwise each step runs the select itself
+    (``add``, ``greater``, a copy and a masked ``copyto``);
   - *traceback*: one predecessor table ``((s << 1) & mask) | decision``
     (``uint8`` up to 256 states, wider above) built in a single
     vectorised op, walked with one ``take`` per step.
 
-The select is the reference's ``cand1 if cand1 > cand0 else cand0``
-verbatim: a branch from the lower-indexed predecessor wins ties, and a
-NaN candidate is kept or dropped exactly where the reference keeps or
-drops it.  ``np.maximum`` is *not* that select — it propagates NaN —
-and on ``±inf`` LLR grids it picks different survivors.
+The select is the reference's ``cand1 if cand1 > cand0 else cand0``: a
+branch from the lower-indexed predecessor wins ties, and a NaN
+candidate is kept or dropped exactly where the reference keeps or drops
+it.  ``np.maximum`` propagates NaN, so it is that select only where no
+candidate is NaN, and the mode is chosen once per burst on the branch
+sums (not the LLRs: finite LLRs near the float maximum can overflow to
+an infinite sum):
+
+* metrics start at ``+0.0`` and ``-inf`` and every update adds a
+  finite branch sum, so a metric is finite or ``±inf`` and no
+  candidate is NaN, even when metrics overflow;
+* in round-to-nearest ``x + y`` is ``-0.0`` only when both are, so no
+  metric is ever ``-0.0`` and equal candidates have equal bits;
+* on equal inputs ``np.maximum`` returns its second argument, so
+  ``maximum(cand1, cand0)`` keeps ``cand0``, the oracle's tie winner.
+
+A burst with any ``±inf`` or NaN branch sum runs the select per step.
 
 Metric convention: inputs are per-bit LLRs with **positive meaning
 bit 0** (see :mod:`repro.coding.demap`); the branch metric is the
@@ -49,7 +65,9 @@ from .. import telemetry
 
 __all__ = ["ViterbiDecoder"]
 
-#: branch-table elements expanded per time-chunk (2 MB of float64).
+#: branch-table elements expanded per time-chunk: the size of the one
+#: buffer ACS refills with branch metrics and overwrites with
+#: candidates (2 MB of float64).
 _CHUNK_ELEMENTS = 1 << 18
 
 
@@ -135,39 +153,54 @@ class ViterbiDecoder:
         table = butterfly[:, None] + offsets[None, :, None, None]
         return sums.reshape(len(sums), -1), table
 
-    def _acs(self, sums, table, decisions):
-        """The butterfly add-compare-select, one trellis step per yield.
+    def _acs(self, sums, table, decisions, chunk=None):
+        """The butterfly add-compare-select, one time-chunk per yield.
 
-        Writes step ``t``'s survivor choices into ``decisions[t]``
-        (``(steps, blocks, states)`` bool) and yields ``(decisions[t],
-        metrics)``, both ``(blocks, states)`` in natural state order.
-        ``metrics`` lives in a ping-pong buffer: it stays valid until
-        the step after next.
+        Writes each step's survivor choices into ``decisions``
+        (``(steps, blocks, states)`` bool) and yields ``(decisions[t0:t1],
+        metrics)`` after each chunk of steps: the chunk's decisions and
+        the path metrics after its last step, ``(blocks, states)`` in
+        natural state order (one buffer, valid until the next yield).
+        ``chunk=1`` steps one trellis step per yield, the seam
+        :func:`repro.verify.coexec_viterbi` runs in lockstep.
         """
         steps, blocks, n_states = decisions.shape
         half = n_states // 2
-        # cand[x, b, h, j]: branch x into state h*half + j of block b.
-        buffers = np.empty((2, 2, blocks, 2, half))
-        views = []
-        for cand in buffers:
-            c0, c1 = cand.reshape(2, blocks, n_states)
-            shared = c0.reshape(blocks, half, 2).transpose(2, 0, 1)
-            views.append((cand, c0, c1, shared[:, :, None, :]))
-        here, there = views
-        # Step 0 reads there's metrics: every block starts in state 0.
-        start = there[1]
-        start[:] = -np.inf
-        start[:, 0] = 0.0
-        chunk = max(1, _CHUNK_ELEMENTS // table.size)
+        if chunk is None:
+            chunk = max(1, _CHUNK_ELEMENTS // table.size)
+        # rows[t, x, b, h, j]: branch x into state h*half + j of block b
+        # at step t0 + t, overwritten in place by that branch's candidate.
+        # Each row's views are built once, not once per step.
+        rows = np.empty((min(chunk, steps),) + table.shape)
+        views = [(row, row[0], row[1]) for row in rows]
+        metrics = np.full((blocks, n_states), -np.inf)
+        metrics[:, 0] = 0.0  # every block starts in state 0
+        # pred[x, b, 0, j]: the metric of predecessor 2j + x, shared by
+        # states j and half + j (no gather).
+        pred = metrics.reshape(blocks, half, 2).transpose(2, 0, 1)[:, :, None]
+        after = metrics.reshape(blocks, 2, half)
+        chosen = decisions.reshape(steps, blocks, 2, half)
+        # With every branch sum finite no candidate is NaN, and there the
+        # select equals np.maximum (module docstring).
+        finite = bool(np.isfinite(sums).all())
         for t0 in range(0, steps, chunk):
-            branch = sums[t0:t0 + chunk].take(table, axis=1)
-            for br, dec in zip(branch, decisions[t0:t0 + chunk]):
-                cand, c0, c1, _ = here
-                np.add(there[3], br, out=cand)
-                np.greater(c1, c0, out=dec)
-                np.copyto(c0, c1, where=dec)
-                yield dec, c0
-                here, there = there, here
+            dec = chosen[t0:t0 + chunk]
+            # Every index is in range, and "clip" lets take write into
+            # the buffer directly ("raise" buffers its output).
+            cand = sums[t0:t0 + chunk].take(table, axis=1,
+                                             out=rows[:len(dec)], mode="clip")
+            if finite:
+                for row, c0, c1 in views[:len(dec)]:
+                    np.add(pred, row, out=row)
+                    np.maximum(c1, c0, out=after)
+                np.greater(cand[:, 1], cand[:, 0], out=dec)
+            else:
+                for (row, c0, c1), pick in zip(views, dec):
+                    np.add(pred, row, out=row)
+                    np.greater(c1, c0, out=pick)
+                    np.copyto(after, c0)
+                    np.copyto(after, c1, where=pick)
+            yield decisions[t0:t0 + len(dec)], metrics
 
     def _traceback(self, decisions):
         """``(blocks, steps - memory)`` info bits from ``(steps, blocks,

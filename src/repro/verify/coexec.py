@@ -538,9 +538,12 @@ def coexec_viterbi(code="conv-k3", *, a=None, b=None, llrs=None,
     Side a steps the kernels :meth:`ViterbiDecoder.decode` ships (branch
     sums, butterfly add-compare-select, predecessor-table traceback)
     with *its* branch-sign table; side b the per-state oracle walk with
-    *its* own.  Survivor decisions and path metrics are compared after
-    every trellis step (both paths are bit-identical by contract), then
-    the traced-back info bits are compared.
+    *its* own.  The add-compare-select runs in chunks of one step, in
+    the mode the grid's branch sums select (two calls per step when all
+    are finite, the masked select otherwise).  Survivor decisions and
+    path metrics are compared after every trellis step (both paths are
+    bit-identical by contract), then the traced-back info bits are
+    compared.
     """
     from ..coding.convolutional import get_code
     from ..coding.viterbi import ViterbiDecoder
@@ -571,7 +574,7 @@ def coexec_viterbi(code="conv-k3", *, a=None, b=None, llrs=None,
     # Side a: the shipped butterfly recursion over one block.
     decisions_a = np.empty((n_steps, 1, n_states), dtype=bool)
     sums, table = a._branch_sums(llr[None])
-    steps_a = a._acs(sums, table, decisions_a)
+    steps_a = a._acs(sums, table, decisions_a, chunk=1)
     # Side b: the per-state oracle walk, b's sign table.
     metrics_b = [0.0] + [-np.inf] * (n_states - 1)
     decisions_b = []
@@ -597,7 +600,7 @@ def coexec_viterbi(code="conv-k3", *, a=None, b=None, llrs=None,
                             time.perf_counter() - start)
 
     for t, (choose_a, metrics_a) in enumerate(steps_a):
-        choose_a, metrics_a = choose_a[0], metrics_a[0]
+        choose_a, metrics_a = choose_a[0, 0], metrics_a[0]
         step_llr = llr[t]
         new_b = [None] * n_states
         chosen_b = [0] * n_states

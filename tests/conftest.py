@@ -1,6 +1,8 @@
-"""Test-suite hooks and the hand-composed OFDM chain fixture."""
+"""Test-suite hooks, the hand-composed OFDM chain fixture and the
+Viterbi ufunc-call counter."""
 
 import warnings
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -92,3 +94,35 @@ def _hand_chain(n_points, symbols, *, backend="compiled", scheme="qpsk",
 def hand_chain():
     """:func:`_hand_chain`, the reference for pipeline parity tests."""
     return _hand_chain
+
+
+class _CountingNumpy:
+    """``numpy`` as a module global, with calls to ``names`` counted."""
+
+    def __init__(self, names, counts):
+        for name in names:
+            setattr(self, name, self._counted(getattr(np, name), name,
+                                              counts))
+
+    @staticmethod
+    def _counted(fn, name, counts):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.fixture
+def viterbi_calls(monkeypatch):
+    """A ``Counter`` of the ``np.add``/``maximum``/``greater``/``copyto``
+    calls :mod:`repro.coding.viterbi` makes while the test runs
+    (``sys.setprofile`` sees no ufunc call)."""
+    from repro.coding import viterbi
+
+    counts = Counter()
+    monkeypatch.setattr(viterbi, "np", _CountingNumpy(
+        ("add", "maximum", "greater", "copyto"), counts))
+    return counts

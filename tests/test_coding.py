@@ -102,6 +102,41 @@ class TestPuncturing:
         assert np.array_equal(grid[..., punct.step_mask(geom.steps)], llrs)
         assert np.count_nonzero(grid) == llrs.size
 
+    @pytest.mark.parametrize("rate", RATES)
+    @pytest.mark.parametrize("code_name", ("conv-k3", "conv-k7"))
+    def test_depuncture_matches_the_linear_walk(self, code_name, rate):
+        """The landed step count equals a walk up from ``memory + 1``:
+        the same grid for aligned lengths, the same error otherwise."""
+        punct = get_code(code_name).punctured(rate)
+        memory, period = punct.base.memory, punct.period_steps
+
+        def linear_walk(coded):
+            steps = memory + 1
+            while punct.coded_length(steps) < coded:
+                steps += 1
+            if punct.coded_length(steps) != coded:
+                return (f"{coded} LLRs do not align with rate {rate} "
+                        f"puncturing (nearest block: "
+                        f"{punct.coded_length(steps)})")
+            return steps
+
+        smallest = memory + 2  # one info bit plus the tail
+        dvbt_2k = punct.block_geometry(4096).coded_bits
+        lengths = [*range(1, punct.coded_length(smallest + 3 * period) + 1),
+                   *range(dvbt_2k - 4 * period, dvbt_2k + 4 * period)]
+        assert dvbt_2k in lengths
+        for coded in lengths:
+            expected = linear_walk(coded)
+            llrs = np.zeros((2, coded))
+            if isinstance(expected, str):
+                with pytest.raises(ValueError) as raised:
+                    punct.depuncture(llrs)
+                assert str(raised.value) == expected
+                assert "nearest block" in expected
+            else:
+                grid = punct.depuncture(llrs)
+                assert grid.shape == (2, expected, 2)
+
     def test_unknown_rate_lists_menu(self):
         with pytest.raises(repro.UnknownNameError, match="3/4"):
             get_code("conv-k7").punctured("7/8")
@@ -174,9 +209,9 @@ def _fast_matches_oracle(decoder, llr):
 
 class TestViterbiExactness:
     """``decode`` against ``decode_reference`` where a plausible wrong
-    kernel would diverge: an ``np.maximum`` select, a ``>=`` tie rule, a
-    cached sign table, a fixed ``uint8`` state, batch or chunk
-    arithmetic."""
+    kernel would diverge: an ``np.maximum`` select on non-finite branch
+    sums, routing keyed on the LLRs, a ``>=`` tie rule, a cached sign
+    table, a fixed ``uint8`` state, batch or chunk arithmetic."""
 
     @pytest.mark.parametrize("code_name", ("conv-k3", "conv-k7"))
     def test_inf_and_nan_llr_grids(self, code_name):
@@ -189,6 +224,44 @@ class TestViterbiExactness:
                 hit = rng.random(llr.shape) < 0.3
                 llr[hit] = rng.choice(values, size=int(hit.sum()))
                 _fast_matches_oracle(decoder, llr)
+
+    @pytest.mark.parametrize("code_name", ("conv-k3", "conv-k7"))
+    def test_overflowing_branch_sums_take_the_select(self, viterbi_calls,
+                                                     code_name):
+        """Finite LLRs near the float maximum overflow their branch sums
+        to ``±inf``: the burst is routed by its sums, not its LLRs, to
+        the per-step select."""
+        decoder = ViterbiDecoder(get_code(code_name))
+        rng = np.random.default_rng(23)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(40):
+                llr = rng.choice([1.7e308, -1.7e308, 1.0, -1.0],
+                                 size=(2, 24, 2))
+                sums, _ = decoder._branch_sums(llr)
+                assert not np.isfinite(sums).all()
+                _fast_matches_oracle(decoder, llr)
+        assert viterbi_calls["copyto"] and not viterbi_calls["maximum"]
+
+    @pytest.mark.parametrize("code_name", ("conv-k3", "conv-k7"))
+    def test_overflowing_path_metrics_keep_two_calls(self, viterbi_calls,
+                                                     code_name):
+        """Finite branch sums whose path metrics overflow to ``±inf``
+        stay on the two-call path: no candidate can be NaN there."""
+        decoder = ViterbiDecoder(get_code(code_name))
+        rng = np.random.default_rng(24)
+        with np.errstate(over="ignore"):
+            for _ in range(40):
+                llr = rng.choice([4e307, -4e307, 1e307, -1e307],
+                                 size=(2, 24, 2))
+                sums, table = decoder._branch_sums(llr)
+                decisions = np.empty((24, 2, decoder.code.n_states),
+                                     dtype=bool)
+                for _, metrics in decoder._acs(sums, table, decisions):
+                    pass
+                assert np.isfinite(sums).all()
+                assert np.isposinf(metrics).any()
+                _fast_matches_oracle(decoder, llr)
+        assert viterbi_calls["maximum"] and not viterbi_calls["copyto"]
 
     @pytest.mark.parametrize("rate", RATES)
     @pytest.mark.parametrize("code_name", ("conv-k7", "conv-k3"))

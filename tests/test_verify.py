@@ -57,6 +57,22 @@ class TestCoexecClean:
         assert result.ok
         assert result.steps == 24
 
+    def test_viterbi_trellis_steps_both_acs_modes(self, viterbi_calls):
+        """The default finite grid steps the two-call kernel, a grid
+        holding ``±inf`` the per-step select, one trellis step at a time
+        (one ``maximum``, or the select's two copies, per step)."""
+        assert coexec_viterbi(steps=24).ok
+        assert viterbi_calls["maximum"] == 24
+        assert not viterbi_calls["copyto"]
+        viterbi_calls.clear()
+        llrs = np.random.default_rng(5).standard_normal((24, 2))
+        llrs[[3, 10], 0] = np.inf, -np.inf
+        with np.errstate(invalid="ignore"):
+            result = coexec_viterbi(llrs=llrs)
+        assert result.ok and result.steps == 24
+        assert viterbi_calls["copyto"] == 2 * 24
+        assert not viterbi_calls["maximum"]
+
     @pytest.mark.parametrize("scheme", ["bpsk", "qpsk", "16qam", "64qam"])
     def test_demap_slicer(self, scheme):
         from repro.ofdm import CONSTELLATIONS
@@ -113,6 +129,15 @@ class TestFaultLocalisation:
         assert result.report.kind == "viterbi-step"
         assert result.report.location["state"] == fault.location["state"]
         assert result.report.location["mismatch"] == "metric"
+        # Pinned where the three-call select kernel reported it: the
+        # finite default grid now steps the two-call kernel.
+        assert result.steps == 3 and result.report.step_index == 2
+        assert result.report.location == {"step": 2, "state": 1,
+                                          "mismatch": "metric"}
+        operands = result.report.operands
+        assert operands["a_decision"] == operands["b_decision"] == 1
+        assert operands["a_metric"] == 15.984047339528248
+        assert operands["b_metric"] == 9.15567510705377
 
     def test_llr_sign_localised_to_bit(self):
         fault, result = demonstrate_fault("llr-sign")
