@@ -41,10 +41,13 @@ Each run (quick included) also drives the serving tier with
 pooled engine — and floors sessions/s while asserting zero shed at
 nominal load.
 
-Each run (quick included) also pins the **telemetry disabled-overhead
-rule**: the instrumented engine facade with no tracer installed must
-cost <= 2% over the bare datapath (floored), with the enabled-tracer
-cost recorded alongside as an informational column.
+Each run (quick included) also times the **telemetry disabled-overhead
+rule**: the instrumented engine facade with no tracer installed against
+the bare datapath, with the enabled-tracer cost alongside.  The full
+run floors it at <= 2%; quick mode prints it as a reading, because two
+~2 ms timings on a shared host differ by more than 2% from noise alone.
+Tier-1 pins the same rule by count instead (``tests/test_telemetry.py``:
+three Python calls, no C call, no allocation before the datapath).
 
 No flow writes a file: the pytest flow prints each floor's reading,
 the script prints the whole result as one JSON document, and quick mode
@@ -106,11 +109,11 @@ QUICK_FLOORS = {
 
 SWEEP_SIZES = [256, 512, 1024, 2048]
 
-# Disabled-tracer ceiling: with no tracer installed the instrumented
-# facade may cost at most this ratio over the bare datapath.  The true
-# cost is one module-attribute load and a None check per batch call, so
-# 2% is generous — the floor exists to catch someone putting allocation
-# or clock reads on the disabled path.
+# Disabled-tracer ceiling (full run only): with no tracer installed the
+# instrumented facade may cost at most this ratio over the bare
+# datapath.  The true cost is one module-attribute load and a None check
+# per batch call, so 2% is generous — the floor exists to catch someone
+# putting allocation or clock reads on the disabled path.
 TELEMETRY_OVERHEAD_MAX = 1.02
 
 # Overlay-replay ceiling: recording a retirement trace plus re-timing it
@@ -796,24 +799,17 @@ def run_quick() -> int:
           f"{srv['sessions_per_s']:6.1f} sessions/s "
           f"(floor {srv_floor})  p99 {srv['latency_p99_ms']:.2f} ms  "
           f"shed {srv['shed']}  {'ok' if srv_ok else 'FAIL'}")
-    # Telemetry disabled-overhead rule (floored): the instrumented
-    # facade with no tracer installed must be free.  One re-measure on
-    # failure — the ratio compares two near-identical millisecond
-    # timings, so a single scheduler hiccup must not fail the gate.
+    # Telemetry disabled-overhead (informational row): tier-1 gates the
+    # disabled path by count, the full run floors this ratio.
     tel = results["telemetry"]
-    if tel["overhead"] > TELEMETRY_OVERHEAD_MAX:
-        tel = results["telemetry"] = _time_telemetry(tel["n"], tel["symbols"])
-    tel_ok = tel["overhead"] <= TELEMETRY_OVERHEAD_MAX
-    if not tel_ok:
-        failed = True
     print(f"quick telemetry {tel['symbols']}x{tel['n']}: "
           f"bare {tel['bare_ms']:.2f} ms -> disabled "
-          f"{tel['disabled_ms']:.2f} ms ({tel['overhead']:.3f}x, "
-          f"max {TELEMETRY_OVERHEAD_MAX}x)  enabled "
-          f"{tel['enabled_ms']:.2f} ms ({tel['enabled_overhead']:.2f}x)  "
-          f"{'ok' if tel_ok else 'FAIL'}")
+          f"{tel['disabled_ms']:.2f} ms ({tel['overhead']:.3f}x)  "
+          f"enabled {tel['enabled_ms']:.2f} ms "
+          f"({tel['enabled_overhead']:.2f}x)  ok")
     # Uarch overlay: replay overhead ceiling plus the cycle sandwich.
-    # One re-measure on failure, same rationale as the telemetry row.
+    # One re-measure on failure: the ratio compares two millisecond
+    # timings, so a single scheduler hiccup must not fail the gate.
     ua = results["uarch"]
     if ua["overhead"] > UARCH_OVERHEAD_MAX:
         ua = results["uarch"] = _time_uarch(ua["n"])

@@ -50,9 +50,9 @@ Public API layers underneath the facade:
   named sessions over a shared engine pool with admission control,
   deadlines and self-healing (``python -m repro serve``);
 * :mod:`repro.telemetry`  — unified tracing, metrics and profiling:
-  nested spans across every layer above, Chrome trace-event /
-  jsonl / console exporters and span-aggregate regression checks
-  (``python -m repro trace``, ``--trace`` on run/serve/bench);
+  nested spans across every layer above and Chrome trace-event /
+  jsonl / console exporters (``python -m repro trace``, ``--trace``
+  on run/serve/bench);
 * :mod:`repro.uarch`      — the scoreboarded issue-width timing overlay
   over the exact machine: retirement-trace recording, dual-issue /
   blocking-cache re-timing with a guaranteed cycle sandwich, and the

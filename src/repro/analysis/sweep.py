@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import telemetry
 from ..asip.runner import AsipRunResult
 from ..asip.throughput import paper_mbps, throughput_report
 from ..engines import engine as build_engine
@@ -193,11 +194,16 @@ def scenario_sweep(names=None, symbols: int = None, backend: str = None,
 
     ``names`` defaults to every registered scenario.  Overrides
     (``backend=``, ``precision=``, ``workers=``, ``n_points=``,
-    ``symbols=``) apply uniformly — the sweep the CLI ``run --all``
-    and the bench recorder use.  Each row carries the scenario name,
-    geometry, backend, wall-clock, and whatever metrics the chain
-    produced (BER/EVM for modulated chains, cycles/overflow when the
-    backend emits them).
+    ``symbols=``) apply uniformly — the sweep behind the CLI's ``run``
+    and ``trace`` and the engine-speed bench's scenario rows.  Each row
+    carries the scenario name, geometry, backend, wall-clock, and
+    whatever metrics the chain produced (BER/EVM for modulated chains,
+    cycles/overflow when the backend emits them).
+
+    Each preset runs twice: a one-symbol warm-up, then the measured
+    run.  The warm-up runs under a throwaway tracer, so a tracer the
+    caller installed records the measured run only and its ``stage.*``
+    spans equal the row's ``stage_seconds``.
     """
     import time
 
@@ -220,7 +226,8 @@ def scenario_sweep(names=None, symbols: int = None, backend: str = None,
             # Warm the lazily-built engines (plan compilation, program
             # predecode) with a one-symbol pass so the recorded wall
             # clock measures scenario throughput, not construction.
-            pipe.run(symbols=1, seed=seed)
+            with telemetry.trace("warm-up"):
+                pipe.run(symbols=1, seed=seed)
             started = time.perf_counter()
             result = pipe.run(symbols=count, seed=seed)
             elapsed = time.perf_counter() - started

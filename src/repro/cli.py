@@ -13,10 +13,7 @@ Usage::
     python -m repro run <scenario> [--symbols K] [--backend B]
     python -m repro run --list          # registered scenario presets
     python -m repro run --all           # every preset, one table
-    python -m repro run <scenario> --record PATH
-                                        # append stage_seconds to PATH
-    python -m repro trace <scenario> [--regress PATH]
-                                        # span tree, stages vs PATH
+    python -m repro trace <scenario>    # span tree of the measured run
     python -m repro verify --fuzz N [--seed S]
                                         # seeded differential fuzzing
     python -m repro verify --coexec <scenario> [--backends a,b]
@@ -39,11 +36,13 @@ resolves named presets from the scenario registry
 given ``--workers`` of 2 or more.  ``bench`` without ``--backend``
 times every backend and hands ``--workers`` to ``sharded`` only.
 
-No command writes a file it was not asked for.  ``run --record PATH``
-appends the run's rows to the one record file, which ``trace --regress
-PATH`` reads back (:mod:`repro.telemetry.regress` owns its format);
-``trace`` writes its export (``--out``, default ``trace.json``), and
-``--trace`` / ``report --output`` write the files they name.
+``run`` and ``trace`` time one warm run per scenario: the one-symbol
+warm-up before it reaches neither the printed wall time nor the trace.
+No command writes a file it was not asked for: ``trace`` writes its
+export (``--out``, default ``trace.json``), and ``--trace PATH`` (on
+``run`` / ``bench`` / ``serve``) and ``report --output`` write the
+files they name.  Run-to-run regression checks belong to perfbench and
+its ``compare.py``.
 """
 
 from __future__ import annotations
@@ -99,6 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     common = _engine_flags()
+    traced = argparse.ArgumentParser(add_help=False)
+    traced.add_argument("--trace", type=str, default="", metavar="PATH",
+                        help="also write a Chrome trace-event file of "
+                             "the command's spans to PATH")
 
     sub.add_parser("table1", help="Table I throughput sweep")
 
@@ -130,19 +133,16 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--seed", type=int, default=0)
 
     bench = sub.add_parser(
-        "bench", parents=[common],
+        "bench", parents=[common, traced],
         help="per-backend facade benchmark (all backends by default)",
     )
     bench.add_argument("--sizes", type=str, default="256",
                        help="comma-separated FFT sizes")
     bench.add_argument("--symbols", type=int, default=32)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--trace", type=str, default="", metavar="PATH",
-                       help="also record a Chrome trace-event file of "
-                            "the benchmark's spans")
 
     run = sub.add_parser(
-        "run", parents=[common],
+        "run", parents=[common, traced],
         help="run a named scenario preset through the pipeline API",
     )
     run.add_argument("scenario", nargs="?", default=None,
@@ -156,14 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="list registered scenarios and exit")
     run.add_argument("--all", action="store_true",
                      help="run every registered scenario (one table)")
-    run.add_argument("--record", type=str, default="", metavar="PATH",
-                     help="append this run's per-scenario rows (with "
-                          "stage_seconds) to this JSON file, the history "
-                          "`trace --regress PATH` compares against")
-    run.add_argument("--trace", type=str, default="", metavar="PATH",
-                     help="also record a Chrome trace-event file of the "
-                          "run's spans (pipeline stages, engine "
-                          "transforms, Viterbi sub-phases)")
 
     verify = sub.add_parser(
         "verify",
@@ -190,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0)
 
     serve = sub.add_parser(
-        "serve", parents=[common],
+        "serve", parents=[common, traced],
         help="supervised multi-tenant session serving under the "
              "threaded load generator",
     )
@@ -207,11 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--exec-timeout", type=float, default=None,
                        help="per-chunk watchdog bound in seconds")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--trace", type=str, nargs="?", const="trace.json",
-                       default="", metavar="PATH",
-                       help="also record a Chrome trace-event file of "
-                            "per-tenant request spans (default PATH: "
-                            "trace.json)")
 
     trace_cmd = sub.add_parser(
         "trace", parents=[common],
@@ -236,11 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also run an N-point interpreted ASIP "
                                 "FFT and merge its instruction timeline "
                                 "into the trace-event file")
-    trace_cmd.add_argument("--regress", type=str, default="",
-                           metavar="PATH",
-                           help="compare the run's stages against the "
-                                "history `run --record PATH` wrote "
-                                "(off by default)")
 
     uarch = sub.add_parser(
         "uarch",
@@ -516,66 +498,53 @@ def _cmd_run(args) -> str:
     overrides = _scenario_overrides(args)
     if args.all:
         rows = _scenario_rows(**overrides)
-        out = _scenario_row_table(rows, "Scenario sweep (pipeline API)")
-    else:
-        if not args.scenario:
-            raise SystemExit(
-                "run needs a scenario name (or --list / --all); "
-                f"registered: {', '.join(scenario_names())}"
-            )
-        spec = get_scenario(args.scenario)
-        rows = _scenario_rows(names=[spec.name], **overrides)
-        row = rows[0]
-        lines = [
-            f"{spec.name}: {spec.description}",
-            row["chain"],
-            f"symbols = {row['symbols']}   wall = {row['wall_ms']:.1f} ms "
-            f"({row['symbols_per_s']:.0f} symbols/s)",
-        ]
-        if "coded_ber" in row:
-            lines.append(
-                f"coded BER = {row['coded_ber']:.5f}   "
-                f"uncoded BER = {row['uncoded_ber']:.5f}   "
-                f"FER = {row['fer']:.3f}   ({row['code']})"
-            )
-            if "evm_percent" in row:
-                lines.append(f"EVM = {row['evm_percent']:.2f} %")
-        elif "ber" in row:
-            lines.append(f"BER = {row['ber']:.5f}"
-                         + (f"   EVM = {row['evm_percent']:.2f} %"
-                            if "evm_percent" in row else ""))
-        if "stage_seconds" in row:
-            slowest = sorted(row["stage_seconds"].items(),
-                             key=lambda kv: kv[1], reverse=True)[:3]
-            lines.append("slowest stages: " + "  ".join(
-                f"{name} {seconds * 1e3:.1f} ms"
-                for name, seconds in slowest
-            ))
-        if row.get("cycles_per_symbol"):
-            lines.append(
-                f"FFT cycles/symbol = {row['cycles_per_symbol']:.0f}"
-            )
-        if row["precision"] == "q15":
-            lines.append(f"overflow count = {row.get('overflow_count', 0)}")
-        out = "\n".join(lines)
-    if args.record:
-        try:
-            telemetry.record_run_rows(args.record, rows)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        out += f"\nrecorded -> {args.record}"
-    return out
+        return _scenario_row_table(rows, "Scenario sweep (pipeline API)")
+    if not args.scenario:
+        raise SystemExit(
+            "run needs a scenario name (or --list / --all); "
+            f"registered: {', '.join(scenario_names())}"
+        )
+    spec = get_scenario(args.scenario)
+    row = _scenario_rows(names=[spec.name], **overrides)[0]
+    lines = [
+        f"{spec.name}: {spec.description}",
+        row["chain"],
+        f"symbols = {row['symbols']}   wall = {row['wall_ms']:.1f} ms "
+        f"({row['symbols_per_s']:.0f} symbols/s)",
+    ]
+    if "coded_ber" in row:
+        lines.append(
+            f"coded BER = {row['coded_ber']:.5f}   "
+            f"uncoded BER = {row['uncoded_ber']:.5f}   "
+            f"FER = {row['fer']:.3f}   ({row['code']})"
+        )
+        if "evm_percent" in row:
+            lines.append(f"EVM = {row['evm_percent']:.2f} %")
+    elif "ber" in row:
+        lines.append(f"BER = {row['ber']:.5f}"
+                     + (f"   EVM = {row['evm_percent']:.2f} %"
+                        if "evm_percent" in row else ""))
+    if "stage_seconds" in row:
+        slowest = sorted(row["stage_seconds"].items(),
+                         key=lambda kv: kv[1], reverse=True)[:3]
+        lines.append("slowest stages: " + "  ".join(
+            f"{name} {seconds * 1e3:.1f} ms"
+            for name, seconds in slowest
+        ))
+    if row.get("cycles_per_symbol"):
+        lines.append(f"FFT cycles/symbol = {row['cycles_per_symbol']:.0f}")
+    if row["precision"] == "q15":
+        lines.append(f"overflow count = {row.get('overflow_count', 0)}")
+    return "\n".join(lines)
 
 
 def _cmd_trace(args) -> tuple:
     """Returns ``(text, exit_code)``: one scenario run under the tracer.
 
     The scenario executes through the pipeline API with a fresh tracer
-    installed; the finished spans export through the chosen registered
-    exporter, the console summary tree prints either way, and with
-    ``--regress PATH`` the ``stage.*`` aggregates are compared against
-    the stage history ``run --record PATH`` wrote (informational — a
-    flagged stage is reported, not fatal).
+    installed; the spans of its measured run (the warm-up before it
+    stays out of the tracer) export through the chosen registered
+    exporter, and the console summary tree prints either way.
     """
     from .scenarios import get_scenario
 
@@ -599,11 +568,6 @@ def _cmd_trace(args) -> tuple:
         f"{row['wall_ms']:.1f} ms on {row['backend']!r}",
         telemetry.ConsoleExporter().render(tracer).rstrip(),
     ]
-    if args.regress:
-        report = telemetry.compare_with_history(
-            tracer, spec.name, Path(args.regress),
-        )
-        lines.append(report.describe())
     suffix = (f" (+{len(extra_events)} instruction events)"
               if extra_events else "")
     lines.append(
@@ -814,7 +778,7 @@ def main(argv=None) -> int:
     (scenario, backend, exporter, ...) exits with the registered menu.
     """
     args = build_parser().parse_args(argv)
-    trace_path = getattr(args, "trace", "") or ""
+    trace_path = getattr(args, "trace", "")
     try:
         if not trace_path:
             return _dispatch(args)

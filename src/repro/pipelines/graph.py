@@ -446,8 +446,8 @@ class Pipeline:
                 outputs[key] = data
                 stage_seconds[key] = elapsed
         # Per-stage wall clock rides in the metrics dictionary so every
-        # consumer of the result (CLI --record rows, sweeps, benches)
-        # sees where the run's time went.
+        # consumer of the result (CLI run rows, sweeps, benches) sees
+        # where the run's time went.
         ctx.metrics["stage_seconds"] = stage_seconds
         return PipelineResult(
             name=self.name,

@@ -16,8 +16,9 @@ across worker threads) > ``session.chunk`` > ``pool.execute`` >
 ``stage_seconds`` metric is derived) > ``viterbi.branch-metrics`` /
 ``viterbi.acs`` / ``viterbi.traceback``; circuit-breaker state changes
 land as instant events.  With no tracer installed every site costs one
-attribute load and a ``None`` check (pinned <= 2% by the quick
-engine-speed bench's telemetry row).
+attribute load and a ``None`` check: no clock read, no allocation
+(pinned by a call-count gate in the tier-1 tests and by the full
+engine-speed bench's <= 1.02x floor).
 
 Submodules:
 
@@ -26,13 +27,12 @@ Submodules:
 * :mod:`repro.telemetry.metrics` — the nearest-rank
   :func:`percentile` the serve tier uses;
 * :mod:`repro.telemetry.export`  — the exporter registry
-  (``chrome-trace`` / ``jsonl`` / ``console``) + trace validation;
-* :mod:`repro.telemetry.regress` — the ``run --record`` stage
-  history (its one writer and reader), span aggregates compared
-  against it, and the atomic JSON writer.
+  (``chrome-trace`` / ``jsonl`` / ``console``) + trace validation.
 
-Surfaced on the CLI as ``python -m repro trace <scenario> [--regress
-PATH]`` and the ``--trace`` flag on ``run`` / ``serve`` / ``bench``.
+Surfaced on the CLI as ``python -m repro trace <scenario>`` and the
+``--trace PATH`` flag on ``run`` / ``serve`` / ``bench``.  Regression
+checks across runs and hosts belong to perfbench and its
+``compare.py``, not to this package.
 """
 
 from .export import (
@@ -49,13 +49,6 @@ from .export import (
     validate_trace_events,
 )
 from .metrics import percentile
-from .regress import (
-    RegressionReport,
-    atomic_write_json,
-    compare_with_history,
-    record_run_rows,
-    span_aggregates,
-)
 from .spans import (
     NULL_SPAN,
     Span,
@@ -99,10 +92,4 @@ __all__ = [
     "exporter_names",
     "exporter_specs",
     "validate_trace_events",
-    # regress
-    "atomic_write_json",
-    "record_run_rows",
-    "span_aggregates",
-    "compare_with_history",
-    "RegressionReport",
 ]

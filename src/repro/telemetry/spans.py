@@ -19,8 +19,9 @@ The module-level API is what instrumented code calls:
 * :func:`trace` — install a fresh tracer for a ``with`` block;
 * :func:`enabled` — is any tracer installed right now?
 
-**Disabled-overhead rule** (pinned by the quick engine-speed bench's
-telemetry row): with no tracer installed, :func:`span` returns one
+**Disabled-overhead rule** (pinned by a call-count gate in
+``tests/test_telemetry.py`` and by the full engine-speed bench's
+telemetry floor): with no tracer installed, :func:`span` returns one
 cached no-op context manager — a module attribute load, a ``None``
 check and a constant return.  No ``Span`` object, no clock read, no lock.  Hot
 loops that want to skip even argument building can guard with
@@ -274,18 +275,6 @@ class Tracer:
         with self._lock:
             return list(self._orphan_events)
 
-    def aggregates(self) -> dict:
-        """Per-name totals: ``{name: {count, total_s, max_s}}``."""
-        totals = {}
-        for record in self.finished():
-            row = totals.setdefault(
-                record.name, {"count": 0, "total_s": 0.0, "max_s": 0.0}
-            )
-            row["count"] += 1
-            row["total_s"] += record.duration
-            row["max_s"] = max(row["max_s"], record.duration)
-        return totals
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._finished_spans)
@@ -339,8 +328,8 @@ class trace:
     """``with telemetry.trace() as tracer:`` — trace the enclosed block.
 
     Installs a fresh :class:`Tracer` on entry and uninstalls it on
-    exit; the tracer object stays readable afterwards (export it, feed
-    it to :func:`repro.telemetry.regress.compare_with_history`).
+    exit, restoring whichever tracer was active before; the tracer
+    object stays readable afterwards (export it, render it).
     """
 
     def __init__(self, name: str = "trace"):

@@ -1,13 +1,11 @@
 """The ``python -m repro`` reproduction CLI."""
 
-import re
-
 import pytest
 
 from repro.cli import build_parser, main
 from repro.core.registry import backend_names
 from repro.scenarios import scenario_names
-from repro.telemetry import exporter_names
+from repro.telemetry import exporter_names, validate_trace_events
 
 BOGUS = "definitely-not-registered"
 
@@ -229,7 +227,8 @@ class TestUnknownNames:
 
 
 class TestFileWrites:
-    """Only ``run --record PATH`` writes a record, and only to PATH."""
+    """No command writes a file by default; ``--trace PATH`` writes one
+    trace-event file, at PATH."""
 
     SPECTRAL = ["spectral", "--size", "64", "--symbols", "2"]
 
@@ -246,29 +245,22 @@ class TestFileWrites:
         assert main(argv) == 0
         assert list(tmp_path.iterdir()) == []
 
-    def test_record_then_regress_round_trip(self, tmp_path, capsys):
-        record = tmp_path / "runs.json"
-        assert main(["run", *self.SPECTRAL, "--record", str(record)]) == 0
-        assert f"recorded -> {record}" in capsys.readouterr().out
-        # A stage flags at over 2x its baseline and 2 ms.  On a shared
-        # host a few percent of these sub-ms transforms stall for ~4 ms,
-        # so a flagged run gets one re-run, as the quick bench's timing
-        # rows do; a format mismatch fails both runs.
-        for _ in range(2):
-            assert main(["trace", *self.SPECTRAL, "--out",
-                         str(tmp_path / "t.json"), "--regress",
-                         str(record)]) == 0
-            out = capsys.readouterr().out
-            if "within threshold" in out:
-                break
-        assert re.search(r"regress: [1-9]\d* stages within threshold", out)
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--sizes", "16", "--symbols", "2"],
+        ["serve", "--tenants", "2", "--symbols", "8", "--size", "16"],
+        ["run", *SPECTRAL],
+    ], ids=["bench", "serve", "run"])
+    def test_trace_flag_writes_one_file_at_path(self, argv, tmp_path,
+                                                 monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--trace", "spans.json"]) == 0
+        assert list(tmp_path.iterdir()) == [tmp_path / "spans.json"]
+        assert validate_trace_events((tmp_path / "spans.json").read_text())
+        assert "trace -> spans.json" in capsys.readouterr().out
 
-    def test_record_refuses_a_file_it_cannot_parse(self, tmp_path, capsys):
-        span_log = tmp_path / "t.jsonl"
-        assert main(["trace", *self.SPECTRAL, "--exporter", "jsonl",
-                     "--out", str(span_log)]) == 0
-        before = span_log.read_bytes()
-        with pytest.raises(SystemExit, match=re.escape(str(span_log))):
-            main(["run", *self.SPECTRAL, "--record", str(span_log)])
-        assert span_log.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.jsonl"]
+    @pytest.mark.parametrize("command", ["bench", "serve", "run"])
+    def test_trace_flag_requires_a_path(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--trace"])
+        assert excinfo.value.code == 2
+        assert "--trace: expected one argument" in capsys.readouterr().err

@@ -1,7 +1,5 @@
 """The coded OFDM chain through pipelines, scenarios, CLI and metrics."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -187,11 +185,11 @@ class TestCodedCli:
         assert "FER" in out
         assert "slowest stages" in out
 
-    def test_run_record_includes_coded_rows(self, tmp_path, capsys):
-        target = tmp_path / "bench.json"
-        assert main(["run", "--all", "--size", "64", "--symbols", "2",
-                     "--record", str(target)]) == 0
-        rows = json.loads(target.read_text())["cli_run"]["latest"]["rows"]
+    def test_run_record_includes_coded_rows(self):
+        from repro.analysis import scenario_sweep
+
+        # The rows ``run --all`` tabulates.
+        rows = scenario_sweep(n_points=64, symbols=2)
         by_name = {row["scenario"]: row for row in rows}
         assert set(by_name) == set(scenario_names())
         for name in CODED_PRESETS:

@@ -1,7 +1,5 @@
 """The scenario registry, presets, wiring and the `run` CLI."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -201,16 +199,15 @@ class TestRunCli:
         out = capsys.readouterr().out
         assert "cycles/symbol" in out
 
-    def test_run_all_records_rows(self, tmp_path, capsys):
-        target = tmp_path / "bench.json"
-        assert main(["run", "--all", "--size", "32", "--symbols", "2",
-                     "--record", str(target)]) == 0
+    def test_run_all_records_rows(self, capsys):
+        assert main(["run", "--all", "--size", "32", "--symbols", "2"]) == 0
         out = capsys.readouterr().out
         assert "Scenario sweep" in out
-        stored = json.loads(target.read_text())
-        rows = stored["cli_run"]["latest"]["rows"]
-        assert {r["scenario"] for r in rows} == set(scenario_names())
-        assert all("wall_ms" in r for r in rows)
+        header, *rows = [[cell.strip() for cell in line.split("|")]
+                         for line in out.splitlines() if "|" in line]
+        assert header[0] == "scenario" and header[-1] == "wall ms"
+        assert {row[0] for row in rows} == set(scenario_names())
+        assert all(float(row[-1]) >= 0.0 for row in rows)
 
     def test_run_unknown_scenario_exits_with_menu(self):
         with pytest.raises(SystemExit, match="uwb-ofdm"):
