@@ -26,7 +26,9 @@ silently:
   the per-step reference oracle (bit-identical) on 64-state, 1k-bit
   blocks, floor **5x** (same floor in quick mode — the reference is
   pure Python, so the margin is wide); the row also prints the fast
-  decode's ACS time per trellis step and its traceback time.
+  decode's ACS time per trellis step and its traceback time (one block
+  of 64 states is under the windowed-traceback crossover, so that is
+  the windowed walk's time).
 
 Each run also executes every registered **scenario preset** through the
 pipeline API (``repro.run_scenario``) and checks each preset produced a

@@ -16,6 +16,16 @@ units; pass ``noise_var`` to scale onto the true log-likelihood grid
 (``(d1 - d0) / noise_var`` — an affine scale the Viterbi decision is
 invariant to, so the chain leaves it off by default).
 
+**Oracle twin.**  :meth:`SoftDemapper.llrs_reference` is the readable
+form: squared distances along a trailing points axis and, per bit, a
+minimum over each subset with the other subset masked to ``inf``.
+:meth:`SoftDemapper.llrs` lays the same ``np.abs(z - p) ** 2`` values
+out points-major and reduces each subset along the leading axis through
+precomputed index arrays.  A minimum does not depend on the order of
+its operands, and both take the same NaN and ``inf`` values, so the two
+are bit-identical, NaN and sign bits included, and raise the same
+floating-point warnings.
+
 The **demapper registry** mirrors the other registries — one entry per
 constellation scheme, :class:`~repro.core.registry.UnknownNameError`
 with the menu on failed lookups.  BPSK/QPSK/16-QAM are built in;
@@ -56,6 +66,9 @@ class SoftDemapper:
             ((indices >> (width - 1 - k)) & 1).astype(bool)
             for k in range(width)
         ])
+        # Per bit, the indices of the points carrying it as 0 and as 1.
+        self._subsets = [(np.flatnonzero(~ones), np.flatnonzero(ones))
+                         for ones in self._bit_is_one]
         self._points = points
 
     def __repr__(self) -> str:
@@ -66,8 +79,27 @@ class SoftDemapper:
 
         The output bit order matches the mapper's input bit order, so
         ``llrs(map_bits(bits)) < 0`` recovers ``bits`` exactly in the
-        noiseless case.  The whole batch demaps in one vectorised pass.
+        noiseless case.  The whole batch demaps in one vectorised pass,
+        bit-identical to :meth:`llrs_reference`.
         """
+        symbols = np.asarray(symbols, dtype=complex)
+        # (points, ..., N) squared distances, then per bit one reduction
+        # over each point subset along the leading axis.
+        points = self._points.reshape((-1,) + (1,) * symbols.ndim)
+        dist = np.abs(symbols - points) ** 2
+        llr = np.empty(symbols.shape + (self.bits_per_symbol,))
+        for k, (zeros, ones) in enumerate(self._subsets):
+            d0 = np.minimum.reduce(dist.take(zeros, axis=0), axis=0)
+            d1 = np.minimum.reduce(dist.take(ones, axis=0), axis=0)
+            llr[..., k] = d1 - d0
+        out = llr.reshape(symbols.shape[:-1] + (-1,))
+        if noise_var is not None:
+            out = out / float(noise_var)
+        return out
+
+    def llrs_reference(self, symbols, noise_var: float = None) -> np.ndarray:
+        """The masked per-bit minimum over a trailing points axis: the
+        readable oracle :meth:`llrs` must equal bit for bit."""
         symbols = np.asarray(symbols, dtype=complex)
         # (..., N, points) squared distances, then per-bit min over the
         # bit-0 / bit-1 point subsets.

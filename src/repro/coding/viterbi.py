@@ -29,7 +29,14 @@ owns two datapaths over the same trellis tables and the fast one is
     (``add``, ``greater``, a copy and a masked ``copyto``);
   - *traceback*: one predecessor table ``((s << 1) & mask) | decision``
     (``uint8`` up to 256 states, wider above) built in a single
-    vectorised op, walked with one ``take`` per step.
+    vectorised op.  Up to ``_WINDOWED_TRACEBACK_MAX`` blocks × states,
+    windows of about ``sqrt(steps)`` steps are chased back all at once
+    from every end state, and the window maps are composed backwards
+    from state 0 (a two-level parallel prefix over function
+    composition), so the walk costs ``O(sqrt(steps))`` numpy calls.
+    Above it, where pass 1's S-fold element work costs more, the table
+    is walked with one ``add`` and one ``take`` per step; that serial
+    walk is the windowed one's oracle.
 
 The select is the reference's ``cand1 if cand1 > cand0 else cand0``: a
 branch from the lower-indexed predecessor wins ties, and a NaN
@@ -57,6 +64,8 @@ Depunctured positions carry LLR 0 and contribute nothing.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .convolutional import ConvolutionalCode
@@ -69,6 +78,11 @@ __all__ = ["ViterbiDecoder"]
 #: buffer ACS refills with branch metrics and overwrites with
 #: candidates (2 MB of float64).
 _CHUNK_ELEMENTS = 1 << 18
+
+#: blocks × states up to which the traceback chases every window at
+#: once; above it the windowed walk's S-fold element work costs more
+#: than the serial walk's two calls per step (DESIGN.md, sweep table).
+_WINDOWED_TRACEBACK_MAX = 512
 
 
 class ViterbiDecoder:
@@ -207,24 +221,105 @@ class ViterbiDecoder:
         states)`` survivor decisions.
 
         Terminated blocks end in state 0.  Step ``t``'s predecessor of
-        state ``s`` is ``((s << 1) & mask) | decisions[t, b, s]``: one
-        table for the whole trellis, walked back with one ``take`` per
-        step over all blocks.
+        state ``s`` is ``((s << 1) & mask) | decisions[t, b, s]``; the
+        survivor is chased back from state 0 through those tables in
+        windows of about ``sqrt(steps)`` steps
+        (:meth:`_traceback_windowed`) up to ``_WINDOWED_TRACEBACK_MAX``
+        blocks × states, and one step at a time above it
+        (:meth:`_traceback_serial`).  Both give the same bits.
         """
         steps, blocks, n_states = decisions.shape
-        memory = self.code.memory
+        if blocks * n_states > _WINDOWED_TRACEBACK_MAX:
+            return self._traceback_serial(decisions)
+        return self._traceback_windowed(decisions,
+                                        max(1, math.isqrt(steps)))
+
+    def _predecessors(self, decisions, out=None):
+        """Every step's predecessor of every state, in one vectorised
+        op: ``(steps, blocks, states)``, ``uint8`` up to 256 states."""
         dtype = np.min_scalar_type(self._state_mask)
-        base = (np.arange(n_states, dtype=dtype) << 1) & self._state_mask
-        pred = (base | decisions.view(np.uint8)).reshape(steps, -1)
+        base = (np.arange(self.code.n_states, dtype=dtype) << 1) \
+            & self._state_mask
+        return np.bitwise_or(base, decisions.view(np.uint8), out=out)
+
+    def _traceback_serial(self, decisions):
+        """The survivor walk one step at a time: one ``add`` and one
+        ``take`` per step over all blocks."""
+        steps, blocks, n_states = decisions.shape
+        memory = self.code.memory
+        pred = self._predecessors(decisions).reshape(steps, -1)
         # after[t]: each block's survivor state after step t, whose MSB
         # is step t's info bit.
-        after = np.zeros((steps, blocks), dtype=dtype)
+        after = np.zeros((steps, blocks), dtype=pred.dtype)
         offsets = np.arange(blocks) * n_states
         index = np.empty_like(offsets)
         for t in range(steps - 1, 0, -1):
             np.add(offsets, after[t], out=index)
             pred[t].take(index, out=after[t - 1], mode="clip")
         return (after[:steps - memory].T >> (memory - 1)).astype(np.uint8)
+
+    def _traceback_windowed(self, decisions, length):
+        """The survivor walk over windows of ``length`` steps, every
+        window at once, in three passes:
+
+        1. chase each window back from each of its S possible end
+           states: one ``add`` and one ``take`` per window step over
+           windows × blocks × states lanes, which leaves each window's
+           map from its end state to the state before it;
+        2. compose those maps backwards from state 0, one window at a
+           time, which fixes every window's end state;
+        3. chase the one survivor per window back from that end state:
+           one ``add`` and one ``take`` per window step over windows ×
+           blocks lanes.
+
+        About ``4 * length + 2 * steps / length`` numpy calls, against
+        ``2 * steps`` for :meth:`_traceback_serial`, for S times its
+        element work in pass 1.
+        """
+        steps, blocks, n_states = decisions.shape
+        memory = self.code.memory
+        width = -(-steps // length)
+        row = blocks * n_states
+        # table[t]: step t's predecessors.  The pad steps past the last
+        # one send every state to 0, the terminated end state.
+        table = np.empty((width * length, blocks, n_states),
+                         dtype=np.min_scalar_type(self._state_mask))
+        self._predecessors(decisions, out=table[:steps])
+        table[steps:] = 0
+        # Row w * length + l of block b starts at lanes[w, b] in
+        # flat[l * row:], so one take serves step l of every window.
+        flat = table.reshape(-1)
+        lanes = (np.arange(width)[:, None] * (length * blocks)
+                 + np.arange(blocks)) * n_states
+        # 1. states[w, b, s]: the state before window w's step l, if
+        # the window ends in state s.
+        states = np.empty((width, blocks, n_states), dtype=table.dtype)
+        states[...] = np.arange(n_states, dtype=table.dtype)
+        # Materialised rather than broadcast: the contiguous add ran
+        # 7-13% faster on the traceback's larger bursts.
+        fan = np.repeat(lanes[..., None], n_states, axis=-1)
+        index = np.empty_like(fan)
+        for l in range(length - 1, -1, -1):
+            np.add(fan, states, out=index)
+            flat[l * row:].take(index, out=states, mode="clip")
+        # 2. ends[w, b]: block b's survivor state after window w.
+        ends = np.zeros((width, blocks), dtype=table.dtype)
+        entry = states.reshape(width, -1)
+        offsets = np.arange(blocks) * n_states
+        pick = np.empty_like(offsets)
+        for w in range(width - 1, 0, -1):
+            np.add(offsets, ends[w], out=pick)
+            entry[w].take(pick, out=ends[w - 1], mode="clip")
+        # 3. after[l, w, b]: the survivor state after step
+        # w * length + l.
+        after = np.empty((length, width, blocks), dtype=table.dtype)
+        after[-1] = ends
+        index = np.empty_like(lanes)
+        for l in range(length - 1, 0, -1):
+            np.add(lanes, after[l], out=index)
+            flat[l * row:].take(index, out=after[l - 1], mode="clip")
+        path = after.transpose(1, 0, 2).reshape(-1, blocks)
+        return (path[:steps - memory].T >> (memory - 1)).astype(np.uint8)
 
     def decode_reference(self, llr_steps) -> np.ndarray:
         """The per-step, per-state oracle walk (readable specification).

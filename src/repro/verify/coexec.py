@@ -25,8 +25,9 @@ site:
   one decoder against the per-state oracle walk of another, compared
   per trellis step; localises to the first mismatching (step, state)
   with both sides' decisions and path metrics.
-* :func:`coexec_llrs` — two soft demappers over the same symbols;
-  localises to the first mismatching (symbol, bit) LLR.
+* :func:`coexec_llrs` — two soft demappers over the same symbols,
+  exact at ``atol=0`` (NaN and sign bits included); localises to the
+  first mismatching (symbol, bit) LLR.
 * :func:`coexec_demap` — the hard slicer of one constellation against
   its argmin oracle; localises to the first mismatching (symbol, bit).
 * :func:`coexec_backends` — end-to-end facade diff between two
@@ -656,16 +657,32 @@ def coexec_viterbi(code="conv-k3", *, a=None, b=None, llrs=None,
 def coexec_llrs(a, b, symbols, *, noise_var: float = None,
                 atol: float = 0.0,
                 names: tuple = ("demap-a", "demap-b")) -> CoexecResult:
-    """Compare two soft demappers bit-position by bit-position."""
+    """Compare two soft demappers bit-position by bit-position.
+
+    At ``atol=0`` the LLRs must be identical, as in :func:`coexec_demap`:
+    NaN matches NaN and sign bits must agree.  At any ``atol`` a NaN on
+    one side only is a mismatch.  The first mismatch localises to
+    (symbol, bit): the row counted flat over any leading axes, and the
+    LLR position within it.
+    """
     start = time.perf_counter()
     symbols = np.asarray(symbols, dtype=complex)
     llr_a = np.atleast_2d(a.llrs(symbols, noise_var))
+    llr_a = llr_a.reshape(-1, llr_a.shape[-1])
     llr_b = np.atleast_2d(b.llrs(symbols, noise_var))
-    err = np.abs(llr_a - llr_b)
+    llr_b = llr_b.reshape(-1, llr_b.shape[-1])
+    nan_a, nan_b = np.isnan(llr_a), np.isnan(llr_b)
+    with np.errstate(invalid="ignore"):
+        err = np.abs(llr_a - llr_b)
+    if atol == 0:
+        wrong = ~((llr_a == llr_b) | (nan_a & nan_b))
+        wrong |= np.signbit(llr_a) != np.signbit(llr_b)
+    else:
+        wrong = (err > atol) | (nan_a != nan_b)
     steps = int(llr_a.shape[-1])
-    if err.size and float(err.max()) > atol:
-        sym, bit = (int(i) for i in np.argwhere(err > atol)[0][:2]) \
-            if err.ndim >= 2 else (0, int(np.argwhere(err > atol)[0][0]))
+    if wrong.any():
+        sym, bit = (int(i) for i in np.argwhere(wrong)[0])
+        measured = err[~np.isnan(err)]
         report = DivergenceReport(
             kind="llr",
             backends=names,
@@ -676,7 +693,8 @@ def coexec_llrs(a, b, symbols, *, noise_var: float = None,
                           == -np.sign(llr_b[sym, bit]))},
             operands={"a": float(llr_a[sym, bit]),
                       "b": float(llr_b[sym, bit])},
-            max_error=float(err.max()),
+            max_error=float(measured.max()) if measured.size else 0.0,
+            message=f"{int(wrong.sum())} LLR(s) differ",
         )
         return CoexecResult("llr", names, steps, report,
                             time.perf_counter() - start)

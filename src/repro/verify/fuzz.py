@@ -21,9 +21,11 @@ Six generator families, all driven by one ``numpy`` PCG64 stream so a
   on the equalised subcarriers (:func:`~repro.verify.coexec.coexec_demap`).
 * ``coded`` — random coded-link parameters (code, puncture rate,
   interleaver, constellation, SNR): encoder fast path vs the
-  shift-register oracle, interleave/deinterleave round trip, and the
+  shift-register oracle, interleave/deinterleave round trip, the
   vectorised Viterbi vs the per-state walk over the same noisy LLR
-  grid — all exact.
+  grid, and the constellation's soft demapper vs its oracle twin on
+  random symbols with a few ``±inf``, NaN and ``±1e308`` components
+  (:func:`~repro.verify.coexec.coexec_llrs`) — all exact.
 * ``serve`` — a random multi-tenant serving workload (tenant count,
   feed sizes, batch, deadlines, optionally one injected pool fault on
   tenant 0) run deterministically through a
@@ -50,6 +52,7 @@ returns a :class:`FuzzReport`; the fixed-seed tier-1 smoke asserts its
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,6 +60,7 @@ from .coexec import (
     DivergenceReport,
     coexec_backends,
     coexec_demap,
+    coexec_llrs,
     coexec_viterbi,
 )
 
@@ -398,6 +402,26 @@ def _run_coded(config) -> DivergenceReport:
             step_index=k, location={"info_bit": k, **_coords(config)},
             operands={"a": int(dec_fast[k]), "b": int(dec_ref[k])},
         )
+
+    # Soft demapper vs its oracle twin (exact, NaN and sign bits
+    # included) on random symbols, some components inf, NaN or huge.
+    # Drawn last, so a seed's earlier draws do not depend on it.
+    reference = getattr(demapper, "llrs_reference", None)
+    if reference is None:
+        return None
+    parts = rng.standard_normal((2, 2, 16))
+    odd = rng.random(parts.shape) < 0.1
+    parts[odd] = rng.choice([np.inf, -np.inf, np.nan, 1e308, -1e308],
+                            size=int(odd.sum()))
+    symbols = parts[0] + 0j
+    symbols.imag = parts[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = coexec_llrs(demapper, SimpleNamespace(llrs=reference),
+                             symbols, names=("demap-points-major",
+                                             "demap-reference"))
+    if not result.ok:
+        result.report.location.update(_coords(config))
+        return result.report
     return None
 
 

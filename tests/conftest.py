@@ -1,6 +1,8 @@
 """Test-suite hooks, the hand-composed OFDM chain fixture and the
-Viterbi ufunc-call counter."""
+call counters of the cost gates."""
 
+import gc
+import sys
 import warnings
 from collections import Counter
 from types import SimpleNamespace
@@ -126,3 +128,38 @@ def viterbi_calls(monkeypatch):
     monkeypatch.setattr(viterbi, "np", _CountingNumpy(
         ("add", "maximum", "greater", "copyto"), counts))
     return counts
+
+
+def _python_calls(fn) -> int:
+    """Python and builtin calls ``fn()`` makes (``sys.setprofile`` sees
+    no ufunc call, so this counts the Python glue around the kernels).
+
+    The cyclic collector is off while ``fn`` runs: a collection there
+    runs the finalizers of garbage other tests left behind (a pooled
+    engine's ``__del__``, an executor's weakref callback), whose calls
+    the profile would count as ``fn``'s.
+    """
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        if enabled:
+            gc.enable()
+    return count
+
+
+@pytest.fixture
+def python_calls():
+    """:func:`_python_calls`, the counter of the host-independent cost
+    gates."""
+    return _python_calls

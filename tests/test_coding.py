@@ -1,7 +1,11 @@
 """The channel-coding subsystem: codec, interleavers, demappers, Viterbi."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import repro
 from repro.coding import (
@@ -308,6 +312,44 @@ class TestViterbiExactness:
         assert fast.shape == (0, 34) and fast.dtype == np.uint8
 
 
+class TestWindowedTraceback:
+    """Every window length of ``_traceback_windowed`` against the serial
+    walk, on random survivor decisions (every bool grid is a valid
+    trellis), with ``_traceback`` on both sides of the crossover."""
+
+    @pytest.mark.parametrize("steps", ("memory+1", 7, 1006, 2730))
+    @pytest.mark.parametrize("blocks", (1, 4, 32))
+    @pytest.mark.parametrize("code_name", ("conv-k7", "conv-k3"))
+    def test_windows_match_the_serial_walk(self, code_name, blocks, steps):
+        decoder = ViterbiDecoder(get_code(code_name))
+        if steps == "memory+1":
+            steps = decoder.code.memory + 1
+        rng = np.random.default_rng(steps * blocks)
+        shape = (steps, blocks, decoder.code.n_states)
+        decisions = rng.integers(0, 2, size=shape, dtype=np.uint8).view(bool)
+        serial = decoder._traceback_serial(decisions)
+        assert serial.shape == (blocks, steps - decoder.code.memory)
+        assert np.array_equal(decoder._traceback(decisions), serial)
+        for length in (1, 2, 7, 64, steps, steps + 5):
+            assert np.array_equal(
+                decoder._traceback_windowed(decisions, length), serial)
+
+    def test_wide_state_table(self):
+        """One block of a 512-state code is windowed, over a ``uint16``
+        predecessor table."""
+        decoder = ViterbiDecoder(
+            ConvolutionalCode("k10-test", (0o1167, 0o1545)))
+        rng = np.random.default_rng(22)
+        decisions = rng.integers(0, 2, size=(300, 1, 512),
+                                 dtype=np.uint8).view(bool)
+        assert decoder._predecessors(decisions).dtype == np.uint16
+        serial = decoder._traceback_serial(decisions)
+        assert np.array_equal(decoder._traceback(decisions), serial)
+        for length in (1, 17, 300, 305):
+            assert np.array_equal(
+                decoder._traceback_windowed(decisions, length), serial)
+
+
 class TestInterleavers:
     def test_block_interleaver_round_trip(self):
         rng = np.random.default_rng(8)
@@ -382,6 +424,50 @@ class TestSoftDemappers:
         symbols = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         assert np.allclose(demapper.llrs(symbols, noise_var=0.5),
                            demapper.llrs(symbols) / 0.5)
+
+
+def _llrs_warned(fn, symbols):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        out = fn(symbols)
+    return out, {(w.category, str(w.message)) for w in seen}
+
+
+def _llrs_match_oracle(demapper, symbols):
+    """``llrs`` equals ``llrs_reference`` bit for bit, NaN and sign
+    bits included, and warns only where the oracle warns."""
+    fast, fast_warned = _llrs_warned(demapper.llrs, symbols)
+    oracle, oracle_warned = _llrs_warned(demapper.llrs_reference, symbols)
+    assert fast.shape == oracle.shape and fast.dtype == oracle.dtype
+    assert np.array_equal(fast, oracle, equal_nan=True)
+    assert np.array_equal(np.signbit(fast), np.signbit(oracle))
+    assert fast_warned <= oracle_warned
+
+
+class TestSoftDemapperExactness:
+    """``llrs`` against its oracle twin on noisy, signed-zero, infinite,
+    NaN and overflowing components."""
+
+    @pytest.mark.parametrize("shape", ((4, 2048), (1, 7), (3, 5, 16)))
+    @pytest.mark.parametrize("scheme", ("bpsk", "qpsk", "16qam"))
+    def test_llrs_match_the_oracle(self, scheme, shape):
+        demapper = get_demapper(scheme)
+        rng = np.random.default_rng(31)
+        parts = rng.standard_normal((2,) + shape)
+        _llrs_match_oracle(demapper, parts[0] + 1j * parts[1])
+        odd = rng.random(parts.shape) < 0.2
+        parts[odd] = rng.choice(
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308],
+            size=int(odd.sum()))
+        symbols = parts[0] + 0j
+        symbols.imag = parts[1]
+        _llrs_match_oracle(demapper, symbols)
+
+    @given(st.sampled_from(("bpsk", "qpsk", "16qam")),
+           arrays(np.complex128, array_shapes(max_dims=3, max_side=6)))
+    @settings(deadline=None, max_examples=150)
+    def test_llrs_match_the_oracle_on_any_input(self, scheme, symbols):
+        _llrs_match_oracle(get_demapper(scheme), symbols)
 
 
 class TestCodingRegistries:

@@ -7,7 +7,6 @@ Each gate runs warm ``uwb-ofdm`` bursts (1024-carrier QPSK at 20 dB) on
 the ``compiled`` backend at three burst sizes.
 """
 
-import sys
 from functools import partial
 
 import numpy as np
@@ -26,25 +25,7 @@ def pipe():
         yield pipe
 
 
-def python_calls(fn) -> int:
-    """Python and builtin calls ``fn()`` makes (``sys.setprofile`` sees
-    no ufunc call, so this counts the Python glue around the kernels)."""
-    count = 0
-
-    def profile(frame, event, arg):
-        nonlocal count
-        if event in ("call", "c_call"):
-            count += 1
-
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return count
-
-
-def test_burst_python_calls_do_not_grow_with_symbols(pipe):
+def test_burst_python_calls_do_not_grow_with_symbols(pipe, python_calls):
     """Every stage makes one burst-wide call, whatever the burst size."""
     counts = [python_calls(partial(pipe.run, symbols=symbols, seed=7))
               for symbols in SYMBOLS]

@@ -24,6 +24,7 @@ from repro.verify import (
     coexec_backends,
     coexec_demap,
     coexec_fft,
+    coexec_llrs,
     coexec_viterbi,
     demonstrate_fault,
     fuzz_backends,
@@ -145,6 +146,46 @@ class TestFaultLocalisation:
         assert result.report.location["bit"] == fault.location["position"]
         assert result.report.location["sign_flipped"] is True
 
+    @pytest.mark.parametrize("atol", [0.0, 1e-9])
+    def test_llr_nan_on_one_side_localised_to_symbol_bit(self, atol):
+        """``|a - b|`` is NaN where one side is, and ``NaN > atol`` is
+        False: a NaN must still count as a mismatch."""
+        from repro.coding.demap import get_demapper
+
+        clean = get_demapper("16qam")
+
+        class NanBit3:
+            def llrs(self, symbols, noise_var=None):
+                out = clean.llrs(symbols, noise_var)
+                out[..., 3] = np.nan
+                return out
+
+        rng = np.random.default_rng(4)
+        symbols = rng.standard_normal((4, 16)) \
+            + 1j * rng.standard_normal((4, 16))
+        result = coexec_llrs(NanBit3(), clean, symbols, atol=atol)
+        assert result.report.kind == "llr"
+        assert result.report.location["symbol"] == 0
+        assert result.report.location["bit"] == 3
+        assert result.report.message == "4 LLR(s) differ"
+        assert coexec_llrs(NanBit3(), NanBit3(), symbols, atol=atol).ok
+
+    def test_llr_exact_compare_sees_signed_zeros(self):
+        """At ``atol=0`` the sign bits must agree, as for the slicer."""
+
+        class Const:
+            def __init__(self, value):
+                self.value = value
+
+            def llrs(self, symbols, noise_var=None):
+                return np.full((3, 8), self.value)
+
+        symbols = np.zeros((3, 4), dtype=complex)
+        result = coexec_llrs(Const(0.0), Const(-0.0), symbols)
+        assert result.report.location == {"symbol": 0, "bit": 0,
+                                          "sign_flipped": True}
+        assert coexec_llrs(Const(0.0), Const(-0.0), symbols, atol=1e-9).ok
+
     def test_slicer_threshold_localised_to_symbol_bit(self):
         fault, result = demonstrate_fault("slicer-threshold")
         report = result.report
@@ -223,6 +264,27 @@ class TestFuzz:
     def test_covers_all_kinds_round_robin(self):
         report = fuzz_backends(len(FUZZ_KINDS), seed=3)
         assert report.ok and report.cases == len(FUZZ_KINDS)
+
+    def test_coded_family_checks_the_soft_demapper(self, monkeypatch):
+        from repro.coding.demap import SoftDemapper
+
+        def one_ulp_off(self, symbols, noise_var=None):
+            out = self.llrs_reference(symbols, noise_var)
+            out[..., 1] = np.nextafter(out[..., 1], np.inf)
+            return out
+
+        monkeypatch.setattr(SoftDemapper, "llrs", one_ulp_off)
+        report = fuzz_backends(2, seed=3, kinds=("coded",), shrink=False)
+        assert len(report.failures) == 2
+        divergence = report.failures[0].report
+        assert divergence.kind == "llr"
+        assert divergence.backends == ("demap-points-major",
+                                       "demap-reference")
+        # Row 0's LLR in column 1 is not finite in this case, and one
+        # ulp off NaN or inf is itself: row 1 is the first to differ.
+        assert divergence.location == {
+            "symbol": 1, "bit": 1, "sign_flipped": False, "code": "conv-k7",
+            "rate": "1/2", "interleaver": "block", "constellation": "16qam"}
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fuzz kind"):
