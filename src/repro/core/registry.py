@@ -16,7 +16,7 @@ declaring
 
 * a **factory** building the backend implementation for a plan size;
 * the **precisions** it supports (``"float"``, ``"q15"``);
-* whether it accepts multi-process **workers**;
+* whether it accepts thread-pool **workers**;
 * which uniform-result fields it actually **emits** (per-symbol cycles,
   :class:`~repro.sim.stats.SimStats`) — array-level engines compute the
   same spectra as the instruction-level ones but have no simulated
@@ -157,11 +157,9 @@ class BackendSpec:
         One-line human description (shown by the CLI and benches).
     precisions:
         Subset of :data:`PRECISIONS` the backend supports.
-    supports_batch:
-        Whether ``transform_many`` amortises work across a batch (every
-        built-in backend does; a hypothetical one-shot backend may not).
     supports_workers:
-        Whether the factory accepts ``workers >= 2`` (process sharding).
+        Whether the factory accepts ``workers >= 2`` (thread-pool
+        sharding).
     emits_cycles:
         Whether results carry real per-symbol simulated cycle counts.
     emits_sim_stats:
@@ -172,7 +170,6 @@ class BackendSpec:
     factory: object
     description: str = ""
     precisions: tuple = field(default=PRECISIONS)
-    supports_batch: bool = True
     supports_workers: bool = False
     emits_cycles: bool = False
     emits_sim_stats: bool = False

@@ -13,10 +13,10 @@ compiled    compiled-plan vectorised :class:`~repro.core.ArrayFFT`
 reference   the readable per-butterfly oracle datapath
 sharded     :class:`~repro.core.parallel.ShardedEngine` thread shards
 asip        instruction-level :class:`~repro.asip.FFTASIP`, one
-            persistent machine, serial per-symbol execution
-asip-batch  the same machine driven through
-            :meth:`~repro.asip.FFTASIP.run_batch` in multi-symbol
-            chunks
+            persistent machine driven through
+            :meth:`~repro.asip.FFTASIP.run_batch` in chunks of
+            ``batch`` symbols (``batch=1``: one symbol per pass)
+asip-batch  the same backend under a second name
 ========== ==========================================================
 
 Every call returns a uniform :class:`TransformResult` (spectrum,
@@ -64,6 +64,12 @@ __all__ = [
     "backend_names",
     "backend_specs",
 ]
+
+
+#: Symbols per chunk when neither the call nor the engine names a
+#: ``batch``: the ASIP backends' ``run_batch`` chunk and the stream and
+#: session chunk.
+DEFAULT_BATCH = 64
 
 
 _PRECISION_ALIASES = {
@@ -141,57 +147,6 @@ class TransformResult:
         return out.astype(dtype) if dtype is not None else out
 
 
-def _stats_snapshot(stats: SimStats) -> dict:
-    if stats is None:
-        return None
-    snap = stats.as_dict()
-    snap["taken_branches"] = stats.taken_branches
-    return snap
-
-
-def _stats_delta(before: dict, stats: SimStats) -> SimStats:
-    if stats is None:
-        return None
-    custom = {
-        key: value - before.get(f"op_{key}", 0)
-        for key, value in stats.custom_ops.items()
-        if value - before.get(f"op_{key}", 0)
-    }
-    return SimStats(
-        cycles=stats.cycles - before["cycles"],
-        instructions=stats.instructions - before["instructions"],
-        loads=stats.loads - before["loads"],
-        stores=stats.stores - before["stores"],
-        dcache_hits=stats.dcache_hits - before["dcache_hits"],
-        dcache_misses=stats.dcache_misses - before["dcache_misses"],
-        branches=stats.branches - before["branches"],
-        taken_branches=stats.taken_branches - before["taken_branches"],
-        stall_cycles=stats.stall_cycles - before["stall_cycles"],
-        custom_ops=custom,
-    )
-
-
-def _sum_sim_stats(deltas: list) -> SimStats:
-    """Sum :class:`SimStats` deltas (None when no machine was involved)."""
-    deltas = [delta for delta in deltas if delta is not None]
-    if not deltas:
-        return None
-    total = SimStats()
-    for delta in deltas:
-        total.cycles += delta.cycles
-        total.instructions += delta.instructions
-        total.loads += delta.loads
-        total.stores += delta.stores
-        total.dcache_hits += delta.dcache_hits
-        total.dcache_misses += delta.dcache_misses
-        total.branches += delta.branches
-        total.taken_branches += delta.taken_branches
-        total.stall_cycles += delta.stall_cycles
-        for key, value in delta.custom_ops.items():
-            total.custom_ops[key] = total.custom_ops.get(key, 0) + value
-    return total
-
-
 def concat_results(results, *, engine: "Engine" = None, n_points: int = None,
                    backend: str = None, precision: str = None
                    ) -> TransformResult:
@@ -226,6 +181,7 @@ def concat_results(results, *, engine: "Engine" = None, n_points: int = None,
                 f"cannot merge results of different sizes "
                 f"({result.n_points} != {n_points})"
             )
+    deltas = [result.stats for result in results if result.stats is not None]
     return TransformResult(
         spectrum=np.concatenate(
             [np.atleast_2d(result.spectrum) for result in results]
@@ -234,7 +190,7 @@ def concat_results(results, *, engine: "Engine" = None, n_points: int = None,
         precision=first.precision if precision is None else precision,
         n_points=n_points,
         cycles=[cycle for result in results for cycle in result.cycles],
-        stats=_sum_sim_stats([result.stats for result in results]),
+        stats=sum(deltas, SimStats()) if deltas else None,
         overflow_count=sum(result.overflow_count for result in results),
         degraded=any(result.degraded for result in results),
     )
@@ -339,7 +295,7 @@ class Engine:
         fx = self.impl.fx
         stats = self.impl.sim_stats
         overflow_before = fx.overflow_count if fx is not None else 0
-        stats_before = _stats_snapshot(stats)
+        stats_before = stats.copy() if stats is not None else None
         if len(blocks):
             spectra, cycles = self.impl.transform_many(blocks)
         else:
@@ -351,7 +307,7 @@ class Engine:
             precision=self.precision,
             n_points=self.n_points,
             cycles=[int(c) for c in cycles],
-            stats=_stats_delta(stats_before, stats),
+            stats=stats - stats_before if stats is not None else None,
             overflow_count=(
                 fx.overflow_count - overflow_before if fx is not None else 0
             ),
@@ -420,9 +376,10 @@ class Engine:
 
         The one driver for a whole stream: the iterable is fed through
         one :class:`repro.sessions.StreamSession` in chunks of ``batch``
-        symbols (default: the engine's ``batch``, else 64) — for the
-        ``asip-batch`` backend each chunk is one
-        :meth:`FFTASIP.run_batch` pass — and the per-chunk results merge
+        symbols (default: the engine's ``batch``, else
+        :data:`DEFAULT_BATCH`) — on the ASIP backends a chunk no larger
+        than the engine's ``batch`` is one :meth:`FFTASIP.run_batch`
+        pass — and the per-chunk results merge
         into one :class:`TransformResult` via :func:`concat_results`.
         With ``verify`` every chunk is checked against a batched
         ``np.fft.fft`` reference before the next executes.  Callers that
@@ -513,15 +470,17 @@ class _ShardedBackend:
 
 
 class _AsipBackend:
-    """One persistent instruction-level machine, serial per symbol."""
+    """One persistent instruction-level machine, driven through
+    :meth:`FFTASIP.run_batch` in chunks of ``batch`` symbols."""
 
-    def __init__(self, n_points: int, fixed_point: bool,
+    def __init__(self, n_points: int, fixed_point: bool, batch: int = None,
                  cache_config=None, pipeline=None, **machine_options):
         self.machine = FFTASIP(
             n_points, cache_config=cache_config, pipeline=pipeline,
             fixed_point=fixed_point, **machine_options,
         )
         self.program = generate_fft_program(n_points, self.machine.plan)
+        self.batch = max(int(batch), 1) if batch else DEFAULT_BATCH
 
     @property
     def fx(self):
@@ -534,37 +493,15 @@ class _AsipBackend:
     def transform_many(self, blocks: np.ndarray) -> tuple:
         outputs = np.empty_like(blocks)
         cycles = []
-        for k in range(len(blocks)):
-            out, chunk_cycles = self.machine.run_batch(
-                self.program, blocks[k:k + 1]
-            )
-            outputs[k] = out[0]
-            cycles.extend(int(c) for c in chunk_cycles)
-        return outputs, cycles
-
-    def close(self) -> None:
-        pass
-
-
-class _AsipBatchBackend(_AsipBackend):
-    """The persistent machine driven in multi-symbol run_batch chunks."""
-
-    DEFAULT_BATCH = 64
-
-    def __init__(self, n_points: int, fixed_point: bool, batch: int = None,
-                 **options):
-        super().__init__(n_points, fixed_point, **options)
-        self.batch = max(int(batch), 1) if batch else self.DEFAULT_BATCH
-
-    def transform_many(self, blocks: np.ndarray) -> tuple:
-        outputs = np.empty_like(blocks)
-        cycles = []
         for lo in range(0, len(blocks), self.batch):
             chunk = blocks[lo:lo + self.batch]
             out, chunk_cycles = self.machine.run_batch(self.program, chunk)
             outputs[lo:lo + len(out)] = out
             cycles.extend(int(c) for c in chunk_cycles)
         return outputs, cycles
+
+    def close(self) -> None:
+        pass
 
 
 # Facade entry points -------------------------------------------------------
@@ -602,8 +539,9 @@ def engine(n_points: int, *, backend: str = "compiled",
         (``"sharded"``); passing ``workers >= 2`` to any other backend
         is an error rather than a silent serial run.
     batch:
-        Chunk size for batched/streamed execution (``asip-batch`` and
-        :meth:`Engine.stream`).
+        Chunk size for batched/streamed execution (the ASIP backends'
+        ``run_batch`` passes and :meth:`Engine.stream`; default
+        :data:`DEFAULT_BATCH`).
     options:
         Backend-specific extras forwarded to the factory (e.g.
         ``cache_config=``/``pipeline=`` for the ASIP backends).
@@ -704,18 +642,11 @@ def benchmark_backends(n_points: int, symbols: int,
 # Built-in backend registration --------------------------------------------
 
 
-def _no_workers(name: str, workers) -> None:
-    if workers is not None and workers >= 2:
-        raise ValueError(f"backend {name!r} does not take workers")
-
-
 def _make_compiled(n_points, fixed_point, workers=None, batch=None):
-    _no_workers("compiled", workers)
     return _ArrayBackend(n_points, fixed_point, compiled=True)
 
 
 def _make_reference(n_points, fixed_point, workers=None, batch=None):
-    _no_workers("reference", workers)
     return _ArrayBackend(n_points, fixed_point, compiled=False)
 
 
@@ -728,18 +659,8 @@ def _make_sharded(n_points, fixed_point, workers=None, batch=None,
 
 
 def _make_asip(n_points, fixed_point, workers=None, batch=None,
-               cache_config=None, pipeline=None, **machine_options):
-    _no_workers("asip", workers)
-    return _AsipBackend(n_points, fixed_point, cache_config=cache_config,
-                        pipeline=pipeline, **machine_options)
-
-
-def _make_asip_batch(n_points, fixed_point, workers=None, batch=None,
-                     cache_config=None, pipeline=None, **machine_options):
-    _no_workers("asip-batch", workers)
-    return _AsipBatchBackend(n_points, fixed_point, batch=batch,
-                             cache_config=cache_config, pipeline=pipeline,
-                             **machine_options)
+               **options):
+    return _AsipBackend(n_points, fixed_point, batch=batch, **options)
 
 
 def _register_builtin_backends() -> None:
@@ -759,12 +680,12 @@ def _register_builtin_backends() -> None:
         ),
         BackendSpec(
             name="asip", factory=_make_asip,
-            description="instruction-level ASIP, serial per symbol",
+            description="instruction-level ASIP, run_batch chunks",
             emits_cycles=True, emits_sim_stats=True,
         ),
         BackendSpec(
-            name="asip-batch", factory=_make_asip_batch,
-            description="instruction-level ASIP, multi-symbol run_batch",
+            name="asip-batch", factory=_make_asip,
+            description="instruction-level ASIP (the asip backend)",
             emits_cycles=True, emits_sim_stats=True,
         ),
     ]

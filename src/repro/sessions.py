@@ -14,9 +14,9 @@ front-end for any facade backend:
   early.
 * **Chunked execution** — fed symbols are buffered into chunks of
   ``batch`` symbols; each full chunk runs as one
-  :meth:`~repro.engines.Engine.transform_many` pass (for the
-  ``asip-batch`` backend that is one :meth:`FFTASIP.run_batch` program
-  pass) and is queued as one uniform
+  :meth:`~repro.engines.Engine.transform_many` pass (on the ASIP
+  backends, one :meth:`FFTASIP.run_batch` program pass per engine
+  ``batch`` symbols) and is queued as one uniform
   :class:`~repro.engines.TransformResult` — the same schema every other
   facade call returns, per-chunk.
 * **Bounded buffering with backpressure** — at most ``capacity``
@@ -39,7 +39,7 @@ from collections import deque
 
 import numpy as np
 
-from .engines import Engine, TransformResult, concat_results
+from .engines import DEFAULT_BATCH, Engine, TransformResult, concat_results
 from .engines import engine as build_engine
 
 from . import telemetry
@@ -130,7 +130,7 @@ class StreamSession:
         close it unless ``own_engine=True``.
     batch:
         Symbols per executed chunk (default: the engine's ``batch``,
-        else 64).
+        else :data:`~repro.engines.DEFAULT_BATCH`).
     capacity:
         Bound on buffered symbols — pending input plus undrained
         output.  Defaults to ``8 * batch``; must be at least ``batch``.
@@ -146,13 +146,11 @@ class StreamSession:
         session.  ``None`` (the default) trusts the engine.
     """
 
-    DEFAULT_BATCH = 64
-
     def __init__(self, engine: Engine, batch: int = None,
                  capacity: int = None, verify: bool = False,
                  own_engine: bool = False, exec_timeout: float = None):
         self.engine = engine
-        self.batch = max(int(batch or engine.batch or self.DEFAULT_BATCH), 1)
+        self.batch = max(int(batch or engine.batch or DEFAULT_BATCH), 1)
         self.capacity = (
             8 * self.batch if capacity is None
             else max(int(capacity), self.batch)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 __all__ = ["SimStats"]
 
@@ -27,6 +27,30 @@ class SimStats:
     taken_branches: int = 0
     stall_cycles: int = 0
     custom_ops: dict = field(default_factory=dict)
+
+    def copy(self) -> "SimStats":
+        """An independent snapshot (``custom_ops`` copied too)."""
+        return replace(self, custom_ops=dict(self.custom_ops))
+
+    def __add__(self, other: "SimStats") -> "SimStats":
+        """Counter-wise sum, custom ops merged by mnemonic."""
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "SimStats") -> "SimStats":
+        """Counter-wise difference: what ``self`` retired since the
+        snapshot ``other``.  Custom ops that did not move are left out."""
+        return self._combine(other, -1)
+
+    def _combine(self, other: "SimStats", sign: int) -> "SimStats":
+        counters = {
+            f.name: getattr(self, f.name) + sign * getattr(other, f.name)
+            for f in fields(self) if f.name != "custom_ops"
+        }
+        ops = dict(self.custom_ops)
+        for key, value in other.custom_ops.items():
+            ops[key] = ops.get(key, 0) + sign * value
+        return SimStats(**counters,
+                        custom_ops={k: v for k, v in ops.items() if v})
 
     def count_custom(self, mnemonic: str) -> None:
         """Bump the per-custom-op counter."""

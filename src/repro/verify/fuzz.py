@@ -405,23 +405,46 @@ def _run_coded(config) -> DivergenceReport:
 
     # Soft demapper vs its oracle twin (exact, NaN and sign bits
     # included) on random symbols, some components inf, NaN or huge.
-    # Drawn last, so a seed's earlier draws do not depend on it.
+    # Drawn after the single block, so those draws do not depend on it.
     reference = getattr(demapper, "llrs_reference", None)
-    if reference is None:
-        return None
-    parts = rng.standard_normal((2, 2, 16))
-    odd = rng.random(parts.shape) < 0.1
-    parts[odd] = rng.choice([np.inf, -np.inf, np.nan, 1e308, -1e308],
-                            size=int(odd.sum()))
-    symbols = parts[0] + 0j
-    symbols.imag = parts[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = coexec_llrs(demapper, SimpleNamespace(llrs=reference),
-                             symbols, names=("demap-points-major",
-                                             "demap-reference"))
-    if not result.ok:
-        result.report.location.update(_coords(config))
-        return result.report
+    if reference is not None:
+        parts = rng.standard_normal((2, 2, 16))
+        odd = rng.random(parts.shape) < 0.1
+        parts[odd] = rng.choice([np.inf, -np.inf, np.nan, 1e308, -1e308],
+                                size=int(odd.sum()))
+        symbols = parts[0] + 0j
+        symbols.imag = parts[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = coexec_llrs(demapper, SimpleNamespace(llrs=reference),
+                                 symbols, names=("demap-points-major",
+                                                 "demap-reference"))
+        if not result.ok:
+            result.report.location.update(_coords(config))
+            return result.report
+
+    # Multi-block decode vs the oracle, drawn last.  Up to twice
+    # _WINDOWED_TRACEBACK_MAX blocks x states, so about half the cases
+    # take the serial traceback and the rest the windowed one.
+    from ..coding.viterbi import _WINDOWED_TRACEBACK_MAX
+
+    most = max(2, 2 * _WINDOWED_TRACEBACK_MAX // code.n_states)
+    blocks = int(rng.integers(2, most + 1))
+    burst = rng.integers(0, 2, (blocks, config["info_bits"])).astype(np.uint8)
+    llrs = (1.0 - 2.0 * punctured.encode(burst)) * scale
+    llrs = llrs + rng.normal(0.0, sigma * scale, llrs.shape)
+    dec_fast = punctured.decode(llrs)
+    dec_ref = punctured.decode(llrs, reference=True)
+    if not np.array_equal(dec_fast, dec_ref):
+        block, k = (int(i) for i in np.argwhere(dec_fast != dec_ref)[0])
+        return DivergenceReport(
+            kind="viterbi-step",
+            backends=("viterbi-vectorized", "viterbi-reference"),
+            step_index=k,
+            location={"block": block, "info_bit": k, "blocks": blocks,
+                      **_coords(config)},
+            operands={"a": int(dec_fast[block, k]),
+                      "b": int(dec_ref[block, k])},
+        )
     return None
 
 

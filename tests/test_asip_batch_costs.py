@@ -5,6 +5,9 @@ gates catch a fast path that falls back to per-op work on any machine,
 where a wall-clock floor would flake.  Each gate runs one *warm* Q1.15
 batch (the control record, the D-cache replay memo and the AC tables
 already settled) at the two shapes the ``asip-fft`` benchmark runs.
+The last two gates count ``Machine.run`` calls through the facade's
+``asip`` backend: a multi-symbol call is one ``run_batch`` chunk that
+replays once warm, and ``batch=1`` keeps one serial run per symbol.
 """
 
 import math
@@ -13,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro
 from repro.asip import FFTASIP, generate_fft_program
 from repro.asip.fft_asip import _FlushSchedule, _SymbolBatch
 
@@ -121,3 +125,32 @@ def test_warm_batch_replays_its_record(monkeypatch, warm, symbols, n):
     assert runs == []
     assert spans == []
     assert len(machine._records) <= 2
+
+
+def engine_run_calls(monkeypatch, precision, batch=None):
+    """``Machine.run`` calls made by each of three 8-symbol
+    ``transform_many`` calls on one fresh N=64 ``asip`` engine."""
+    rng = np.random.default_rng(64)
+    blocks = 0.25 * (rng.standard_normal((8, 64))
+                     + 1j * rng.standard_normal((8, 64)))
+    counts = []
+    with repro.engine(64, backend="asip", precision=precision,
+                      batch=batch) as eng:
+        runs = count_calls(monkeypatch, eng.machine, "run")
+        for _ in range(3):
+            before = len(runs)
+            eng.transform_many(blocks)
+            counts.append(len(runs) - before)
+    return counts
+
+
+@pytest.mark.parametrize("precision", ["float", "q15"])
+def test_warm_asip_engine_call_makes_no_run(monkeypatch, precision):
+    """The first call records from power-on, the second from the steady
+    entry state, and the third replays without interpreting."""
+    assert engine_run_calls(monkeypatch, precision) == [1, 1, 0]
+
+
+@pytest.mark.parametrize("precision", ["float", "q15"])
+def test_asip_engine_at_batch_one_runs_every_symbol(monkeypatch, precision):
+    assert engine_run_calls(monkeypatch, precision, batch=1) == [8, 8, 8]

@@ -27,6 +27,16 @@ def random_blocks(symbols, n, seed=0, scale=1.0):
     )
 
 
+def assert_machines_equal(a, b):
+    """Same machine end state: registers, every SimStats counter, CRF,
+    ROM and BU counts."""
+    assert a.registers == b.registers
+    assert a.stats == b.stats
+    assert (a.crf.reads, a.crf.writes) == (b.crf.reads, b.crf.writes)
+    assert a.rom.reads == b.rom.reads
+    assert a.bu.op_count == b.bu.op_count
+
+
 def build(n, name, precision="float"):
     workers = 2 if backend_specs()[name].supports_workers else None
     return repro.engine(n, backend=name, precision=precision,
@@ -177,7 +187,7 @@ class TestBackendParity:
     def test_asip_and_batch_cycles_agree(self):
         n, symbols = 64, 5
         blocks = random_blocks(symbols, n, seed=9)
-        with repro.engine(n, backend="asip") as serial:
+        with repro.engine(n, backend="asip", batch=1) as serial:
             serial_result = serial.transform_many(blocks)
         with repro.engine(n, backend="asip-batch") as batched:
             batched_result = batched.transform_many(blocks)
@@ -185,6 +195,26 @@ class TestBackendParity:
         assert all(c > 0 for c in serial_result.cycles)
         assert (serial_result.stats.as_dict()
                 == batched_result.stats.as_dict())
+        assert_machines_equal(serial.machine, batched.machine)
+
+    @pytest.mark.parametrize("precision", ["float", "q15"])
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    def test_asip_default_batch_equals_batch_one(self, n, precision):
+        """``asip`` at its default batch is ``asip`` at ``batch=1``, call
+        for call: two calls record a pass (power-on, then steady entry
+        state), the later ones replay it at 2, 5 and 64 symbols."""
+        blocks = random_blocks(64, n, seed=n, scale=0.3)
+        with repro.engine(n, backend="asip", precision=precision) as fast, \
+                repro.engine(n, backend="asip", precision=precision,
+                             batch=1) as serial:
+            for symbols in (2, 2, 2, 5, 64):
+                a = fast.transform_many(blocks[:symbols])
+                b = serial.transform_many(blocks[:symbols])
+                assert np.array_equal(a.spectrum, b.spectrum)
+                assert a.cycles == b.cycles
+                assert a.stats == b.stats
+                assert a.overflow_count == b.overflow_count
+            assert_machines_equal(fast.machine, serial.machine)
 
 
 class TestUniformResults:
@@ -351,12 +381,14 @@ class TestOfdmLinkOnFacade:
         assert again.metrics["bit_errors"] == 0
 
     def test_asip_batch_matches_serial_asip_link(self):
-        with repro.pipeline(64, snr_db=30.0, backend="asip",
+        with repro.pipeline(64, snr_db=30.0, backend="asip", batch=1,
                             seed=3) as serial, \
                 repro.pipeline(64, snr_db=30.0, backend="asip-batch",
                                seed=3) as batched:
             a = serial.run(symbols=4)
             b = batched.run(symbols=4)
+            assert_machines_equal(serial.engine.machine,
+                                  batched.engine.machine)
         assert np.array_equal(a.tx_bits, b.tx_bits)
         assert np.allclose(a.equalised, b.equalised, atol=1e-12)
         assert a.transform.cycles == b.transform.cycles

@@ -516,16 +516,21 @@ class TestHealthConcurrency:
         every snapshot it collects must be internally consistent — full
         per-tenant schema, counters that never exceed their upper
         bounds, ordered quantiles — not a dict caught mid-mutation.
+        Once it sees ``stop`` it takes one more snapshot, so its last one
+        reads the server after the load, however little CPU it got.
         """
         snapshots, failures = [], []
         stop = threading.Event()
 
         def hammer(server):
-            while not stop.is_set():
+            while True:
+                stopping = stop.is_set()
                 try:
                     snapshots.append(server.health())
                 except Exception as exc:  # pragma: no cover - the failure
                     failures.append(repr(exc))
+                    return
+                if stopping:
                     return
 
         with SessionServer(batch=4) as server:
@@ -554,7 +559,7 @@ class TestHealthConcurrency:
                         <= tenant["latency_p99_ms"] + 1e-9)
                 assert tenant["degraded_chunks"] >= \
                     tenant["degraded_transitions"]
-        # The last snapshots saw real traffic, not just empty registries.
+        # The last snapshot, taken after the load, saw real traffic.
         final = snapshots[-1]["tenants"]
         assert sum(t["symbols_in"] for t in final.values()) > 0
 

@@ -286,6 +286,49 @@ class TestFuzz:
             "symbol": 1, "bit": 1, "sign_flipped": False, "code": "conv-k7",
             "rate": "1/2", "interleaver": "block", "constellation": "16qam"}
 
+    def test_coded_family_reaches_the_serial_traceback(self, monkeypatch):
+        """Seed 0's case decodes a 9-block burst of the 64-state code:
+        9 x 64 is above ``_WINDOWED_TRACEBACK_MAX``, so the serial walk
+        runs, and it agrees with the oracle."""
+        from repro.coding.viterbi import ViterbiDecoder, \
+            _WINDOWED_TRACEBACK_MAX
+
+        serial = ViterbiDecoder._traceback_serial
+        shapes = []
+
+        def counted(self, decisions):
+            shapes.append(decisions.shape)
+            return serial(self, decisions)
+
+        monkeypatch.setattr(ViterbiDecoder, "_traceback_serial", counted)
+        report = fuzz_backends(1, seed=0, kinds=("coded",))
+        assert report.ok
+        assert shapes == [(28, 9, 64)]
+        assert 9 * 64 > _WINDOWED_TRACEBACK_MAX
+
+    def test_coded_family_localises_a_burst_bit(self, monkeypatch):
+        from repro.coding.viterbi import ViterbiDecoder
+
+        serial = ViterbiDecoder._traceback_serial
+
+        def flip_one(self, decisions):
+            bits = serial(self, decisions)
+            bits[3, 5] ^= 1
+            return bits
+
+        monkeypatch.setattr(ViterbiDecoder, "_traceback_serial", flip_one)
+        report = fuzz_backends(1, seed=0, kinds=("coded",), shrink=False)
+        assert len(report.failures) == 1
+        divergence = report.failures[0].report
+        assert divergence.kind == "viterbi-step"
+        assert divergence.backends == ("viterbi-vectorized",
+                                       "viterbi-reference")
+        assert divergence.step_index == 5
+        assert divergence.location == {
+            "block": 3, "info_bit": 5, "blocks": 9, "code": "conv-k7",
+            "rate": "2/3", "interleaver": "identity",
+            "constellation": "16qam"}
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fuzz kind"):
             fuzz_backends(2, kinds=("isa", "quantum"))
