@@ -6,7 +6,9 @@ owns two datapaths over the same trellis tables and the fast one is
 
 * :meth:`ViterbiDecoder.decode_reference` — the per-step, per-state
   add-compare-select walk, written for readability; the correctness
-  oracle.
+  oracle.  It consumes ``_reference_steps``, one trellis step per
+  yield, the seam :func:`repro.verify.coexec_viterbi` steps beside the
+  fast kernel's ``_acs(chunk=1)``.
 * :meth:`ViterbiDecoder.decode` — the butterfly datapath, with an
   optional leading batch axis so a whole burst of independent blocks
   (one per OFDM symbol) decodes in one pass.  Three sub-phases:
@@ -339,14 +341,25 @@ class ViterbiDecoder:
             return np.stack(rows).reshape(
                 llr.shape[:-2] + (rows[0].shape[-1],)
             )
-        steps = llr.shape[0]
+        decisions = [chosen for chosen, _, _ in self._reference_steps(llr)]
+        return self._traceback_reference(decisions)
+
+    def _reference_steps(self, llr):
+        """The oracle's per-state add-compare-select over one ``(steps,
+        n)`` block, one trellis step per yield.
+
+        Yields ``(chosen, metrics, candidates)`` lists: each state's
+        survivor choice, its path metric after the step and its two
+        candidates.  :meth:`decode_reference` traces back the choices;
+        :func:`repro.verify.coexec_viterbi` compares every step with the
+        fast kernel's ``_acs(chunk=1)``.
+        """
         n_states = self.code.n_states
         metrics = [0.0] + [-np.inf] * (n_states - 1)
-        decisions = []
-        for t in range(steps):
-            step_llr = llr[t]
+        for step_llr in llr:
             new_metrics = [None] * n_states
             chosen = [0] * n_states
+            candidates = [None] * n_states
             for state in range(n_states):
                 cand = []
                 for x in (0, 1):
@@ -359,8 +372,14 @@ class ViterbiDecoder:
                 pick = 1 if cand[1] > cand[0] else 0
                 chosen[state] = pick
                 new_metrics[state] = cand[pick]
+                candidates[state] = cand
             metrics = new_metrics
-            decisions.append(chosen)
+            yield chosen, metrics, candidates
+
+    def _traceback_reference(self, decisions) -> np.ndarray:
+        """The oracle's survivor walk back from state 0 over the
+        per-step choices of :meth:`_reference_steps`."""
+        steps = len(decisions)
         state = 0
         bits = [0] * steps
         shift = self.code.memory - 1

@@ -14,6 +14,8 @@ An :class:`ArrayFFT` executes the restructured dataflow of Figs. 1-2:
 The class operates at the algorithm level (no instruction simulation) and
 is the ground-truth engine the ASIP's execution must, and is tested to,
 agree with.  Both float and Q1.15 fixed-point datapaths are supported.
+Its per-butterfly walks report each group's row after every stage
+through the ``observe`` seam :func:`repro.verify.coexec_fft` drives.
 """
 
 from __future__ import annotations
@@ -164,56 +166,71 @@ class ArrayFFT:
 
     # Float datapath -----------------------------------------------------
 
-    def _transform_float(self, x: np.ndarray) -> np.ndarray:
+    def _transform_float(self, x: np.ndarray, observe=None) -> np.ndarray:
+        """The float walk, one group in flight.  ``observe``, when given,
+        is called as ``observe(phase, stage, row)`` with each group's CRF
+        row after every stage (``"epoch0"``/``"epoch1"``, stage 0-based)
+        and with each epoch-1 group's pre-rotated row as it loads
+        (``"prerotate"``, 0): groups in order, so a phase's rows stack
+        into the compiled walk's ``(groups, size)`` block.  The Q1.15 walk
+        has the same seam over ``FixedComplex`` rows."""
         split = self.plan.split
         P, Q, N = split.P, split.Q, split.N
         scratch = np.empty(N, dtype=complex)
         epoch0, epoch1 = self.plan.epochs
         for l in range(Q):
             crf = x[l::Q].copy()          # LDIN: strided gather, group l
-            crf = self._run_group(crf, epoch0)
+            crf = self._run_group(crf, epoch0, observe)
             for s in range(P):            # pre-rotation + STOUT
                 scratch[s * Q + l] = crf[s] * self.prerotation.weight(s, l)
         out = np.empty(N, dtype=complex)
         for s in range(P):
             crf = scratch[s * Q:(s + 1) * Q].copy()
-            crf = self._run_group(crf, epoch1)
+            if observe is not None:
+                observe("prerotate", 0, crf)
+            crf = self._run_group(crf, epoch1, observe)
             out[s + P * np.arange(Q)] = crf
         return out
 
-    def _run_group(self, crf: np.ndarray, epoch: EpochPlan) -> np.ndarray:
+    def _run_group(self, crf: np.ndarray, epoch: EpochPlan,
+                   observe=None) -> np.ndarray:
         rom = self._rom[epoch.group_size]
-        for stage_plan in epoch.stages:
+        for si, stage_plan in enumerate(epoch.stages):
             column = crf[list(stage_plan.read_addresses)]
             coeffs = rom[list(stage_plan.coefficient_indices)]
             crf = self.bu.execute_column(column, coeffs)
+            if observe is not None:
+                observe(f"epoch{epoch.epoch}", si, crf)
         return crf
 
     # Fixed-point datapath ------------------------------------------------
 
-    def _transform_fixed(self, x: np.ndarray) -> np.ndarray:
+    def _transform_fixed(self, x: np.ndarray, observe=None) -> np.ndarray:
         split = self.plan.split
         P, Q, N = split.P, split.Q, split.N
         epoch0, epoch1 = self.plan.epochs
         scratch = [None] * N
         for l in range(Q):
             crf = [quantize(complex(v)) for v in x[l::Q]]
-            crf = self._run_group_fixed(crf, epoch0)
+            crf = self._run_group_fixed(crf, epoch0, observe)
             for s in range(P):
                 w = quantize(self.prerotation.weight(s, l))
                 scratch[s * Q + l] = self.fx.multiply(crf[s], w)
         out = np.empty(N, dtype=complex)
         for s in range(P):
             crf = scratch[s * Q:(s + 1) * Q]
-            crf = self._run_group_fixed(crf, epoch1)
+            if observe is not None:
+                observe("prerotate", 0, crf)
+            crf = self._run_group_fixed(crf, epoch1, observe)
             for k2 in range(Q):
                 out[s + P * k2] = crf[k2].to_complex()
         return out
 
-    def _run_group_fixed(self, crf: list, epoch: EpochPlan) -> list:
+    def _run_group_fixed(self, crf: list, epoch: EpochPlan,
+                         observe=None) -> list:
         rom = self._rom_fx[epoch.group_size]
         half = epoch.group_size // 2
-        for stage_plan in epoch.stages:
+        for si, stage_plan in enumerate(epoch.stages):
             column = [crf[a] for a in stage_plan.read_addresses]
             out = [None] * epoch.group_size
             for m in range(half):
@@ -222,6 +239,8 @@ class ArrayFFT:
                 out[m] = s
                 out[m + half] = d
             crf = out
+            if observe is not None:
+                observe(f"epoch{epoch.epoch}", si, crf)
         return crf
 
     # Inverse transform ----------------------------------------------------

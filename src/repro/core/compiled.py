@@ -22,6 +22,10 @@ returns) through the vectorised
 :class:`~repro.core.fixed_point.FixedPointContext` ops and is
 bit-identical — including overflow counts — to the scalar
 :class:`FixedComplex` walk.
+
+Both walks take an optional ``observe`` callback, called after every
+stage and after the pre-rotation: the seam :func:`repro.verify.coexec_fft`
+drives, at one ``is not None`` test per stage when nothing observes.
 """
 
 from __future__ import annotations
@@ -146,17 +150,24 @@ class CompiledArrayFFT:
             return self._transform_many_fixed(blocks)
         return self._transform_many_float(blocks)
 
-    def _transform_many_float(self, blocks: np.ndarray) -> np.ndarray:
+    def _transform_many_float(self, blocks: np.ndarray,
+                              observe=None) -> np.ndarray:
+        """The float walk."""
         batch = blocks.shape[:-1]
-        P, Q = self.plan.split.P, self.plan.split.Q
         # Corner-turn every symbol into its (Q, P) epoch-0 group block.
         state = blocks[..., self.gather0]
-        for stage in self.epoch0:
+        for si, stage in enumerate(self.epoch0):
             state = self._stage_float(state, stage)
+            if observe is not None:
+                observe("epoch0", si, state)
         # Pre-rotate and transpose into the (P, Q) epoch-1 group block.
         state = state.swapaxes(-1, -2) * self.prerotation
-        for stage in self.epoch1:
+        if observe is not None:
+            observe("prerotate", 0, state)
+        for si, stage in enumerate(self.epoch1):
             state = self._stage_float(state, stage)
+            if observe is not None:
+                observe("epoch1", si, state)
         out = np.empty(batch + (self.plan.n_points,), dtype=complex)
         out[..., self.scatter1.reshape(-1)] = state.reshape(batch + (-1,))
         return out
@@ -174,18 +185,25 @@ class CompiledArrayFFT:
 
     # Fixed-point datapath -------------------------------------------------
 
-    def _transform_many_fixed(self, blocks: np.ndarray) -> np.ndarray:
+    def _transform_many_fixed(self, blocks: np.ndarray,
+                              observe=None) -> np.ndarray:
         batch = blocks.shape[:-1]
         re, im = quantize_array(blocks)
         re = re[..., self.gather0]
         im = im[..., self.gather0]
-        for stage in self.epoch0:
+        for si, stage in enumerate(self.epoch0):
             re, im = self._stage_fixed(re, im, stage)
+            if observe is not None:
+                observe("epoch0", si, (re, im))
         re, im = self.fx.multiply_arrays(
             re.swapaxes(-1, -2), im.swapaxes(-1, -2), self.pr, self.pi
         )
-        for stage in self.epoch1:
+        if observe is not None:
+            observe("prerotate", 0, (re, im))
+        for si, stage in enumerate(self.epoch1):
             re, im = self._stage_fixed(re, im, stage)
+            if observe is not None:
+                observe("epoch1", si, (re, im))
         flat = fixed_to_complex_array(
             re.reshape(batch + (-1,)), im.reshape(batch + (-1,))
         )

@@ -9,12 +9,14 @@ a wrong answer says *that* two datapaths diverge, never *where*.
 This module runs the two sides of a twin **side by side**, comparing
 architectural state after every lockstep step, and stops at the first
 mismatch with a structured :class:`DivergenceReport` naming the exact
-site:
+site.  It holds no datapath of its own: each runner drives the code
+that ships, through per-step seams the engines expose.
 
-* :func:`coexec_fft` — stage-granular walk of two :class:`ArrayFFT`
-  engines (each using its *own* twiddle/pre-rotation tables, so a fault
-  injected into one engine's ROM is visible); localises to the first
-  mismatching (epoch, stage, group, butterfly lane).
+* :func:`coexec_fft` — each of two :class:`ArrayFFT` engines runs its
+  own walk (compiled, or the per-butterfly oracle) with its *own*
+  twiddle/pre-rotation tables, observed after every stage; localises
+  to the first mismatching (phase, stage, group, lane), plus the
+  butterfly and its sum/diff role on a butterfly stage.
 * :func:`coexec_machines` / :func:`coexec_asip` — single-`step()`
   co-execution of two :class:`~repro.sim.machine.Machine` instances in
   the style of Libre-SOC's co-execution Test API: after every dynamic
@@ -22,7 +24,8 @@ site:
   CRF banks are compared; localises to the first mismatching dynamic
   instruction.
 * :func:`coexec_viterbi` — the shipped butterfly add-compare-select of
-  one decoder against the per-state oracle walk of another, compared
+  one decoder (``_acs(chunk=1)``) against the per-state walk
+  ``decode_reference`` runs (``_reference_steps``) of another, compared
   per trellis step; localises to the first mismatching (step, state)
   with both sides' decisions and path metrics.
 * :func:`coexec_llrs` — two soft demappers over the same symbols,
@@ -47,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.array_fft import ArrayFFT
-from ..core.fixed_point import fixed_to_complex_array, quantize, quantize_array
+from ..core.fixed_point import fixed_to_complex_array
 from ..sim.errors import SimulationError
 
 __all__ = [
@@ -89,8 +92,11 @@ class DivergenceReport:
     max_error:
         Largest absolute difference observed at the diverging step.
     overflow_delta:
-        ``(side_a, side_b)`` Q1.15 saturation counts accumulated up to
-        the divergence (both 0 on float paths).
+        ``(side_a, side_b)`` Q1.15 saturation counts each side
+        accumulated while the runner ran it: up to the divergence in
+        instruction lockstep, over the whole walk or burst for
+        :func:`coexec_fft` and :func:`coexec_backends` (both 0 on float
+        paths).
     message:
         Optional free-text annotation.
     """
@@ -144,145 +150,63 @@ class CoexecResult:
         return self.report is None
 
 
-# FFT stage-granular lockstep ---------------------------------------------
+# FFT stage-granular comparison -------------------------------------------
 
 
-def _trace_compiled(fft: ArrayFFT, x: np.ndarray):
-    """Stage snapshots of ``fft``'s compiled datapath, using its own
-    lowered :class:`CompiledStage` tables (so a fault injected into the
-    compiled weights is part of the trace)."""
-    eng = fft.compiled_engine()
-    n = fft.n_points
-    if fft.fixed_point:
-        re, im = quantize_array(x)
-        re, im = re[eng.gather0], im[eng.gather0]
-        for si, stage in enumerate(eng.epoch0):
-            re, im = eng._stage_fixed(re, im, stage)
-            yield ("epoch0", si, fixed_to_complex_array(re, im))
-        re, im = eng.fx.multiply_arrays(
-            re.swapaxes(-1, -2), im.swapaxes(-1, -2), eng.pr, eng.pi
-        )
-        yield ("prerotate", 0, fixed_to_complex_array(re, im))
-        for si, stage in enumerate(eng.epoch1):
-            re, im = eng._stage_fixed(re, im, stage)
-            yield ("epoch1", si, fixed_to_complex_array(re, im))
-        out = np.empty(n, dtype=complex)
-        out[eng.scatter1.reshape(-1)] = fixed_to_complex_array(
-            re.reshape(-1), im.reshape(-1)
-        )
-        yield ("output", 0, out)
-        return
-    state = np.asarray(x, dtype=complex)[eng.gather0]
-    for si, stage in enumerate(eng.epoch0):
-        state = eng._stage_float(state, stage)
-        yield ("epoch0", si, state)
-    state = state.swapaxes(-1, -2) * eng.prerotation
-    yield ("prerotate", 0, state)
-    for si, stage in enumerate(eng.epoch1):
-        state = eng._stage_float(state, stage)
-        yield ("epoch1", si, state)
-    out = np.empty(n, dtype=complex)
-    out[eng.scatter1.reshape(-1)] = state.reshape(-1)
-    yield ("output", 0, out)
+def _as_complex(state) -> np.ndarray:
+    """A copy of one observed datapath state as complex values: Q1.15
+    ``(re, im)`` lanes and ``FixedComplex`` rows are converted."""
+    if isinstance(state, tuple):
+        return fixed_to_complex_array(*state)
+    if isinstance(state, list):
+        return np.array([c.to_complex() for c in state])
+    return np.array(state, dtype=complex)
 
 
-def _ref_stage_fixed(fft: ArrayFFT, row: list, stage_plan, rom) -> list:
-    size = len(row)
-    half = size // 2
-    column = [row[a] for a in stage_plan.read_addresses]
-    out = [None] * size
-    for m in range(half):
-        w = rom[stage_plan.coefficient_indices[m]]
-        s, d = fft.fx.butterfly(column[m], column[m + half], w)
-        out[m] = s
-        out[m + half] = d
-    return out
+def _fft_walk(fft: ArrayFFT, x: np.ndarray) -> list:
+    """Run ``fft``'s own datapath over ``x`` through its ``observe`` seam.
 
+    Returns ``((phase, stage), state)`` pairs in walk order, the output
+    spectrum last (``("output", 0)``).  The compiled walk reports each
+    stage as one ``(groups, size)`` block; the oracle reports one group's
+    row at a time, in group order, and those rows are stacked into the
+    same block.
+    """
+    rows = {}
 
-def _trace_reference(fft: ArrayFFT, x: np.ndarray):
-    """Stage snapshots of ``fft``'s per-butterfly oracle datapath, using
-    its own ``_rom``/``_rom_fx``/``prerotation`` tables."""
-    split = fft.plan.split
-    P, Q, N = split.P, split.Q, split.N
-    epoch0, epoch1 = fft.plan.epochs
-    x = np.asarray(x, dtype=complex)
-    if fft.fixed_point:
-        rows = [[quantize(complex(v)) for v in x[l::Q]] for l in range(Q)]
-        rom0 = fft._rom_fx[epoch0.group_size]
-        for si, stage_plan in enumerate(epoch0.stages):
-            rows = [_ref_stage_fixed(fft, row, stage_plan, rom0)
-                    for row in rows]
-            yield ("epoch0", si, np.array(
-                [[c.to_complex() for c in row] for row in rows]))
-        rot = [
-            [fft.fx.multiply(rows[l][s],
-                             quantize(fft.prerotation.weight(s, l)))
-             for l in range(Q)]
-            for s in range(P)
-        ]
-        yield ("prerotate", 0, np.array(
-            [[c.to_complex() for c in row] for row in rot]))
-        rows = rot
-        rom1 = fft._rom_fx[epoch1.group_size]
-        for si, stage_plan in enumerate(epoch1.stages):
-            rows = [_ref_stage_fixed(fft, row, stage_plan, rom1)
-                    for row in rows]
-            yield ("epoch1", si, np.array(
-                [[c.to_complex() for c in row] for row in rows]))
-        out = np.empty(N, dtype=complex)
-        for s in range(P):
-            for k2 in range(Q):
-                out[s + P * k2] = rows[s][k2].to_complex()
-        yield ("output", 0, out)
-        return
+    def observe(phase, stage, state):
+        rows.setdefault((phase, stage), []).append(_as_complex(state))
 
-    def run_stage(row, stage_plan, rom):
-        column = row[list(stage_plan.read_addresses)]
-        coeffs = rom[list(stage_plan.coefficient_indices)]
-        return fft.bu.execute_column(column, coeffs)
-
-    state = np.array([x[l::Q] for l in range(Q)])  # (Q, P) group block
-    rom0 = fft._rom[epoch0.group_size]
-    for si, stage_plan in enumerate(epoch0.stages):
-        state = np.stack([run_stage(row, stage_plan, rom0)
-                          for row in state])
-        yield ("epoch0", si, state)
-    weights = np.array(
-        [[fft.prerotation.weight(s, l) for l in range(Q)]
-         for s in range(P)]
-    )
-    state = state.T * weights
-    yield ("prerotate", 0, state)
-    rom1 = fft._rom[epoch1.group_size]
-    for si, stage_plan in enumerate(epoch1.stages):
-        state = np.stack([run_stage(row, stage_plan, rom1)
-                          for row in state])
-        yield ("epoch1", si, state)
-    out = np.empty(N, dtype=complex)
-    for s in range(P):
-        out[s + P * np.arange(Q)] = state[s]
-    yield ("output", 0, out)
-
-
-def _trace_array_fft(fft: ArrayFFT, x: np.ndarray):
-    if fft.use_compiled:
-        return _trace_compiled(fft, x)
-    return _trace_reference(fft, x)
-
-
-def _fft_stage_weight(fft: ArrayFFT, phase: str, stage: int,
-                      butterfly: int):
-    """The twiddle ``fft``'s datapath uses at (phase, stage, butterfly)."""
-    epoch_index = {"epoch0": 0, "epoch1": 1}.get(phase)
-    if epoch_index is None:
-        return None
     if fft.use_compiled:
         eng = fft.compiled_engine()
-        stages = eng.epoch0 if epoch_index == 0 else eng.epoch1
+        walk = (eng._transform_many_fixed if fft.fixed_point
+                else eng._transform_many_float)
+        out = walk(x[None], observe)[0]
+    else:
+        walk = (fft._transform_fixed if fft.fixed_point
+                else fft._transform_float)
+        out = walk(x, observe)
+    trace = [(key, np.reshape(parts, (-1, parts[0].shape[-1])))
+             for key, parts in rows.items()]
+    return trace + [(("output", 0), out)]
+
+
+def _fft_weight(fft: ArrayFFT, phase: str, stage: int, group: int,
+                lane: int) -> complex:
+    """The weight ``fft``'s tables hold for a site: the pre-rotation
+    ``W[group, lane]``, or the twiddle of the butterfly that writes
+    ``lane`` in ``phase``'s ``stage``."""
+    if phase == "prerotate":
+        if fft.use_compiled:
+            return complex(fft.compiled_engine().prerotation[group, lane])
+        return complex(fft.prerotation.weight(group, lane))
+    epoch = fft.plan.epochs[int(phase[-1])]
+    butterfly = lane % (epoch.group_size // 2)
+    if fft.use_compiled:
+        eng = fft.compiled_engine()
+        stages = eng.epoch0 if epoch.epoch == 0 else eng.epoch1
         return complex(stages[stage].weights[butterfly])
-    epoch = fft.plan.epochs[epoch_index]
-    stage_plan = epoch.stages[stage]
-    ci = stage_plan.coefficient_indices[butterfly]
+    ci = epoch.stages[stage].coefficient_indices[butterfly]
     if fft.fixed_point:
         return fft._rom_fx[epoch.group_size][ci].to_complex()
     return complex(fft._rom[epoch.group_size][ci])
@@ -291,12 +215,17 @@ def _fft_stage_weight(fft: ArrayFFT, phase: str, stage: int,
 def coexec_fft(n: int = None, *, a: ArrayFFT = None, b: ArrayFFT = None,
                x=None, seed: int = 0, fixed_point: bool = False,
                atol: float = 1e-9, names: tuple = None) -> CoexecResult:
-    """Stage-lockstep two array-FFT datapaths over the same input.
+    """Compare two array-FFT datapaths stage by stage over one input.
 
     Defaults to the canonical twin: side a runs ``n``-point compiled,
-    side b the per-butterfly reference oracle.  Pass pre-built engines
-    (e.g. one with a fault injected into its tables) via ``a``/``b``.
-    Fixed-point engines are compared exactly; float with ``atol``.
+    side b the per-butterfly reference oracle.  Each side runs its own
+    shipped walk with its own tables, observed after every epoch-0
+    stage, the pre-rotation and every epoch-1 stage, then the outputs
+    are compared; the first differing step localises to (phase, stage,
+    group, lane), plus (butterfly, role) on a butterfly stage.  Pass
+    pre-built engines (e.g. one with a fault injected into its tables)
+    via ``a``/``b``.  Fixed-point engines are compared exactly; float
+    with ``atol``.
     """
     if a is None:
         a = ArrayFFT(n, fixed_point=fixed_point, compiled=True)
@@ -323,39 +252,29 @@ def coexec_fft(n: int = None, *, a: ArrayFFT = None, b: ArrayFFT = None,
     ov_a0 = a.fx.overflow_count if a.fx else 0
     ov_b0 = b.fx.overflow_count if b.fx else 0
     start = time.perf_counter()
-    steps = 0
-    for (pa, sa, st_a), (pb, sb, st_b) in zip(
-            _trace_array_fft(a, x), _trace_array_fft(b, x)):
-        step = steps
-        steps += 1
+    pairs = list(zip(_fft_walk(a, x), _fft_walk(b, x)))
+    overflow = ((a.fx.overflow_count - ov_a0) if a.fx else 0,
+                (b.fx.overflow_count - ov_b0) if b.fx else 0)
+    for step, (((phase, stage), st_a), (_, st_b)) in enumerate(pairs):
         err = np.abs(st_a - st_b)
-        if not err.size or float(err.max()) <= tol:
+        if float(err.max()) <= tol:
             continue
         idx = tuple(int(i) for i in np.argwhere(err > tol)[0])
-        location = {"phase": pa, "stage": sa}
-        operands = {}
-        if len(idx) == 2:
-            group, lane = idx
-            half = st_a.shape[-1] // 2
-            butterfly = lane if lane < half else lane - half
-            location.update({
-                "group": group,
-                "lane": lane,
-                "butterfly": butterfly,
-                "role": "sum" if lane < half else "diff",
-            })
-            operands = {
-                "a": complex(st_a[group, lane]),
-                "b": complex(st_b[group, lane]),
-            }
-            wa = _fft_stage_weight(a, pa, sa, butterfly)
-            wb = _fft_stage_weight(b, pb, sb, butterfly)
-            if wa is not None:
-                operands["weight_a"] = wa
-                operands["weight_b"] = wb
-        else:
+        location = {"phase": phase, "stage": stage}
+        operands = {"a": complex(st_a[idx]), "b": complex(st_b[idx])}
+        if phase == "output":
             location["bin"] = idx[0]
-            operands = {"a": complex(st_a[idx]), "b": complex(st_b[idx])}
+        else:
+            group, lane = idx
+            location.update({"group": group, "lane": lane})
+            if phase != "prerotate":
+                half = st_a.shape[-1] // 2
+                location.update({
+                    "butterfly": lane % half,
+                    "role": "sum" if lane < half else "diff",
+                })
+            operands["weight_a"] = _fft_weight(a, phase, stage, group, lane)
+            operands["weight_b"] = _fft_weight(b, phase, stage, group, lane)
         report = DivergenceReport(
             kind="fft-butterfly",
             backends=names,
@@ -363,14 +282,11 @@ def coexec_fft(n: int = None, *, a: ArrayFFT = None, b: ArrayFFT = None,
             location=location,
             operands=operands,
             max_error=float(err.max()),
-            overflow_delta=(
-                (a.fx.overflow_count - ov_a0) if a.fx else 0,
-                (b.fx.overflow_count - ov_b0) if b.fx else 0,
-            ),
+            overflow_delta=overflow,
         )
-        return CoexecResult("fft-butterfly", names, steps, report,
+        return CoexecResult("fft-butterfly", names, step + 1, report,
                             time.perf_counter() - start)
-    return CoexecResult("fft-butterfly", names, steps, None,
+    return CoexecResult("fft-butterfly", names, len(pairs), None,
                         time.perf_counter() - start)
 
 
@@ -537,14 +453,15 @@ def coexec_viterbi(code="conv-k3", *, a=None, b=None, llrs=None,
     """Trellis-lockstep two Viterbi decoders over the same LLR grid.
 
     Side a steps the kernels :meth:`ViterbiDecoder.decode` ships (branch
-    sums, butterfly add-compare-select, predecessor-table traceback)
-    with *its* branch-sign table; side b the per-state oracle walk with
-    *its* own.  The add-compare-select runs in chunks of one step, in
-    the mode the grid's branch sums select (two calls per step when all
-    are finite, the masked select otherwise).  Survivor decisions and
-    path metrics are compared after every trellis step (both paths are
-    bit-identical by contract), then the traced-back info bits are
-    compared.
+    sums, butterfly add-compare-select, traceback) with *its* branch-sign
+    table; the add-compare-select runs in chunks of one step
+    (``_acs(chunk=1)``), in the mode the grid's branch sums select (two
+    calls per step when all are finite, the masked select otherwise).
+    Side b steps the per-state walk :meth:`ViterbiDecoder.decode_reference`
+    consumes (``_reference_steps``) with *its* own table.  Survivor
+    decisions and path metrics are compared after every trellis step
+    (both paths are bit-identical by contract), then each side's own
+    traceback's info bits.  Both decoders must decode the same code.
     """
     from ..coding.convolutional import get_code
     from ..coding.viterbi import ViterbiDecoder
@@ -555,6 +472,11 @@ def coexec_viterbi(code="conv-k3", *, a=None, b=None, llrs=None,
         a = ViterbiDecoder(code)
     if b is None:
         b = ViterbiDecoder(code)
+    if a.code.polynomials != b.code.polynomials:
+        raise ValueError(
+            "coexec_viterbi needs decoders of one code, "
+            f"got {a.code.name}/{b.code.name}"
+        )
     code = a.code
     if llrs is None:
         rng = np.random.default_rng(seed)
@@ -569,85 +491,57 @@ def coexec_viterbi(code="conv-k3", *, a=None, b=None, llrs=None,
             f"got shape {llr.shape}"
         )
     n_steps = llr.shape[0]
-    n_states = code.n_states
     start = time.perf_counter()
-
-    # Side a: the shipped butterfly recursion over one block.
-    decisions_a = np.empty((n_steps, 1, n_states), dtype=bool)
+    decisions_a = np.empty((n_steps, 1, code.n_states), dtype=bool)
     sums, table = a._branch_sums(llr[None])
     steps_a = a._acs(sums, table, decisions_a, chunk=1)
-    # Side b: the per-state oracle walk, b's sign table.
-    metrics_b = [0.0] + [-np.inf] * (n_states - 1)
     decisions_b = []
-
-    def diverged(t, state, choose_a, metrics_a, cand_b, what):
-        ma, mb = float(metrics_a[state]), float(metrics_b[state])
-        report = DivergenceReport(
-            kind="viterbi-step",
-            backends=names,
-            step_index=t,
-            location={"step": t, "state": state, "mismatch": what},
-            operands={
-                "a_decision": int(choose_a[state]),
-                "a_metric": ma,
-                "b_decision": decisions_b[t][state],
-                "b_metric": mb,
-                "b_cand0": float(cand_b[state][0]),
-                "b_cand1": float(cand_b[state][1]),
-            },
-            max_error=abs(ma - mb) if np.isfinite([ma, mb]).all() else 0.0,
-        )
-        return CoexecResult("viterbi-step", names, t + 1, report,
-                            time.perf_counter() - start)
-
-    for t, (choose_a, metrics_a) in enumerate(steps_a):
+    for t, ((choose_a, metrics_a), (choose_b, metrics_b, cand_b)) in \
+            enumerate(zip(steps_a, b._reference_steps(llr))):
         choose_a, metrics_a = choose_a[0, 0], metrics_a[0]
-        step_llr = llr[t]
-        new_b = [None] * n_states
-        chosen_b = [0] * n_states
-        cand_b = [None] * n_states
-        for state in range(n_states):
-            cand = []
-            for xb in (0, 1):
-                branch = b._signs[state, xb, 0] * step_llr[0]
-                for j in range(1, code.n_outputs):
-                    branch = branch + b._signs[state, xb, j] * step_llr[j]
-                cand.append(metrics_b[b._prev[state, xb]] + branch)
-            pick = 1 if cand[1] > cand[0] else 0
-            chosen_b[state] = pick
-            new_b[state] = cand[pick]
-            cand_b[state] = cand
-        metrics_b = new_b
-        decisions_b.append(chosen_b)
-
-        for state in range(n_states):
-            if int(choose_a[state]) != chosen_b[state]:
-                return diverged(t, state, choose_a, metrics_a, cand_b,
-                                "decision")
+        decisions_b.append(choose_b)
+        for state in range(code.n_states):
             ma, mb = float(metrics_a[state]), float(metrics_b[state])
-            if ma != mb and not (np.isnan(ma) and np.isnan(mb)):
-                return diverged(t, state, choose_a, metrics_a, cand_b,
-                                "metric")
-
-    # Traceback on both sides (decisions already proven equal, so this
-    # only guards the traceback conventions): a's shipped table walk
-    # against b's per-step walk, first mismatch in walk order.
-    bits_a = a._traceback(decisions_a)[0]
-    state_b = 0
-    shift = code.memory - 1
-    mask = code.n_states - 1
-    for t in range(n_steps - 1, -1, -1):
-        bit_b = state_b >> shift
-        if t < len(bits_a) and int(bits_a[t]) != bit_b:
+            if int(choose_a[state]) != choose_b[state]:
+                what = "decision"
+            elif ma != mb and not (np.isnan(ma) and np.isnan(mb)):
+                what = "metric"
+            else:
+                continue
             report = DivergenceReport(
-                kind="viterbi-step", backends=names, step_index=t,
-                location={"step": t, "mismatch": "traceback"},
-                operands={"a": int(bits_a[t]), "b": bit_b},
+                kind="viterbi-step",
+                backends=names,
+                step_index=t,
+                location={"step": t, "state": state, "mismatch": what},
+                operands={
+                    "a_decision": int(choose_a[state]),
+                    "a_metric": ma,
+                    "b_decision": choose_b[state],
+                    "b_metric": mb,
+                    "b_cand0": float(cand_b[state][0]),
+                    "b_cand1": float(cand_b[state][1]),
+                },
+                max_error=abs(ma - mb) if np.isfinite([ma, mb]).all()
+                else 0.0,
             )
-            return CoexecResult("viterbi-step", names, n_steps, report,
+            return CoexecResult("viterbi-step", names, t + 1, report,
                                 time.perf_counter() - start)
-        state_b = ((state_b << 1) & mask) | decisions_b[t][state_b]
-    return CoexecResult("viterbi-step", names, n_steps, None,
+
+    # Each side's own traceback (decisions already proven equal, so this
+    # only guards the traceback conventions); the first mismatch in walk
+    # order is the last step, as the walk runs backwards.
+    bits_a = a._traceback(decisions_a)[0]
+    bits_b = b._traceback_reference(decisions_b)
+    wrong = np.flatnonzero(bits_a != bits_b)
+    report = None
+    if wrong.size:
+        t = int(wrong[-1])
+        report = DivergenceReport(
+            kind="viterbi-step", backends=names, step_index=t,
+            location={"step": t, "mismatch": "traceback"},
+            operands={"a": int(bits_a[t]), "b": int(bits_b[t])},
+        )
+    return CoexecResult("viterbi-step", names, n_steps, report,
                         time.perf_counter() - start)
 
 
@@ -760,10 +654,12 @@ def coexec_backends(n_points: int, backends=("compiled", "reference"), *,
     bin) rather than per butterfly — use :func:`coexec_fft` /
     :func:`coexec_asip` to then zoom into a diverging pair.  Fixed-point
     spectra must agree bit for bit, overflow counts included; float
-    spectra to ``atol``.
+    spectra to ``atol``.  ``precision`` takes every name
+    :func:`repro.engine` accepts (``"fixed"`` is Q1.15).
     """
-    from ..engines import engine as build_engine
+    from ..engines import engine as build_engine, normalize_precision
 
+    precision = normalize_precision(precision)
     names = tuple(backends)
     if len(names) != 2:
         raise ValueError(f"need exactly two backends, got {names!r}")

@@ -11,11 +11,19 @@ Three layers of coverage:
   determinism, and the shrinker.
 """
 
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
+from repro.coding.convolutional import get_code
+from repro.coding.viterbi import ViterbiDecoder
 from repro.core.array_fft import ArrayFFT
+from repro.core.compiled import CompiledArrayFFT
+from repro.core.fixed_point import quantize_array
+from repro.engines import engine as build_engine
 from repro.verify import (
     FAULT_CLASSES,
     FUZZ_KINDS,
@@ -32,6 +40,19 @@ from repro.verify import (
     slicer_threshold_shift,
     twiddle_flip,
 )
+
+
+def _mutant(monkeypatch, owner, name, old, new):
+    """Patch a one-line fault into the shipped ``owner.name``: recompile
+    its source with ``old`` (which must occur exactly once) read as
+    ``new``."""
+    func = getattr(owner, name)
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, f"{old!r} is not one site in {name}"
+    namespace = {}
+    exec(compile(source.replace(old, new), f"<mutant {name}>", "exec"),
+         func.__globals__, namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
 
 
 class TestCoexecClean:
@@ -95,6 +116,26 @@ class TestCoexecClean:
         assert coexec_backends(32, ("compiled", "asip"), symbols=2,
                                precision="q15").ok
 
+    @pytest.mark.parametrize("precision", ["q15", "fixed"])
+    def test_backend_pair_overflow_only_divergence(self, precision):
+        """Every Q1.15 alias compares exactly and checks the overflow
+        counts: spectra that agree with 3 more counts on one side
+        diverge."""
+        eng_a = build_engine(32, backend="compiled", precision=precision)
+        eng_b = build_engine(32, backend="reference", precision=precision)
+        transform = eng_a.transform_many
+
+        def three_more(blocks):
+            result = transform(blocks)
+            result.overflow_count += 3
+            return result
+
+        eng_a.transform_many = three_more
+        result = coexec_backends(32, engines=(eng_a, eng_b), symbols=2,
+                                 precision=precision, close=True)
+        assert result.report.location == {"mismatch": "overflow_count"}
+        assert result.report.operands == {"a": 3, "b": 0}
+
     def test_backends_need_a_pair(self):
         with pytest.raises(ValueError, match="two backends"):
             coexec_backends(64, ("compiled",))
@@ -102,6 +143,13 @@ class TestCoexecClean:
     def test_fft_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             coexec_fft(a=ArrayFFT(32), b=ArrayFFT(64))
+
+    @pytest.mark.parametrize("codes", [("conv-k3", "conv-k7"),
+                                       ("conv-k7", "conv-k3")])
+    def test_viterbi_code_mismatch_rejected(self, codes):
+        a, b = (ViterbiDecoder(get_code(name)) for name in codes)
+        with pytest.raises(ValueError, match=f"{codes[0]}/{codes[1]}"):
+            coexec_viterbi(a=a, b=b)
 
 
 class TestFaultLocalisation:
@@ -124,6 +172,40 @@ class TestFaultLocalisation:
         assert loc["butterfly"] == fault.location["butterfly"] == 2
         # The diverging operand pair carries both sides' weights.
         assert "weight_a" in result.report.operands
+
+    @pytest.mark.parametrize("fixed_point", [False, True],
+                             ids=["float", "q15"])
+    @pytest.mark.parametrize("epoch", [0, 1])
+    def test_twiddle_localised_in_each_epoch(self, epoch, fixed_point):
+        a = ArrayFFT(64, fixed_point=fixed_point, compiled=True)
+        b = ArrayFFT(64, fixed_point=fixed_point, compiled=False)
+        with twiddle_flip(a, epoch=epoch, stage=1, index=2):
+            result = coexec_fft(a=a, b=b)
+        # Three epoch-0 stages and the pre-rotation precede epoch 1.
+        assert result.steps == 2 + 4 * epoch
+        assert result.report.location == {
+            "phase": f"epoch{epoch}", "stage": 1, "group": 0, "lane": 2,
+            "butterfly": 2, "role": "sum"}
+        # The oracle's Q1.15 ROM holds the quantised weight.
+        operands = result.report.operands
+        assert abs(operands["weight_a"] + operands["weight_b"]) <= 2 ** -15
+
+    @pytest.mark.parametrize("fixed_point", [False, True],
+                             ids=["float", "q15"])
+    def test_prerotation_fault_localised_to_element(self, fixed_point):
+        """The pre-rotation is element-wise: a flipped weight is one
+        (group, lane) site with no butterfly or role."""
+        a = ArrayFFT(64, fixed_point=fixed_point, compiled=True)
+        eng = a.compiled_engine()
+        eng.prerotation[3, 5] = -eng.prerotation[3, 5]
+        if fixed_point:
+            eng.pr, eng.pi = quantize_array(eng.prerotation)
+        result = coexec_fft(a=a, fixed_point=fixed_point)
+        assert result.steps == 4
+        assert result.report.location == {
+            "phase": "prerotate", "stage": 0, "group": 3, "lane": 5}
+        operands = result.report.operands
+        assert operands["weight_a"] == -operands["weight_b"]
 
     def test_branch_metric_localised_to_trellis_step(self):
         fault, result = demonstrate_fault("branch-metric")
@@ -250,6 +332,54 @@ class TestFaultLocalisation:
         with branch_metric_flip(a, state=1, branch=1):
             assert not coexec_viterbi(a=a, b=b).ok
         assert coexec_viterbi(a=a, b=b).ok
+
+
+class TestCoexecDrivesTheShippedWalks:
+    """A one-line fault in a shipped walk, not in its tables, is seen
+    and localised: the runners co-execute the engines' own code."""
+
+    def test_compiled_glue_fault_localised_to_prerotation(self,
+                                                          monkeypatch):
+        _mutant(monkeypatch, CompiledArrayFFT, "_transform_many_float",
+                "* self.prerotation", "* self.prerotation.conj()")
+        result = coexec_fft(64)
+        assert result.steps == 4
+        # Row and column 0 of W are 1, so W[1, 1] is the first weight
+        # the conjugate changes; the table itself is intact.
+        assert result.report.location == {
+            "phase": "prerotate", "stage": 0, "group": 1, "lane": 1}
+        operands = result.report.operands
+        assert operands["weight_a"] == operands["weight_b"]
+
+    def test_oracle_stage_fault_localised_to_first_stage(self,
+                                                         monkeypatch):
+        _mutant(monkeypatch, ArrayFFT, "_run_group_fixed",
+                "s, d = self.fx.butterfly", "d, s = self.fx.butterfly")
+        result = coexec_fft(64, fixed_point=True)
+        assert result.steps == 1
+        assert result.report.backends == ("compiled", "reference")
+        assert result.report.location == {
+            "phase": "epoch0", "stage": 0, "group": 0, "lane": 0,
+            "butterfly": 0, "role": "sum"}
+
+    def test_oracle_select_fault_localised_to_first_tie(self,
+                                                        monkeypatch):
+        grid = np.random.default_rng(6).integers(-1, 2, (24, 2)) * 1.0
+        clean = ViterbiDecoder(get_code("conv-k3"))
+        # The first (step, state) whose candidates tie, in walk order.
+        tie = next((t, state) for t, (_, _, candidates)
+                   in enumerate(clean._reference_steps(grid))
+                   for state, (c0, c1) in enumerate(candidates)
+                   if c0 == c1)
+        _mutant(monkeypatch, ViterbiDecoder, "_reference_steps",
+                "cand[1] > cand[0]", "cand[1] >= cand[0]")
+        result = coexec_viterbi(llrs=grid)
+        assert result.steps == tie[0] + 1
+        assert result.report.location == {
+            "step": tie[0], "state": tie[1], "mismatch": "decision"}
+        operands = result.report.operands
+        assert (operands["a_decision"], operands["b_decision"]) == (0, 1)
+        assert operands["b_cand0"] == operands["b_cand1"]
 
 
 class TestFuzz:
