@@ -36,7 +36,7 @@ from __future__ import annotations
 from ..core.plan import ArrayFFTPlan, EpochPlan, build_plan
 from ..isa.instructions import Opcode
 from ..isa.program import Program, ProgramBuilder
-from .fft_asip import GROUP_SIZE_REG, STOUT_STRIDE_REG, STRIDE_REG
+from .fft_asip import GROUP_SIZE_REG, STOUT_STRIDE_REG
 
 __all__ = ["generate_fft_program", "CodegenLayout", "UNROLL_THRESHOLD"]
 

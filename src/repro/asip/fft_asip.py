@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..addressing.bitops import bit_reverse, bit_width_of
+from ..addressing.bitops import bit_width_of
 from ..addressing.coefficients import PreRotationStore, prerotation_matrix
 from ..core.fixed_point import (
     LANE_DTYPE,
@@ -54,6 +54,7 @@ from ..sim.machine import Machine
 from ..sim.memory import MainMemory
 from ..sim.pipeline import PipelineConfig
 from ..sim.rom import CoefficientROM
+from ..sim.stats import SimStats
 
 __all__ = ["FFTASIP", "STRIDE_REG", "STOUT_STRIDE_REG", "GROUP_SIZE_REG"]
 
@@ -83,6 +84,12 @@ class _QuantizedButterflyArithmetic:
 class FFTASIP(Machine):
     """The paper's processor: PISA-like core with the FFT extension.
 
+    One fast path sits beside one oracle: :meth:`run` and
+    :meth:`run_batch` execute a program as a levelized pass over one
+    symbol or many (recorded once per entry control state, replayed
+    after), and :meth:`run_interpreted` steps the scalar per-lane
+    datapath both are tested against.
+
     Parameters
     ----------
     n_points:
@@ -93,17 +100,11 @@ class FFTASIP(Machine):
         Selects the bit-true Q1.15 datapath (with per-stage scaling) or
         the idealised float datapath.  Q1.15 keeps the CRF as int32
         ``re``/``im`` lanes.
-    vectorized:
-        When True (default), LDIN/STOUT bursts and BUT4 spans run as
-        whole-column ops (cached AC index arrays, one CRF gather/scatter
-        per span) — bit-identical to the scalar lanes in Q1.15, overflow
-        counts included.  False keeps the scalar per-lane walk, the
-        oracle the fast path is tested and benchmarked against.
     """
 
     def __init__(self, n_points: int, cache_config: CacheConfig = None,
                  pipeline: PipelineConfig = None, fixed_point: bool = False,
-                 memory_words: int = None, vectorized: bool = True):
+                 memory_words: int = None):
         plan = build_plan(n_points)
         words = memory_words or max(4 * n_points, 4096)
         super().__init__(
@@ -114,7 +115,6 @@ class FFTASIP(Machine):
         self.plan: ArrayFFTPlan = plan
         self.n_points = n_points
         self.fixed_point = fixed_point
-        self.vectorized = vectorized
         self.fx = FixedPointContext() if fixed_point else None
         arithmetic = _QuantizedButterflyArithmetic(self.fx) if fixed_point else None
         self.crf = CustomRegisterFile(plan.crf_entries, int_mode=fixed_point)
@@ -135,8 +135,8 @@ class FFTASIP(Machine):
         self._prerot_flat = None
         self._prerot_fx = None
         self._prerot_components = None
-        # Active multi-symbol batch recording (see run_batch); None
-        # otherwise.  _records keeps the replayable batch passes.
+        # The levelized pass being recorded (see run_batch), or None;
+        # _records keeps the replayable passes.
         self._batch = None
         self._records = []
         self.input_base = 0
@@ -179,11 +179,37 @@ class FFTASIP(Machine):
         """Read back the natural-order spectrum from the output region."""
         return self.memory.read_complex_vector(self.output_base, self.n_points)
 
-    # Multi-symbol batch execution ----------------------------------------
+    # Levelized execution ----------------------------------------------------
 
     #: Control records kept per machine (see run_batch): a stream passes
     #: through the power-on entry state and then one steady one.
     CONTROL_RECORDS = 2
+
+    def run(self, program) -> SimStats:
+        """Run ``program`` over the staged input; returns the stats.
+
+        A batchable program (:meth:`_can_batch`) runs as a one-symbol
+        :meth:`run_batch` pass over the words already in
+        ``[input_base, input_base + N)``: recorded from a new entry
+        control state, replayed from a known one, and evaluated into the
+        memory window and both CRF banks.  Unbatchable programs run per
+        op on :meth:`Machine.run`, and so do programs the recorder
+        refuses, from the entry state it puts back.  A recording pass
+        comes back here and runs on :meth:`Machine.run` too.
+        """
+        if self._batch is not None or not self._can_batch(program):
+            return super().run(program)
+        words = self.input_base + np.arange(self.n_points)
+        if self.fixed_point:
+            inputs = tuple(part[:, None] for part in words_to_fixed_array(
+                self.memory.gather_words(words)))
+        else:
+            inputs = (self.memory.gather_complex(words)[:, None],)
+        try:
+            self._pass(program, inputs)
+        except _Unbatchable:
+            return super().run(program)
+        return self.stats
 
     def run_batch(self, program, blocks) -> tuple:
         """Run ``program`` over an ``(n_symbols, N)`` block batch.
@@ -209,16 +235,19 @@ class FFTASIP(Machine):
         and writebacks come from :meth:`DataCache.replay` of the recorded
         walk, and data (memory, CRF, ROM, pre-rotation weights) is read
         live.  The end state (registers, memory, both CRF banks, cache)
-        equals the serial loop's.
+        equals that of ``n_symbols`` :meth:`run` calls, one per symbol.
 
         A Q1.15 batch holding NaN or infinity raises ``ValueError`` while
-        it is staged, before the pass runs or retires; the serial loop
-        raises at the first such symbol, before running it.
+        it is staged, before the pass runs or retires.  A program whose
+        data plane the recorder refuses (it reads data-region state a
+        previous symbol would produce, or its custom ops leave
+        ``[0, 3N)``) raises :class:`SimulationError`, with the machine
+        left as it was.
 
         Returns ``(outputs, per_symbol_cycles)``.  Falls back to the
         serial per-symbol loop whenever exact batched semantics cannot be
-        guaranteed: scalar-oracle configurations, instrumented machines,
-        programs containing LW/SW, or charged cache latency.
+        guaranteed: instrumented machines, programs containing LW/SW, or
+        charged cache latency.
         """
         blocks = np.asarray(blocks, dtype=complex)
         if blocks.ndim != 2 or blocks.shape[1] != self.n_points:
@@ -229,7 +258,7 @@ class FFTASIP(Machine):
         n = blocks.shape[0]
         if n == 0:
             return blocks.copy(), []
-        if n == 1 or not self._can_batch(program):
+        if not self._can_batch(program):
             outputs = np.empty_like(blocks)
             cycles = []
             for k in range(n):
@@ -244,12 +273,19 @@ class FFTASIP(Machine):
         # the machine untouched.
         inputs = (quantize_array(blocks.T[self._input_perm])
                   if self.fixed_point else (blocks.T[self._input_perm],))
+        record, outputs = self._pass(program, inputs)
+        return outputs, [record.cycles] * n
+
+    def _pass(self, program, inputs: tuple) -> tuple:
+        """Record or replay one pass over the staged ``(N, n_symbols)``
+        ``inputs``, retire it once per symbol and evaluate it; returns
+        ``(record, outputs)``."""
         key = self._control_key()
         record = self._find_record(program, key)
         if record is None:
             record = self._record_pass(program, key)
-        self._retire(record, n)
-        return record.schedule.evaluate(self, inputs), [record.cycles] * n
+        self._retire(record, inputs[0].shape[1])
+        return record, record.schedule.evaluate(self, inputs)
 
     def _control_key(self) -> tuple:
         """The entry control state a batch pass reads: the 32 registers,
@@ -263,6 +299,29 @@ class FFTASIP(Machine):
             self.crf.active_bank, self.pipeline, self.dcache is not None,
             self._predecode_token(),
         )
+
+    def _control_state(self) -> tuple:
+        """Copies of the control state a pass changes: the registers, pc,
+        ``halted``, both sequencer cursors, the group size and the active
+        CRF bank."""
+        flow = self._flow
+        return (tuple(self.registers), self.pc, self.halted,
+                (tuple(flow["ldin"]), tuple(flow["stout"])),
+                self._configured_group_size, self.crf.active_bank)
+
+    def _set_control_state(self, state: tuple) -> None:
+        """Enter a state taken by :meth:`_control_state`; the AC logic is
+        re-configured with the group size."""
+        registers, pc, halted, flow, group_size, active_bank = state
+        self.registers[:] = registers
+        self.pc = pc
+        self.halted = halted
+        self._last_load_reg = None
+        self._flow = {"ldin": list(flow[0]), "stout": list(flow[1])}
+        if group_size != self._configured_group_size:
+            self._configure_group(group_size)
+        if self.crf.active_bank != active_bank:
+            self.crf.swap_banks()
 
     def _find_record(self, program, key: tuple):
         """The replayable record of ``program`` from ``key``, or None."""
@@ -288,7 +347,9 @@ class FFTASIP(Machine):
         """Interpret ``program`` once over value names and keep the pass.
 
         Counters are left at their entry values; :meth:`_retire` then
-        applies the record like any replayed one.
+        applies the record like any replayed one.  A refused pass
+        (:class:`_Unbatchable`) puts back the whole entry state, so the
+        program can run per op from it.
         """
         counters = self._batch_counters()
         before = [getattr(obj, name) for obj, name in counters]
@@ -296,6 +357,14 @@ class FFTASIP(Machine):
         ops_before = dict(ops)
         crf = self.crf
         crf_state = (crf.active_bank, crf.reads, crf.writes)
+        entry = self._control_state()
+
+        def restore_counters():
+            for (obj, name), value in zip(counters, before):
+                setattr(obj, name, value)
+            ops.clear()
+            ops.update(ops_before)
+
         batch = self._batch = _SymbolBatch(self)
         try:
             self.run(program)
@@ -306,11 +375,16 @@ class FFTASIP(Machine):
             # Generated FFT programs are strictly write-before-read and
             # never trip this.
             if bool(np.any(batch.suspect & batch.written)):
-                raise SimulationError(
+                raise _Unbatchable(
                     "batched program reads data-region state carried "
-                    "across symbols; run it serially (run_batch with "
-                    "batch size 1 or Machine.run per symbol)"
+                    "across symbols; FFTASIP.run runs it per op, one "
+                    "symbol at a time"
                 )
+        except _Unbatchable:
+            # Memory and CRF data are untouched until the flush.
+            self._set_control_state(entry)
+            restore_counters()
+            raise
         except Exception:
             # The CRF's data is untouched until the flush; put back the
             # bank selection and counters the recording advanced.
@@ -328,20 +402,12 @@ class FFTASIP(Machine):
             op_deltas=tuple((op, count - ops_before.get(op, 0))
                             for op, count in ops.items()
                             if count != ops_before.get(op, 0)),
-            registers=tuple(self.registers),
-            pc=self.pc,
-            halted=self.halted,
-            flow=(tuple(self._flow["ldin"]), tuple(self._flow["stout"])),
-            group_size=self._configured_group_size,
-            active_bank=crf.active_bank,
+            end=self._control_state(),
             walk=(np.concatenate(batch.walk, dtype=_INDEX)
                   if batch.walk else None),
             schedule=batch.schedule(),
         )
-        for (obj, name), value in zip(counters, before):
-            setattr(obj, name, value)
-        ops.clear()
-        ops.update(ops_before)
+        restore_counters()
         self._records.append(record)
         if len(self._records) > self.CONTROL_RECORDS:
             del self._records[0]
@@ -355,27 +421,14 @@ class FFTASIP(Machine):
         ops = self.stats.custom_ops
         for op, delta in record.op_deltas:
             ops[op] = ops.get(op, 0) + n * delta
-        self.registers[:] = record.registers
-        self.pc = record.pc
-        self.halted = record.halted
-        self._last_load_reg = None
-        self._flow = {"ldin": list(record.flow[0]),
-                      "stout": list(record.flow[1])}
-        if record.group_size != self._configured_group_size:
-            self.ac.configure(record.group_size)
-            self._configured_group_size = record.group_size
-            self._modules_per_stage = self.ac.modules_per_stage()
-        if self.crf.active_bank != record.active_bank:
-            self.crf.swap_banks()
+        self._set_control_state(record.end)
         if self.dcache is not None and record.walk is not None:
             hits, misses = self.dcache.replay(record.walk, n)
             self.stats.dcache_hits += hits
             self.stats.dcache_misses += misses
 
     def _can_batch(self, program) -> bool:
-        """Whether the batched fast path reproduces serial runs exactly."""
-        if not self.vectorized:
-            return False
+        """Whether a levelized pass reproduces per-op runs exactly."""
         if self.charge_cache_latency:
             return False
         patched = ("step", "execute_custom", "load_input", "read_output",
@@ -408,12 +461,12 @@ class FFTASIP(Machine):
         return executor
 
     def _predecode_token(self):
-        """Decoded handlers specialise on the vectorisation flag and on
-        any instance-level patch of the custom-op executors (a patch
-        between runs of the same program must rebuild the handlers)."""
+        """Decoded handlers specialise on whether a pass is being
+        recorded (only a recording fuses custom-op bursts) and on any
+        instance-level patch of the custom-op executors (a patch between
+        runs of the same program must rebuild the handlers)."""
         instance = self.__dict__
         return (
-            self.vectorized,
             self._batch is not None,
             instance.get("_exec_but4"),
             instance.get("_exec_ldin"),
@@ -421,21 +474,16 @@ class FFTASIP(Machine):
         )
 
     def custom_burst_executor(self, program, start: int, end: int):
-        """Fused executors for LDIN/STOUT/BUT4 runs (predecode hook).
+        """Fused recorders for LDIN/STOUT/BUT4 runs (predecode hook).
 
-        Generated programs issue these ops in long straight-line bursts
-        whose addressing is hardware-sequenced, so the whole run can
-        execute as a few column ops.  Architectural effects, statistics
-        and cycle charges are identical to the per-op path; equivalence
-        is asserted against :meth:`Machine.step`-based interpretation in
-        the tests.
+        Only a recording pass fuses.  Generated programs issue these ops
+        in long straight-line bursts whose addressing is
+        hardware-sequenced, so a whole run records as a few column ops
+        over value names, with the statistics and cycle charges of the
+        per-op path.  Outside a recording every custom op runs the
+        scalar datapath per op.
         """
-        if not self.vectorized:
-            return None
-        if any(name in self.__dict__
-               for name in ("_exec_but4", "_exec_ldin", "_exec_stout")):
-            # An executor is instance-patched (instrumentation / fault
-            # injection): decline fusion so every op flows through it.
+        if self._batch is None:
             return None
         instrs = [program[i] for i in range(start, end)]
         op = instrs[0].opcode
@@ -460,7 +508,7 @@ class FFTASIP(Machine):
             ops = stats.custom_ops
             ops["ldin"] = ops.get("ldin", 0) + count
             stats.loads += count
-            return self._ldin_burst_fast(rs, rt, count, size, stride)
+            return self._ldin_burst(rs, rt, count, size, stride)
         return burst
 
     def _make_stout_burst(self, instr: Instruction, count: int):
@@ -472,9 +520,7 @@ class FFTASIP(Machine):
             ops = stats.custom_ops
             ops["stout"] = ops.get("stout", 0) + count
             stats.stores += count
-            return self._stout_burst_fast(
-                rs, rt, prerotate, count, size, stride
-            )
+            return self._stout_burst(rs, rt, prerotate, count, size, stride)
         return burst
 
     def _make_but4_burst(self, instrs: list):
@@ -493,7 +539,7 @@ class FFTASIP(Machine):
                 module = read_reg(rs)
                 stage = read_reg(rt)
                 # Extend over consecutive modules of the same stage; the
-                # whole span is one gather/butterfly/scatter column op.
+                # whole span records as one column op.
                 last_module = module
                 span_end = index + 1
                 while span_end < count:
@@ -506,24 +552,22 @@ class FFTASIP(Machine):
                 reads, rom_addresses, writes, lanes = self.ac.span_arrays(
                     module, last_module, stage
                 )
-                self._but4_columns(reads, rom_addresses, writes, lanes,
-                                   span_end - index, size)
+                self._batch.butterflies(reads, rom_addresses, writes, lanes,
+                                        span_end - index, size)
                 if last_module == modules_per_stage:
                     self.crf.swap_banks()
                 index = span_end
             return count * (self.pipeline.but4_latency - 1)
         return burst
 
-    # Vectorised LDIN/STOUT machinery -------------------------------------
+    # Recorded LDIN/STOUT bursts --------------------------------------------
     #
-    # The fast paths (Q1.15 and float serial bursts, and the
-    # multi-symbol batch) split each burst into three phases with
-    # identical architectural effect to the per-op loop: (1) run the
-    # hardware address sequencer for the whole burst, (2) account every
-    # cache beat in op order (a batch records the walk instead), (3) move
-    # the data as whole-column numpy ops (a batch moves value names).
-    # CRF scatter chunks never exceed the group size, so positions within
-    # a chunk are unique and scatter order equals the sequential writes.
+    # A fused burst has the architectural effect of the per-op loop: it
+    # runs the hardware address sequencer for the whole burst, records
+    # every cache beat in op order, and moves value names as whole
+    # columns.  CRF chunks never exceed the group size, so positions
+    # within a chunk are unique and a chunk's scatter equals the
+    # sequential writes.
 
     def _sequence_walk(self, kind: str, size: int, stride: int,
                        mem: int, count: int) -> tuple:
@@ -553,110 +597,52 @@ class FFTASIP(Machine):
         flow[1] = group_start
         return addresses, mem
 
-    def _account_cache_walk(self, addresses: np.ndarray,
-                            is_write: bool) -> int:
-        """Cache-account a burst's bus beats in op order; returns extra
-        cycles (non-zero only with ``charge_cache_latency``)."""
-        dcache = self.dcache
-        if dcache is None:
-            return 0
-        if self._batch is not None:
-            self._batch.record_walk(addresses, is_write)
-            return 0
-        access = dcache.access
-        hit_latency = dcache.config.hit_latency
-        charge = self.charge_cache_latency
-        hits = misses = 0
-        extra = 0
-        for first, second in addresses.tolist():
-            latency_a = access(first, is_write)
-            latency_b = access(second, is_write)
-            hits += (latency_a == hit_latency) + (latency_b == hit_latency)
-            misses += (latency_a > hit_latency) + (latency_b > hit_latency)
-            if charge:
-                extra += max(latency_a, latency_b) - hit_latency
-        self.stats.dcache_hits += hits
-        self.stats.dcache_misses += misses
-        return extra
-
-    def _ldin_burst_fast(self, rs: int, rt: int, count: int,
-                         size: int, stride: int) -> int:
+    def _ldin_burst(self, rs: int, rt: int, count: int, size: int,
+                    stride: int) -> int:
         mem = self.read_reg(rs)
         crf_start = self.read_reg(rt)
         addresses, mem_final = self._sequence_walk(
             "ldin", size, stride, mem, count
         )
-        extra = self._account_cache_walk(addresses, is_write=False)
+        if self.dcache is not None:
+            self._batch.record_walk(addresses, is_write=False)
         flat = addresses.reshape(-1)
-        if self._batch is not None:
-            self._check_window(flat, "LDIN")
+        self._check_window(flat, "LDIN")
         offsets = np.arange(2 * count, dtype=np.int64)
         for lo in range(0, 2 * count, size):
             chunk = slice(lo, min(lo + size, 2 * count))
             positions = (crf_start + offsets[chunk]) % size
-            self._ldin_move(flat[chunk], positions)
+            self._batch.ldin(flat[chunk], positions)
         self.write_reg(rs, int(mem_final))
         self.write_reg(rt, int((crf_start + 2 * count) % size))
-        return count * (self.pipeline.custom_mem_latency - 1) + extra
+        return count * (self.pipeline.custom_mem_latency - 1)
 
-    def _ldin_move(self, flat: np.ndarray, positions: np.ndarray) -> None:
-        """Move one chunk of LDIN points memory -> CRF as columns."""
-        if self._batch is not None:
-            self._batch.ldin(flat, positions)
-            return
-        if self.fixed_point:
-            # Unpacking the 16-bit fields IS the read_complex + quantize
-            # round trip (every stored point is on the Q1.15 grid).
-            re, im = words_to_fixed_array(self.memory.gather_words(flat))
-            self.crf.write_many_fixed(positions, re, im)
-        else:
-            self.crf.write_many(positions, self.memory.gather_complex(flat))
-
-    def _stout_burst_fast(self, rs: int, rt: int, prerotate: bool,
-                          count: int, size: int, stride: int) -> int:
+    def _stout_burst(self, rs: int, rt: int, prerotate: bool, count: int,
+                     size: int, stride: int) -> int:
         crf_start = self.read_reg(rs)
         mem = self.read_reg(rt)
         addresses, mem_final = self._sequence_walk(
             "stout", size, stride, mem, count
         )
-        extra = self._account_cache_walk(addresses, is_write=True)
+        if self.dcache is not None:
+            self._batch.record_walk(addresses, is_write=True)
         flat = addresses.reshape(-1)
-        if self._batch is not None:
-            self._check_window(flat, "STOUT")
+        self._check_window(flat, "STOUT")
         offsets = np.arange(2 * count, dtype=np.int64)
         for lo in range(0, 2 * count, size):
             chunk = slice(lo, min(lo + size, 2 * count))
             positions = (crf_start + offsets[chunk]) % size
-            self._stout_move(flat[chunk], positions, prerotate)
+            self._record_stout(flat[chunk], positions, prerotate)
         self.write_reg(rs, int((crf_start + 2 * count) % size))
         self.write_reg(rt, int(mem_final))
-        return count * (self.pipeline.custom_mem_latency - 1) + extra
+        return count * (self.pipeline.custom_mem_latency - 1)
 
-    def _stout_move(self, flat: np.ndarray, positions: np.ndarray,
-                    prerotate: bool) -> None:
-        """Move one chunk of STOUT points CRF -> memory as columns."""
-        if self._batch is not None:
-            self._batch.stout(
-                flat, positions, self._scratch_rel(flat) if prerotate
-                else None,
-            )
-            return
-        crf = self.crf
-        if crf.int_mode:
-            re, im = crf.read_many_fixed(positions)
-            if prerotate:
-                rel = self._scratch_rel(flat)
-                pre_re, pre_im = self._prerot_components
-                re, im = self.fx.multiply_arrays(
-                    re, im, pre_re[rel], pre_im[rel]
-                )
-            self.memory.scatter_words(flat, fixed_to_words_array(re, im))
-            return
-        values = crf.read_many(positions)
-        if prerotate:
-            rel = self._scratch_rel(flat)
-            values = values * self._prerotation_table()[rel]
-        self.memory.scatter_complex(flat, values)
+    def _record_stout(self, flat: np.ndarray, positions: np.ndarray,
+                      prerotate: bool) -> None:
+        """Record one chunk of STOUT points CRF -> memory."""
+        self._batch.stout(
+            flat, positions, self._scratch_rel(flat) if prerotate else None,
+        )
 
     def _scratch_rel(self, flat: np.ndarray) -> np.ndarray:
         """Scratch-relative indices of pre-rotating STOUT addresses."""
@@ -673,14 +659,14 @@ class FFTASIP(Machine):
         return rel
 
     def _check_window(self, flat: np.ndarray, op: str) -> None:
-        """Batched custom ops must stay inside the staged data regions."""
+        """Recorded custom ops must stay inside the staged data regions."""
         window = self._batch.window
         if flat.size and (
             int(flat.min()) < 0 or int(flat.max()) >= window
         ):
-            raise SimulationError(
+            raise _Unbatchable(
                 f"batched {op} touches memory outside the data regions "
-                f"[0, {window}); run such programs serially"
+                f"[0, {window}); FFTASIP.run runs such programs per op"
             )
 
     def _group_size(self) -> int:
@@ -690,11 +676,19 @@ class FFTASIP(Machine):
                 "group-size register k1 not configured before custom op"
             )
         if size != self._configured_group_size:
-            self.ac.configure(size)
-            self._configured_group_size = size
-            self._modules_per_stage = self.ac.modules_per_stage()
+            self._configure_group(size)
             self._flow = {"ldin": [0, 0], "stout": [0, 0]}
         return size
+
+    def _configure_group(self, size) -> None:
+        """Latch group size ``size`` into the AC logic; None leaves it
+        unconfigured, so the next custom op configures it."""
+        self._configured_group_size = size
+        if size is None:
+            self._modules_per_stage = None
+            return
+        self.ac.configure(size)
+        self._modules_per_stage = self.ac.modules_per_stage()
 
     def _stride(self, register: int = STRIDE_REG) -> int:
         stride = self.read_reg(register)
@@ -705,31 +699,18 @@ class FFTASIP(Machine):
         size = self._group_size()
         module = self.read_reg(instr.rs)
         stage = self.read_reg(instr.rt)
-        # Whole-column fast path: float lanes, or Q1.15 component ops on
-        # the int-mode CRF (bit-identical to the scalar lanes).
-        if self.vectorized:
+        if self._batch is None:
+            addresses = self.ac.addresses(module, stage)
+            self.bu.execute(addresses, self.crf, self.rom, size)
+        else:
             reads, rom_addresses, writes, lanes = self.ac.index_arrays(
                 module, stage
             )
-            self._but4_columns(reads, rom_addresses, writes, lanes, 1, size)
-        else:
-            addresses = self.ac.addresses(module, stage)
-            self.bu.execute(addresses, self.crf, self.rom, size)
+            self._batch.butterflies(reads, rom_addresses, writes, lanes, 1,
+                                    size)
         if module == self._modules_per_stage:
             self.crf.swap_banks()
         return self.pipeline.but4_latency - 1
-
-    def _but4_columns(self, reads: np.ndarray, rom_addresses: np.ndarray,
-                      writes: np.ndarray, lanes: int, ops: int,
-                      size: int) -> None:
-        """``ops`` BUT4s of one stage as whole columns: executed on the
-        serial datapath, or recorded into the batch's dataflow."""
-        if self._batch is None:
-            self.bu.execute_span(reads, rom_addresses, writes, lanes, ops,
-                                 self.crf, self.rom, size)
-        else:
-            self._batch.butterflies(reads, rom_addresses, writes, lanes,
-                                    ops, size)
 
     def _advance_cursor(self, kind: str, size: int, stride: int,
                         mem: int) -> int:
@@ -770,7 +751,7 @@ class FFTASIP(Machine):
             positions = np.array(
                 [crf % size, (crf + 1) % size], dtype=np.int64
             )
-            self._ldin_move(flat, positions)
+            self._batch.ldin(flat, positions)
         else:
             # A Q1.15 CRF quantises on write.
             first, second = self.memory.read_complex_pair(
@@ -798,7 +779,7 @@ class FFTASIP(Machine):
             positions = np.array(
                 [crf % size, (crf + 1) % size], dtype=np.int64
             )
-            self._stout_move(flat, positions, prerotate)
+            self._record_stout(flat, positions, prerotate)
         else:
             first = self.crf.read(crf % size)
             second = self.crf.read((crf + 1) % size)
@@ -895,28 +876,29 @@ _STATS_COUNTERS = ("cycles", "instructions", "loads", "stores", "branches",
                    "taken_branches", "stall_cycles")
 
 
+class _Unbatchable(SimulationError):
+    """The recorder's refusal: a program whose data plane a levelized
+    pass cannot reproduce (it reads data-region state a previous symbol
+    would produce, or its custom ops leave ``[0, 3N)``)."""
+
+
 @dataclass(frozen=True, eq=False)
 class _ControlRecord:
     """The n-independent result of one recorded batch pass.
 
     Every field is a copy taken when the pass ended.  ``deltas`` follow
     :meth:`FFTASIP._batch_counters` and ``op_deltas`` the custom-op
-    counters, each per symbol; registers, pc, ``halted``, the sequencer
-    ``flow``, ``group_size`` and ``active_bank`` are the end control
-    state; ``walk`` is the pass's D-cache address walk (None without a
-    cache); ``schedule`` evaluates the data plane.
+    counters, each per symbol; ``end`` is the end control state (see
+    :meth:`FFTASIP._control_state`); ``walk`` is the pass's D-cache
+    address walk (None without a cache); ``schedule`` evaluates the data
+    plane.
     """
 
     program: object
     key: tuple
     deltas: tuple
     op_deltas: tuple
-    registers: tuple
-    pc: int
-    halted: bool
-    flow: tuple
-    group_size: object
-    active_bank: int
+    end: tuple
     walk: object
     schedule: "_FlushSchedule"
 
@@ -1181,15 +1163,16 @@ class _FlushSchedule:
     Each level runs as a few wide column ops over symbols x every group
     of its epoch — legal because the conflict-free CRF addressing makes
     the groups of an epoch independent, and exact because every op is
-    element-wise (the same ``FixedPointContext.butterfly_arrays`` /
-    ``multiply_arrays`` calls, or the float ``w*b``, ``a±t``, ``x*w``,
-    over more elements) and the overflow count is a sum.  Values are
-    stored position-major, ``(positions, n_symbols)``, so operand gathers
-    copy whole rows.  Only the input region differs between symbols; the
-    initial state (memory window and both CRF banks at entry) is one
-    column every symbol shares.  A level is freed once its last reader
-    has run, after the memory words, CRF entries and outputs that end the
-    run naming it have been copied out.
+    element-wise (``FixedPointContext.butterfly_arrays`` /
+    ``multiply_arrays``, or the float ``w*b``, ``a±t``, ``x*w``, whose
+    results do not depend on how many elements one call covers) and the
+    overflow count is a sum.  Values are stored position-major,
+    ``(positions, n_symbols)``, so operand gathers copy whole rows.  Only
+    the input region differs between symbols; the initial state (memory
+    window and both CRF banks at entry) is one column every symbol
+    shares.  A level is freed once its last reader has run, after the
+    memory words, CRF entries and outputs that end the run naming it
+    have been copied out.
     """
 
     #: elements (symbols x lanes) per column op while evaluating a level;
@@ -1216,7 +1199,7 @@ class _FlushSchedule:
         the ``(n_symbols, N)`` outputs.
 
         Leaves memory and both CRF banks holding the last symbol's end
-        state, as the serial loop would.
+        state, as one run per symbol would.
         """
         n = inputs[0].shape[1]
         fixed = machine.fixed_point
@@ -1357,7 +1340,7 @@ class _FlushSchedule:
 
     def _write_back(self, machine: FFTASIP, end_state: list) -> None:
         """Leave memory and the CRF banks holding the last symbol's end
-        state — that of the equivalent serial loop."""
+        state — that of one run per symbol."""
         words = np.arange(self.window, dtype=np.int64)
         window = [part[:self.window] for part in end_state]
         if machine.fixed_point:

@@ -32,7 +32,6 @@ from ..sim.cache import CacheConfig
 from ..sim.machine import Machine
 from ..sim.memory import MainMemory
 from ..sim.pipeline import PipelineConfig
-from ..sim.stats import SimStats
 
 __all__ = ["SoftwareFFTBaseline", "generate_software_fft", "TAYLOR_TERMS"]
 

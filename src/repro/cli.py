@@ -23,7 +23,12 @@ Usage::
     python -m repro serve [--tenants T --symbols K --size N]
                                         # threaded tenants on one pool:
                                         # sessions/s, tail latency, health
+    python -m repro uarch [<scenario>] [--size N] [--study]
+                                        # issue-width re-timing of an
+                                        # oracle run, or the design study
     python -m repro listing --size N    # the generated program listing
+    python -m repro report [--size N] [--output FILE]
+                                        # full Markdown reproduction report
 
 The transform-running subcommands (``fft``, ``stream``, ``bench``,
 ``run``, ``serve``) share the facade flags ``--backend`` /

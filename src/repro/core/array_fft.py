@@ -239,6 +239,7 @@ class ArrayFFT:
                 out[m] = s
                 out[m + half] = d
             crf = out
+            self.bu.op_count += stage_plan.modules
             if observe is not None:
                 observe(f"epoch{epoch.epoch}", si, crf)
         return crf

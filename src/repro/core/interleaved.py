@@ -21,7 +21,7 @@ from ..addressing.coefficients import PreRotationStore, rom_table
 from .array_fft import _ExactPreRotation
 from .butterfly import ButterflyUnit
 from .plan import ArrayFFTPlan, EpochPlan, build_plan
-from .schedule import BUOp, interleaved_schedule
+from .schedule import interleaved_schedule
 
 __all__ = ["InterleavedArrayFFT"]
 

@@ -15,7 +15,6 @@ the code-size numbers in the ablation benchmarks concrete.
 from __future__ import annotations
 
 from .instructions import (
-    BRANCH_OPCODES,
     Format,
     Instruction,
     Opcode,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .instructions import BRANCH_OPCODES, Format, Instruction, Opcode
+from .instructions import BRANCH_OPCODES, Instruction, Opcode
 
 __all__ = ["Program", "ProgramBuilder"]
 

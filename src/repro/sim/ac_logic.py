@@ -143,7 +143,7 @@ class AddressChangingLogic:
     @staticmethod
     def _check_indices(arrays: tuple) -> None:
         """One-time guard: gather tables must never contain negatives
-        (a negative would silently wrap in the vectorised CRF/ROM
+        (a negative would silently wrap in the levelized CRF/ROM
         gathers where the scalar oracle raises)."""
         reads, rom, writes, _ = arrays
         for table in (reads, rom, writes):
@@ -158,9 +158,9 @@ class AddressChangingLogic:
 
         Returns ``(reads, rom, writes, lanes)`` with all first-half
         indices (and then all second-half indices) of the modules
-        concatenated, so a whole run of consecutive BUT4s executes as one
-        gather/butterfly/scatter.  Per-module counting is unaffected: the
-        array lengths equal the sums over :meth:`index_arrays`.
+        concatenated, so a whole run of consecutive BUT4s records as one
+        column op.  Per-module counting is unaffected: the array lengths
+        equal the sums over :meth:`index_arrays`.
         """
         key = (module_first, module_last, stage)
         cached = self._index_cache.get(key)

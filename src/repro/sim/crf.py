@@ -13,15 +13,15 @@ Two storage modes, one per datapath precision:
 * **int mode** (``int_mode=True``) — each bank is a struct-of-arrays pair
   of ``re``/``im`` component vectors in the Q1.15 lane format (int32,
   :data:`~repro.core.fixed_point.LANE_DTYPE`) holding the integers
-  directly; every Q1.15 ASIP uses it.  The vectorised Q1.15 paths move
-  whole component columns; the scalar accessors quantise on write and
-  convert back on read (losslessly, since every value is on the grid),
-  so the per-op oracle path stays bit-true.
+  directly; every Q1.15 ASIP uses it.  The scalar accessors quantise on
+  write and convert back on read (losslessly, since every value is on
+  the grid), so the per-op oracle path stays bit-true.
 
-The CRF models one symbol.  Multi-symbol batches
-(:meth:`repro.asip.FFTASIP.run_batch`) never widen it: they track which
-value each entry names, tally the accesses per symbol on this object, and
-load the last symbol's end state back through :meth:`bank_arrays`.
+The CRF models one symbol.  Levelized passes
+(:meth:`repro.asip.FFTASIP.run` and ``run_batch``) never widen it: they
+track which value each entry names, tally the accesses per symbol on
+this object, and load the last symbol's end state back through
+:meth:`bank_arrays`.
 """
 
 from __future__ import annotations
@@ -98,66 +98,7 @@ class CustomRegisterFile:
         else:
             self._data[bank, address] = value
 
-    # Vectorised accessors -------------------------------------------------
-
-    def read_many(self, addresses: np.ndarray) -> np.ndarray:
-        """Gather entries from the active bank at an index array.
-
-        Counts one read per address, like ``len(addresses)`` calls of
-        :meth:`read`.  Callers must supply non-negative in-range indices
-        (the AC logic validates its tables once at build time); the fancy
-        index rejects overruns but would wrap negatives.
-        """
-        self.reads += len(addresses)
-        if self.int_mode:
-            return fixed_to_complex_array(
-                self._re[self._active][addresses],
-                self._im[self._active][addresses],
-            )
-        return self._data[self._active][addresses]
-
-    def read_many_fixed(self, addresses: np.ndarray) -> tuple:
-        """Gather Q1.15 ``(re, im)`` components (int mode only)."""
-        if not self.int_mode:
-            raise ValueError("read_many_fixed needs an int-mode CRF")
-        self.reads += len(addresses)
-        return (
-            self._re[self._active][addresses],
-            self._im[self._active][addresses],
-        )
-
-    def write_many(self, addresses: np.ndarray, values) -> None:
-        """Scatter a value block into the active bank (LDIN columns)."""
-        self._scatter(self._active, addresses, values)
-
-    def write_shadow_many(self, addresses: np.ndarray, values) -> None:
-        """Scatter a value array into the inactive bank (stage outputs)."""
-        self._scatter(1 - self._active, addresses, values)
-
-    def _scatter(self, bank: int, addresses: np.ndarray, values) -> None:
-        self.writes += len(addresses)
-        if self.int_mode:
-            re, im = quantize_array(values)
-            self._re[bank][addresses] = re
-            self._im[bank][addresses] = im
-        else:
-            self._data[bank][addresses] = values
-
-    def write_many_fixed(self, addresses: np.ndarray, re, im) -> None:
-        """Scatter Q1.15 components into the active bank (int mode)."""
-        self._scatter_fixed(self._active, addresses, re, im)
-
-    def write_shadow_many_fixed(self, addresses: np.ndarray, re, im) -> None:
-        """Scatter Q1.15 components into the inactive bank (int mode)."""
-        self._scatter_fixed(1 - self._active, addresses, re, im)
-
-    def _scatter_fixed(self, bank: int, addresses: np.ndarray,
-                       re, im) -> None:
-        if not self.int_mode:
-            raise ValueError("fixed-component scatter needs an int-mode CRF")
-        self.writes += len(addresses)
-        self._re[bank][addresses] = re
-        self._im[bank][addresses] = im
+    # Bulk state -----------------------------------------------------------
 
     def bank_arrays(self) -> tuple:
         """The live ``(2, entries)`` storage of both banks.

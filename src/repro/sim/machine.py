@@ -377,8 +377,8 @@ class Machine:
         """State the predecoded handlers depend on besides the program.
 
         Subclasses whose decode-time specialisation reads mutable machine
-        state (e.g. the ASIP's ``vectorized`` flag) return it here so the
-        handler cache is invalidated when it changes.
+        state (e.g. whether the ASIP is recording a levelized pass) return
+        it here so the handler cache is invalidated when it changes.
         """
         return None
 

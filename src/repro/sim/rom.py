@@ -51,28 +51,6 @@ class CoefficientROM:
         stride = self.points // group_points
         return self.read(address * stride)
 
-    def read_many_for_size(self, addresses: np.ndarray,
-                           group_points: int) -> np.ndarray:
-        """Gather several stride-addressed twiddles at once.
-
-        Counts one read per address, like repeated :meth:`read_for_size`
-        calls.
-        """
-        self.reads += len(addresses)
-        return self._table[self.table_indices(addresses, group_points)]
-
-    def read_many_fixed_for_size(self, addresses: np.ndarray,
-                                 group_points: int) -> tuple:
-        """Gather stride-addressed twiddles as Q1.15 ``(re, im)`` columns.
-
-        Component ``k`` equals ``quantize(read_for_size(addresses[k]))``
-        exactly — the value the scalar Q1.15 BUT4 path feeds the BU.
-        """
-        self.reads += len(addresses)
-        indices = self.table_indices(addresses, group_points)
-        re, im = self.fixed_table()
-        return re[indices], im[indices]
-
     def table_indices(self, addresses: np.ndarray,
                       group_points: int) -> np.ndarray:
         """Full-table indices of stride-addressed twiddles (no read is

@@ -6,11 +6,12 @@ seam :class:`repro.sim.trace.ExecutionTrace` uses — which forces
 ``Machine.run`` onto the interpreted path, observes every retired
 instruction with the machine's *pre-step* state in hand, and delegates
 to the original bound ``step`` for the actual architectural work.  The
-machine therefore finishes in exactly the state a plain run produces
-(the ``uarch`` verify family asserts this bit-for-bit), and the recorded
-:class:`RetiredOp` list is the program's ground-truth dynamic schedule:
-resolved branch directions, effective memory addresses, CRF banks and
-entries — everything the timing model needs and nothing it must guess.
+machine therefore finishes in exactly the state ``run_interpreted``
+produces (the ``uarch`` verify family asserts this bit-for-bit), and the
+recorded :class:`RetiredOp` list is the program's ground-truth dynamic
+schedule: resolved branch directions, effective memory addresses, CRF
+banks and entries — everything the timing model needs and nothing it
+must guess.
 
 Resource tags follow :mod:`repro.uarch.hazards`: plain ints for
 registers, ``("crf", bank, entry)`` for CRF entries (bank sampled
@@ -176,9 +177,10 @@ def record_trace(machine, program) -> list:
     """Run ``program`` on ``machine``, returning its RetiredOp trace.
 
     The machine executes through the interpreted path (the patched
-    ``step`` declines the predecoded fast path and batch fusion) and
-    ends in exactly the architectural state of an unrecorded run; the
-    wrapper is removed again even if execution raises.
+    ``step`` declines the levelized pass and the predecoded fast path)
+    and ends in exactly the architectural state of an unrecorded
+    ``run_interpreted``; the wrapper is removed again even if execution
+    raises.
     """
     if "step" in machine.__dict__:
         raise ValueError("machine.step is already instrumented")

@@ -1,9 +1,9 @@
 """Co-execution, fault-injection and fuzzing: the differential safety net.
 
 Every fast datapath in this repo ships with a readable oracle twin
-(compiled vs per-butterfly FFT, vectorized vs scalar ASIP, column vs
-per-state Viterbi, and the facade's registered backends against each
-other).  This package turns those twins into an *active* verification
+(compiled vs per-butterfly FFT, the ASIP's levelized ``run`` vs its
+step interpreter, column vs per-state Viterbi, and the facade's
+registered backends against each other).  This package turns those twins into an *active* verification
 subsystem — ROADMAP item 3 — in three layers:
 
 * :mod:`~repro.verify.coexec` — lockstep differential runners that

@@ -1,10 +1,11 @@
 """Lockstep differential co-execution with divergence *localisation*.
 
-Every hot path in this repo has an oracle/vectorized twin (array FFT
-compiled vs per-butterfly walk, ASIP vectorized vs scalar lanes,
-Viterbi column trellis vs per-state walk, facade backends against each
-other), but the existing parity checks only compare end-of-run output —
-a wrong answer says *that* two datapaths diverge, never *where*.
+Every hot path in this repo has an oracle twin (array FFT compiled vs
+per-butterfly walk, the ASIP's levelized ``run`` vs its step
+interpreter, Viterbi column trellis vs per-state walk, facade backends
+against each other), but the existing parity checks only compare
+end-of-run output — a wrong answer says *that* two datapaths diverge,
+never *where*.
 
 This module runs the two sides of a twin **side by side**, comparing
 architectural state after every lockstep step, and stops at the first
@@ -17,12 +18,17 @@ that ships, through per-step seams the engines expose.
   twiddle/pre-rotation tables, observed after every stage; localises
   to the first mismatching (phase, stage, group, lane), plus the
   butterfly and its sum/diff role on a butterfly stage.
-* :func:`coexec_machines` / :func:`coexec_asip` — single-`step()`
-  co-execution of two :class:`~repro.sim.machine.Machine` instances in
-  the style of Libre-SOC's co-execution Test API: after every dynamic
-  instruction the PCs, the 32 scalar registers and (when present) the
-  CRF banks are compared; localises to the first mismatching dynamic
+* :func:`coexec_machines` — single-`step()` co-execution of two
+  :class:`~repro.sim.machine.Machine` instances in the style of
+  Libre-SOC's co-execution Test API: after every dynamic instruction
+  the PCs, the 32 scalar registers and (when present) the CRF banks
+  are compared; localises to the first mismatching dynamic
   instruction.
+* :func:`coexec_asip` — the ASIP's shipped ``run`` (the levelized
+  pass) against ``run_interpreted`` (the scalar per-op oracle) over
+  one staged input; the end states are compared and a mismatch
+  localises to the register, counter, CRF entry or memory word (with
+  its spectral bin for an output word).
 * :func:`coexec_viterbi` — the shipped butterfly add-compare-select of
   one decoder (``_acs(chunk=1)``) against the per-state walk
   ``decode_reference`` runs (``_reference_steps``) of another, compared
@@ -392,22 +398,77 @@ def coexec_machines(a, b, program, *, names: tuple = ("a", "b"),
                         time.perf_counter() - start)
 
 
+def _crf_banks(machine) -> np.ndarray:
+    """Both CRF banks of an ASIP as complex values, active bank first."""
+    banks = machine.crf.bank_arrays()
+    values = (fixed_to_complex_array(*banks) if len(banks) == 2
+              else banks[0])
+    active = machine.crf.active_bank
+    return values[[active, 1 - active]]
+
+
+def _end_state_diff(a, b, atol: float) -> tuple:
+    """First end-state mismatch of two ASIPs as ``(location, operands,
+    max_error)``, or None.  Compared in order: the 32 registers, the
+    SimStats counters, both CRF banks (active first), then the data
+    window ``[0, 3N)``."""
+    for r in range(32):
+        va, vb = a.read_reg(r), b.read_reg(r)
+        if va != vb:
+            return {"register": r}, {"a": va, "b": vb}, 0.0
+    stats_a, stats_b = a.stats.as_dict(), b.stats.as_dict()
+    for key in {**stats_a, **stats_b}:
+        if stats_a.get(key) != stats_b.get(key):
+            return ({"stat": key},
+                    {"a": stats_a.get(key), "b": stats_b.get(key)}, 0.0)
+    n = a.n_points
+    planes = (
+        ("crf", _crf_banks(a), _crf_banks(b)),
+        ("memory", a.memory.read_complex_vector(0, 3 * n),
+         b.memory.read_complex_vector(0, 3 * n)),
+    )
+    for plane, values_a, values_b in planes:
+        err = np.abs(values_a - values_b)
+        if not (err.size and float(err.max()) > atol):
+            continue
+        site = tuple(int(i) for i in np.argwhere(err > atol)[0])
+        if plane == "crf":
+            bank, entry = site
+            location = {"bank": ("active", "shadow")[bank],
+                        "crf_entry": entry}
+        else:
+            (word,) = site
+            region = ("input", "scratch", "output")[word // n]
+            location = {"memory_word": word, "region": region}
+            if region == "output":
+                location["bin"] = word - 2 * n
+        operands = {"a": complex(values_a[site]),
+                    "b": complex(values_b[site])}
+        return location, operands, float(err.max())
+    return None
+
+
 def coexec_asip(n: int = 16, *, a=None, b=None, x=None, seed: int = 0,
                 fixed_point: bool = False, atol: float = 1e-9,
                 program=None) -> CoexecResult:
-    """Instruction-lockstep the vectorized ASIP against its scalar twin.
+    """Co-execute the ASIP's shipped path against its step interpreter.
 
-    Both machines run the same generated FFT program over the same
-    staged input; divergence is localised to the first dynamic
-    instruction whose architectural state (registers, CRF) differs.
+    Side a runs :meth:`~repro.asip.FFTASIP.run` (the levelized pass the
+    machine ships, recorded or replayed), side b
+    :meth:`~repro.sim.machine.Machine.run_interpreted` (the scalar per-op
+    oracle), on the same program over the same staged input.  The end
+    states are compared in order: registers, ``SimStats`` counters, both
+    CRF banks, then the data-window words ``[0, 3N)``; an output word
+    also reports its spectral bin.  Q1.15 compares exactly, float to
+    ``atol``.  ``steps`` counts the instructions side a retired.  A step
+    fault needs per-instruction localisation: :func:`coexec_machines`.
     """
     from ..asip import FFTASIP, generate_fft_program
 
     if a is None:
         a = FFTASIP(n, fixed_point=fixed_point)
     if b is None:
-        b = FFTASIP(a.n_points, fixed_point=a.fixed_point,
-                    vectorized=False)
+        b = FFTASIP(a.n_points, fixed_point=a.fixed_point)
     n = a.n_points
     if x is None:
         rng = np.random.default_rng(seed)
@@ -419,28 +480,32 @@ def coexec_asip(n: int = 16, *, a=None, b=None, x=None, seed: int = 0,
         program = generate_fft_program(n, a.plan)
     a.load_input(x)
     b.load_input(x)
-    names = (
-        "asip-vectorized" if a.vectorized else "asip-scalar",
-        "asip-vectorized" if b.vectorized else "asip-scalar",
-    )
+    names = ("asip-run", "asip-interpreted")
     tol = 0.0 if a.fixed_point else atol
-    result = coexec_machines(a, b, program, names=names, atol=tol)
-    if not result.ok:
-        return result
-    out_a = a.read_output()
-    out_b = b.read_output()
-    err = np.abs(out_a - out_b)
-    if err.size and float(err.max()) > tol:
-        k = int(np.argwhere(err > tol)[0][0])
-        result.report = DivergenceReport(
-            kind="asip-instruction",
-            backends=names,
-            step_index=result.steps,
-            location={"phase": "output", "bin": k},
-            operands={"a": complex(out_a[k]), "b": complex(out_b[k])},
-            max_error=float(err.max()),
-        )
-    return result
+    ov_a0 = a.fx.overflow_count if a.fx else 0
+    ov_b0 = b.fx.overflow_count if b.fx else 0
+    retired = a.stats.instructions
+    start = time.perf_counter()
+    a.run(program)
+    b.run_interpreted(program)
+    steps = a.stats.instructions - retired
+    seconds = time.perf_counter() - start
+    diff = _end_state_diff(a, b, tol)
+    if diff is None:
+        return CoexecResult("machine-state", names, steps, None, seconds)
+    location, operands, max_error = diff
+    report = DivergenceReport(
+        kind="machine-state",
+        backends=names,
+        step_index=steps,
+        location=location,
+        operands=operands,
+        max_error=max_error,
+        overflow_delta=((a.fx.overflow_count - ov_a0) if a.fx else 0,
+                        (b.fx.overflow_count - ov_b0) if b.fx else 0),
+        message="end-of-run state mismatch",
+    )
+    return CoexecResult("machine-state", names, steps, report, seconds)
 
 
 # Viterbi trellis-step lockstep -------------------------------------------
@@ -645,7 +710,7 @@ def coexec_demap(constellation, symbols) -> CoexecResult:
 
 def coexec_backends(n_points: int, backends=("compiled", "reference"), *,
                     engines: tuple = None, blocks=None, symbols: int = 8,
-                    precision: str = "float", seed: int = 0,
+                    precision: str = None, seed: int = 0,
                     atol: float = 1e-9, workers: int = None,
                     close: bool = None) -> CoexecResult:
     """Run the same symbol batch through two facade backends and diff.
@@ -655,21 +720,34 @@ def coexec_backends(n_points: int, backends=("compiled", "reference"), *,
     :func:`coexec_asip` to then zoom into a diverging pair.  Fixed-point
     spectra must agree bit for bit, overflow counts included; float
     spectra to ``atol``.  ``precision`` takes every name
-    :func:`repro.engine` accepts (``"fixed"`` is Q1.15).
+    :func:`repro.engine` accepts (``"fixed"`` is Q1.15) and defaults to
+    float; given ``engines``, the compare mode is the engines' own
+    precision, and a pair of two precisions, or a ``precision`` that
+    disagrees with theirs, raises ``ValueError``.
     """
     from ..engines import engine as build_engine, normalize_precision
 
-    precision = normalize_precision(precision)
     names = tuple(backends)
     if len(names) != 2:
         raise ValueError(f"need exactly two backends, got {names!r}")
     own_engines = engines is None
     if engines is None:
+        precision = normalize_precision(precision)
         engines = tuple(
             build_engine(n_points, backend=name, precision=precision,
                          workers=workers)
             for name in names
         )
+    else:
+        own = {eng.precision for eng in engines}
+        if len(own) != 1 or (precision is not None and
+                             normalize_precision(precision) not in own):
+            raise ValueError(
+                "coexec_backends needs engines of one precision matching "
+                f"precision={precision!r}, got "
+                f"{tuple(eng.precision for eng in engines)}"
+            )
+        (precision,) = own
     if close is None:
         close = own_engines
     eng_a, eng_b = engines

@@ -408,7 +408,7 @@ def demonstrate_fault(kind: str, seed: int = 0):
         from ..asip import FFTASIP, generate_fft_program
 
         a = FFTASIP(16)
-        b = FFTASIP(16, vectorized=False)
+        b = FFTASIP(16)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         a.load_input(x)

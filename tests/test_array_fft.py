@@ -98,3 +98,27 @@ class TestOperationCounts:
         engine = ArrayFFT(64)
         engine.transform(random_vector(64, 11))
         assert engine.bu.op_count == engine.plan.total_but4
+
+    @pytest.mark.parametrize("fixed_point", [False, True])
+    def test_oracle_counts_bu_ops_like_compiled(self, fixed_point):
+        """Both oracle walks advance ``bu.op_count`` by the plan's BUT4
+        count per symbol, as the compiled path does, with unchanged
+        spectra and overflow counts."""
+        n = 64
+        oracle = ArrayFFT(n, fixed_point=fixed_point, compiled=False)
+        compiled = ArrayFFT(n, fixed_point=fixed_point)
+        blocks = 0.3 * np.stack([random_vector(n, seed) for seed in range(3)])
+
+        def run(engine):
+            return [engine.transform(blocks[0]),
+                    engine.transform_many(blocks[1:])]
+
+        for got, want in zip(run(oracle), run(compiled)):
+            if fixed_point:
+                assert np.array_equal(got, want)
+            else:
+                assert np.allclose(got, want, atol=1e-12)
+        assert oracle.bu.op_count == compiled.bu.op_count
+        assert oracle.bu.op_count == 3 * oracle.plan.total_but4
+        if fixed_point:
+            assert oracle.fx.overflow_count == compiled.fx.overflow_count

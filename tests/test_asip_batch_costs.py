@@ -7,7 +7,8 @@ batch (the control record, the D-cache replay memo and the AC tables
 already settled) at the two shapes the ``asip-fft`` benchmark runs.
 The last two gates count ``Machine.run`` calls through the facade's
 ``asip`` backend: a multi-symbol call is one ``run_batch`` chunk that
-replays once warm, and ``batch=1`` keeps one serial run per symbol.
+replays once warm, and at ``batch=1`` every symbol is a one-symbol pass
+that replays once warm too.
 """
 
 import math
@@ -153,4 +154,7 @@ def test_warm_asip_engine_call_makes_no_run(monkeypatch, precision):
 
 @pytest.mark.parametrize("precision", ["float", "q15"])
 def test_asip_engine_at_batch_one_runs_every_symbol(monkeypatch, precision):
-    assert engine_run_calls(monkeypatch, precision, batch=1) == [8, 8, 8]
+    """Every symbol runs as its own one-symbol pass: the first two
+    record (power-on, then steady entry state) and every later one
+    replays without interpreting."""
+    assert engine_run_calls(monkeypatch, precision, batch=1) == [2, 0, 0]

@@ -1,8 +1,8 @@
-"""Multi-symbol ASIP batching + int-array Q1.15 datapath: exactness.
+"""Levelized ASIP passes (one symbol or many) + int-array Q1.15 CRF.
 
-The batched fast paths are only allowed to exist because they are the
-same machine: every test here pins batched/vectorised execution to the
-serial loop and the step interpreter — registers, memory, spectra,
+The levelized fast path is only allowed to exist because it is the same
+machine: every test here pins batched and one-symbol passes to the
+per-symbol loop and the step interpreter — registers, memory, spectra,
 per-symbol cycles, every SimStats counter, CRF/ROM/BU access counts and
 Q1.15 overflow counts.
 """
@@ -60,21 +60,29 @@ def assert_machines_equal(a: FFTASIP, b: FFTASIP, exact=True):
 
 
 class TestIntDatapath:
-    """Tentpole layer 1: the vectorised Q1.15 simulator datapath."""
+    """The Q1.15 levelized ``run`` against the scalar step interpreter."""
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_bit_identical_to_scalar_interpreter(self, n):
-        x = random_blocks(1, n, seed=n, scale=0.3)[0]
+        """Three runs per machine: a record from power-on, a record from
+        the steady entry state, then a replay of the steady record."""
         program = generate_fft_program(n)
         fast = FFTASIP(n, fixed_point=True)
-        oracle = FFTASIP(n, fixed_point=True, vectorized=False)
-        fast.load_input(x)
-        fast.run(program)
-        oracle.load_input(x)
-        oracle.run_interpreted(program)
-        assert np.array_equal(fast.read_output(), oracle.read_output())
-        assert fast.fx.overflow_count == oracle.fx.overflow_count
-        assert_machines_equal(fast, oracle)
+        oracle = FFTASIP(n, fixed_point=True)
+        records = []
+        for seed in range(n, n + 3):
+            x = random_blocks(1, n, seed=seed, scale=0.3)[0]
+            fast.load_input(x)
+            fast.run(program)
+            oracle.load_input(x)
+            oracle.run_interpreted(program)
+            assert np.array_equal(fast.read_output(), oracle.read_output())
+            assert fast.fx.overflow_count == oracle.fx.overflow_count
+            assert_machines_equal(fast, oracle)
+            assert np.array_equal(fast.crf.snapshot(), oracle.crf.snapshot())
+            records.append(list(fast._records))
+        assert [len(kept) for kept in records] == [1, 2, 2]
+        assert records[2] == records[1]
 
     def test_overflow_counts_match_when_saturating(self):
         """With per-stage scaling off, large inputs saturate in the
@@ -83,7 +91,7 @@ class TestIntDatapath:
         x = random_blocks(1, n, seed=7, scale=0.9)[0]
         program = generate_fft_program(n)
         fast = FFTASIP(n, fixed_point=True)
-        oracle = FFTASIP(n, fixed_point=True, vectorized=False)
+        oracle = FFTASIP(n, fixed_point=True)
         fast.fx.scale_stages = oracle.fx.scale_stages = False
         fast.load_input(x)
         fast.run(program)
@@ -517,26 +525,57 @@ def cross_symbol_program(n):
     return b.build()
 
 
+def window_escape_program(n, op):
+    """Two LDINs, then two STOUTs; the ``op`` pair (``"ldin"`` or
+    ``"stout"``) reaches past the ``[0, 3N)`` data window."""
+    ldin_at, stout_at = (3 * n, 2 * n) if op == "ldin" else (0, 3 * n)
+    b = ProgramBuilder()
+    b.li(GROUP_SIZE_REG, 4)
+    b.li(26, 1)          # LDIN stride
+    b.li(25, 1)          # STOUT stride
+    b.li(4, ldin_at)
+    b.li(5, 0)
+    for _ in range(2):
+        b.emit(Opcode.LDIN, rs=4, rt=5)
+    b.li(6, 0)
+    b.li(7, stout_at)
+    for _ in range(2):
+        b.emit(Opcode.STOUT, rs=6, rt=7)
+    b.halt()
+    return b.build()
+
+
+class TestRunFallback:
+    """``run`` hands a program the recorder refuses to the per-op
+    interpreter, from the entry state the refused recording started in,
+    and keeps no record of it."""
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("refused", ["cross-symbol", "ldin", "stout"])
+    def test_refused_program_equals_interpreter(self, fixed, warm, refused):
+        n = 16
+        program = (cross_symbol_program(n) if refused == "cross-symbol"
+                   else window_escape_program(n, refused))
+        fast = FFTASIP(n, fixed_point=fixed)
+        twin = FFTASIP(n, fixed_point=fixed)
+        x = random_blocks(1, n, seed=12, scale=0.3)[0]
+        for machine in (fast, twin):
+            machine.load_input(x)
+            if warm:  # group size, cursors and both banks in use
+                machine.run(generate_fft_program(n))
+        records = list(fast._records)
+        fast.run(program)
+        twin.run_interpreted(program)
+        assert fast._records == records
+        assert_batch_end_state_equal(fast, twin)
+        assert np.array_equal(fast.crf.snapshot(), twin.crf.snapshot())
+        assert np.array_equal(fast.memory.read_complex_vector(0, 4 * n),
+                              twin.memory.read_complex_vector(0, 4 * n))
+
+
 class TestBatchFallbacks:
     """run_batch must decline batching whenever exactness is at risk."""
-
-    def serial_reference(self, n, blocks, **kwargs):
-        program = generate_fft_program(n)
-        machine = FFTASIP(n, **kwargs)
-        return run_serial(machine, program, blocks), machine
-
-    def test_scalar_oracle_config_falls_back(self):
-        n, symbols = 16, 3
-        blocks = random_blocks(symbols, n, seed=4)
-        program = generate_fft_program(n)
-        machine = FFTASIP(n, vectorized=False)
-        assert not machine._can_batch(program)
-        outs, cycles = machine.run_batch(program, blocks)
-        (outs_ref, cycles_ref), ref = self.serial_reference(
-            n, blocks, vectorized=False
-        )
-        assert np.array_equal(outs, outs_ref)
-        assert cycles == cycles_ref
 
     def test_charged_cache_latency_falls_back(self):
         n = 16

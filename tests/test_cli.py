@@ -30,6 +30,17 @@ class TestParser:
         args = build_parser().parse_args(["hw"])
         assert args.group_size == 32
 
+    def test_usage_lists_every_subcommand(self):
+        import argparse
+
+        import repro.cli
+
+        (commands,) = [action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        listed = {line.split()[3] for line in repro.cli.__doc__.splitlines()
+                  if line.strip().startswith("python -m repro ")}
+        assert listed == set(commands)
+
 
 class TestCommands:
     def test_fft_command(self, capsys):

@@ -317,7 +317,7 @@ class TestPredecodedMachine:
         n = 64
         x = random_vector(n, seed=7)
         fast = FFTASIP(n)
-        slow = FFTASIP(n, vectorized=False)
+        slow = FFTASIP(n)
         fast.load_input(x)
         slow.load_input(x)
         program = generate_fft_program(n)
@@ -337,7 +337,7 @@ class TestPredecodedMachine:
         n = 32
         x = random_vector(n, seed=9, scale=0.2)
         fast = FFTASIP(n, fixed_point=True)
-        slow = FFTASIP(n, fixed_point=True, vectorized=False)
+        slow = FFTASIP(n, fixed_point=True)
         fast.load_input(x)
         slow.load_input(x)
         program = generate_fft_program(n)
@@ -354,24 +354,6 @@ class TestPredecodedMachine:
         got = oracle.transform_many(blocks)
         assert oracle._compiled is None  # the oracle path really ran
         assert np.allclose(got, np.fft.fft(blocks, axis=1), atol=1e-9)
-
-    def test_flipping_vectorized_reinvalidates_predecode(self):
-        from repro.asip import FFTASIP, generate_fft_program
-
-        n = 16
-        x = random_vector(n, seed=13)
-        program = generate_fft_program(n)
-        machine = FFTASIP(n)
-        machine.load_input(x)
-        machine.run(program)
-        machine.vectorized = False
-        machine.load_input(x)
-        machine.run(program)
-        reference = FFTASIP(n, vectorized=False)
-        reference.load_input(x)
-        reference.run_interpreted(program)
-        assert np.allclose(machine.read_output(), reference.read_output(),
-                           atol=1e-12)
 
     def test_runaway_guard_counts_fused_burst_instructions(self):
         from repro.asip import FFTASIP, generate_fft_program

@@ -1,8 +1,10 @@
-"""Every script under examples/ runs to completion, and every script
-under benchmarks/ still imports (tier-1 runs only the engine-speed
-quick gate, so a bench importing a removed API would otherwise rot
-silently)."""
+"""Every script under examples/ runs to completion, every script under
+benchmarks/ still imports (tier-1 runs only the engine-speed quick
+gate, so a bench importing a removed API would otherwise rot silently),
+and every module under src/repro reads each name it imports at top
+level (the repo runs no linter that would catch one left behind)."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -13,6 +15,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 BENCHMARKS = sorted((ROOT / "benchmarks").glob("*.py"))
+SOURCES = sorted(path for path in (ROOT / "src" / "repro").rglob("*.py")
+                 if path.name != "__init__.py")
 
 
 def _env() -> dict:
@@ -45,3 +49,32 @@ def test_benchmark_scripts_collect(tmp_path):
     assert done.returncode == 0, (done.stdout + done.stderr)[-2000:]
     assert BENCHMARKS and all(
         f"{script.name}::" in done.stdout for script in BENCHMARKS)
+
+
+def _unused_imports(path: Path) -> list:
+    """``(name, line)`` of each top-level import ``path`` never reads; a
+    name listed in ``__all__`` is re-exported, which counts as a read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets):
+            read.update(elt.value for elt in node.value.elts)
+    return [(name, line) for name, line in imported.items()
+            if name not in read]
+
+
+def test_src_modules_read_their_top_level_imports():
+    unused = [f"{path.relative_to(ROOT)}:{line}: {name}"
+              for path in SOURCES for name, line in _unused_imports(path)]
+    assert not unused, "unused imports:\n" + "\n".join(unused)

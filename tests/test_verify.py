@@ -17,6 +17,8 @@ import textwrap
 import numpy as np
 import pytest
 
+from repro.asip import FFTASIP, generate_fft_program
+from repro.asip.fft_asip import _FlushSchedule
 from repro.cli import main as cli_main
 from repro.coding.convolutional import get_code
 from repro.coding.viterbi import ViterbiDecoder
@@ -55,6 +57,22 @@ def _mutant(monkeypatch, owner, name, old, new):
     monkeypatch.setattr(owner, name, namespace[name])
 
 
+def faulted_after_run(n, fixed_point, faults):
+    """An ``FFTASIP`` whose ``run_interpreted`` applies each of
+    ``faults`` to it once the run ends."""
+    machine = FFTASIP(n, fixed_point=fixed_point)
+    interpret = machine.run_interpreted
+
+    def interpret_then_fault(program):
+        stats = interpret(program)
+        for fault in faults:
+            fault(machine)
+        return stats
+
+    machine.run_interpreted = interpret_then_fault
+    return machine
+
+
 class TestCoexecClean:
     """Lockstep runs over healthy twins report no divergence."""
 
@@ -67,9 +85,15 @@ class TestCoexecClean:
         assert coexec_fft(64, fixed_point=True).ok
 
     def test_asip_lockstep(self):
+        """The shipped ``run`` against the step interpreter."""
         result = coexec_asip(16)
         assert result.ok
-        assert result.steps > 0  # instructions actually stepped
+        assert result.kind == "machine-state"
+        assert result.backends == ("asip-run", "asip-interpreted")
+        # Every instruction one run retires.
+        machine = FFTASIP(16)
+        machine.run_interpreted(generate_fft_program(16))
+        assert result.steps == machine.stats.instructions == 60
 
     def test_asip_q15(self):
         assert coexec_asip(16, fixed_point=True).ok
@@ -135,6 +159,36 @@ class TestCoexecClean:
                                  precision=precision, close=True)
         assert result.report.location == {"mismatch": "overflow_count"}
         assert result.report.operands == {"a": 3, "b": 0}
+
+    def test_backend_pair_compares_in_the_engines_precision(self):
+        """Given engines, the compare mode is their own: a Q1.15 pair
+        whose one side reports 3 more overflow counts diverges without
+        ``precision=``."""
+        eng_a = build_engine(32, backend="compiled", precision="q15")
+        eng_b = build_engine(32, backend="reference", precision="q15")
+        transform = eng_b.transform_many
+
+        def three_more(blocks):
+            result = transform(blocks)
+            result.overflow_count += 3
+            return result
+
+        eng_b.transform_many = three_more
+        result = coexec_backends(32, engines=(eng_a, eng_b), symbols=2,
+                                 close=True)
+        assert not result.ok
+        assert result.report.location == {"mismatch": "overflow_count"}
+        assert result.report.operands == {"a": 0, "b": 3}
+
+    def test_backend_pair_of_two_precisions_raises(self):
+        with build_engine(32, precision="q15") as q15, \
+                build_engine(32, backend="reference") as float_engine:
+            with pytest.raises(ValueError, match="one precision"):
+                coexec_backends(32, engines=(q15, float_engine))
+            with pytest.raises(ValueError, match="one precision"):
+                coexec_backends(32, engines=(q15, q15), precision="float")
+            assert coexec_backends(32, engines=(q15, q15),
+                                   precision="fixed").ok
 
     def test_backends_need_a_pair(self):
         with pytest.raises(ValueError, match="two backends"):
@@ -361,6 +415,78 @@ class TestCoexecDrivesTheShippedWalks:
         assert result.report.location == {
             "phase": "epoch0", "stage": 0, "group": 0, "lane": 0,
             "butterfly": 0, "role": "sum"}
+
+    def test_levelized_run_fault_localised_to_end_state(self,
+                                                        monkeypatch):
+        """``coexec_asip`` co-executes the ``run`` that ships: a one-line
+        fault in the flush schedule's float butterfly is seen."""
+        _mutant(monkeypatch, _FlushSchedule, "_evaluate",
+                "np.subtract(a, t, out=out[lo:hi, 1])",
+                "np.add(a, t, out=out[lo:hi, 1])")
+        result = coexec_asip(16)
+        assert not result.ok
+        report = result.report
+        assert report.kind == "machine-state"
+        assert report.backends == ("asip-run", "asip-interpreted")
+        assert "crf_entry" in report.location \
+            or "memory_word" in report.location
+        assert report.max_error > 1e-3
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_asip_end_state_compared_in_order(self, fixed):
+        """Registers, then SimStats counters, both CRF banks, then the
+        data window; an output word also reports its bin."""
+        n = 16
+
+        def bump_output_word(m):
+            word = 2 * n + 5
+            m.memory.write_complex(word, m.memory.read_complex(word) + 0.25)
+
+        def bump_shadow_entry(m):
+            bank = 1 - m.crf.active_bank
+            m.crf.bank_arrays()[0][bank, 2] += 1000 if fixed else 0.5
+
+        def count_a_branch(m):
+            m.stats.branches += 1
+
+        def bump_register(m):
+            m.registers[9] += 1
+
+        expected = [
+            (bump_output_word, {"memory_word": 2 * n + 5,
+                                "region": "output", "bin": 5}),
+            (bump_shadow_entry, {"bank": "shadow", "crf_entry": 2}),
+            (count_a_branch, {"stat": "branches"}),
+            (bump_register, {"register": 9}),
+        ]
+        for count, (_, location) in enumerate(expected, 1):
+            twin = faulted_after_run(n, fixed,
+                                     [fault for fault, _ in expected[:count]])
+            result = coexec_asip(n, b=twin, fixed_point=fixed)
+            assert result.report.location == location
+            assert result.report.step_index == result.steps
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_asip_compares_q15_exactly_and_float_to_atol(self, fixed):
+        """One LSB in a Q1.15 output word diverges; a float word 1e-12
+        off reads equal at the default ``atol``."""
+        n = 16
+        word = 2 * n + 1
+
+        def nudge(m):
+            if fixed:
+                m.memory.write_word(word, m.memory.read_word(word) + 1)
+            else:
+                m.memory.write_complex(word, m.memory.read_complex(word)
+                                       + 1e-12)
+
+        result = coexec_asip(n, b=faulted_after_run(n, fixed, [nudge]),
+                             fixed_point=fixed)
+        if fixed:
+            assert result.report.location == {
+                "memory_word": word, "region": "output", "bin": 1}
+        else:
+            assert result.ok
 
     def test_oracle_select_fault_localised_to_first_tie(self,
                                                         monkeypatch):
