@@ -273,19 +273,20 @@ class FFTASIP(Machine):
         # the machine untouched.
         inputs = (quantize_array(blocks.T[self._input_perm])
                   if self.fixed_point else (blocks.T[self._input_perm],))
-        record, outputs = self._pass(program, inputs)
+        record, outputs = self._pass(program, inputs, restage=True)
         return outputs, [record.cycles] * n
 
-    def _pass(self, program, inputs: tuple) -> tuple:
-        """Record or replay one pass over the staged ``(N, n_symbols)``
+    def _pass(self, program, inputs: tuple, restage: bool = False) -> tuple:
+        """Record or replay one pass over the ``(N, n_symbols)``
         ``inputs``, retire it once per symbol and evaluate it; returns
-        ``(record, outputs)``."""
+        ``(record, outputs)``.  With ``restage`` (inputs from a batch, not
+        the input region) the last symbol's input is left there."""
         key = self._control_key()
         record = self._find_record(program, key)
         if record is None:
             record = self._record_pass(program, key)
         self._retire(record, inputs[0].shape[1])
-        return record, record.schedule.evaluate(self, inputs)
+        return record, record.schedule.evaluate(self, inputs, restage)
 
     def _control_key(self) -> tuple:
         """The entry control state a batch pass reads: the 32 registers,
@@ -962,6 +963,8 @@ class _SymbolBatch:
         self.written = np.zeros(self.window, dtype=bool)
         self.written[base:base + points] = True
         self.suspect = np.zeros(self.window, dtype=bool)
+        # Words the program stores: the only ones a pass writes back.
+        self.stored = np.zeros(self.window, dtype=bool)
 
     # Recording (runs inside the program's single pass) --------------------
 
@@ -991,6 +994,7 @@ class _SymbolBatch:
             names = self._record(_ROTATION, names, rel, len(rel)) + (
                 np.arange(len(rel), dtype=np.int64))
         self.written[flat] = True
+        self.stored[flat] = True
         self.mem_names[flat] = names
 
     def butterflies(self, reads: np.ndarray, rom_addresses: np.ndarray,
@@ -1107,6 +1111,7 @@ class _SymbolBatch:
         return _FlushSchedule(
             levels, frees, copies, len(self._ops), len(finals), self.window,
             initial=last_read[_INITIAL] > 0 or _INITIAL in copies,
+            stored=self.stored,
         )
 
     def _plan(self, sid: int) -> tuple:
@@ -1154,11 +1159,11 @@ class _FlushSchedule:
 
     It holds no data and no symbol count: per level (in dependency
     order), its storage id, its resolved operand storages and positions
-    and its weight indices; the storages each level frees; and, per
-    storage, which end-state entries (the memory window, then both CRF
-    banks) and output points it supplies.  :meth:`evaluate` runs it over
-    any batch, reading the inputs, the initial state and the ROM and
-    pre-rotation weights live.
+    and its weight indices; the storages each level frees; per storage,
+    which end-state entries (the memory window, then both CRF banks) and
+    output points it supplies; and the window words a pass writes back.
+    :meth:`evaluate` runs it over any batch, reading the inputs, the
+    initial state and the ROM and pre-rotation weights live.
 
     Each level runs as a few wide column ops over symbols x every group
     of its epoch — legal because the conflict-free CRF addressing makes
@@ -1183,7 +1188,8 @@ class _FlushSchedule:
     FLOAT_CHUNK = 32768
 
     def __init__(self, levels: list, frees: list, copies: dict,
-                 storages: int, finals: int, window: int, initial: bool):
+                 storages: int, finals: int, window: int, initial: bool,
+                 stored: np.ndarray):
         self.levels = levels
         self.frees = frees
         self.copies = copies
@@ -1191,15 +1197,20 @@ class _FlushSchedule:
         self.finals = finals
         self.window = window
         self.initial = initial
+        # Mask of the window words the program stores.
+        self.stored = stored
         self.widest = max([len(weights) for *_, weights in levels] or [1])
 
-    def evaluate(self, machine: FFTASIP, inputs: tuple) -> np.ndarray:
-        """Evaluate every level over the staged ``inputs`` (``(N,
-        n_symbols)`` Q1.15 lanes or complex values, in AI0 order); return
-        the ``(n_symbols, N)`` outputs.
+    def evaluate(self, machine: FFTASIP, inputs: tuple,
+                 restage: bool) -> np.ndarray:
+        """Evaluate every level over the ``inputs`` (``(N, n_symbols)``
+        Q1.15 lanes or complex values, in AI0 order); return the
+        ``(n_symbols, N)`` outputs.
 
-        Leaves memory and both CRF banks holding the last symbol's end
-        state, as one run per symbol would.
+        Leaves both CRF banks and the words the program stores holding
+        the last symbol's end state, as one run per symbol would; other
+        memory words keep their raw values.  With ``restage``, the input
+        region takes the last symbol's input, as ``load_input`` would.
         """
         n = inputs[0].shape[1]
         fixed = machine.fixed_point
@@ -1226,7 +1237,7 @@ class _FlushSchedule:
             self._copy_out(sid, values, end_state, outputs)
             for freed in done:
                 values[freed] = None
-        self._write_back(machine, end_state)
+        self._write_back(machine, end_state, restage)
         if fixed:
             return fixed_to_complex_array(outputs[0].T, outputs[1].T)
         return np.ascontiguousarray(outputs[0].T)
@@ -1338,11 +1349,18 @@ class _FlushSchedule:
             for target, v in zip(outputs, values[sid]):
                 target[where] = v[positions]
 
-    def _write_back(self, machine: FFTASIP, end_state: list) -> None:
-        """Leave memory and the CRF banks holding the last symbol's end
+    def _write_back(self, machine: FFTASIP, end_state: list,
+                    restage: bool) -> None:
+        """Leave the CRF banks and the words the program stores (with
+        ``restage``, the input region too) holding the last symbol's end
         state — that of one run per symbol."""
-        words = np.arange(self.window, dtype=np.int64)
-        window = [part[:self.window] for part in end_state]
+        keep = self.stored
+        if restage:
+            base = machine.input_base
+            keep = keep.copy()
+            keep[base:base + machine.n_points] = True
+        words = np.flatnonzero(keep)
+        window = [part[words] for part in end_state]
         if machine.fixed_point:
             machine.memory.scatter_words(words, fixed_to_words_array(*window))
         else:

@@ -139,12 +139,15 @@ class ArrayFFT:
             return self._transform_fixed(x)
         return self._transform_float(x)
 
-    def transform_many(self, blocks) -> np.ndarray:
+    def transform_many(self, blocks, _out=None) -> np.ndarray:
         """Batch transform of an ``(n_symbols, N)`` block matrix.
 
-        Runs every symbol through the compiled engine in one vectorised
-        pass, amortising plan compilation and per-call overhead across
-        the batch — the multi-symbol OFDM workload path.
+        Runs the batch through the compiled engine in cache-sized symbol
+        blocks that fill one output, amortising plan compilation and
+        per-call overhead across the batch — the multi-symbol OFDM
+        workload path.  ``_out``, when given, is a C-contiguous
+        ``(n_symbols, N)`` complex array that receives the spectra (how a
+        sharded worker fills its slice of one shared output).
         """
         blocks = np.asarray(blocks, dtype=complex)
         if blocks.ndim != 2 or blocks.shape[1] != self.n_points:
@@ -154,9 +157,10 @@ class ArrayFFT:
             )
         if not self.use_compiled:
             return np.stack(
-                [self.transform_reference(block) for block in blocks]
+                [self.transform_reference(block) for block in blocks],
+                out=_out,
             )
-        out = self.compiled_engine().transform_many(blocks)
+        out = self.compiled_engine().transform_many(blocks, _out=_out)
         self.bu.op_count += blocks.shape[0] * self.plan.total_but4
         return out
 

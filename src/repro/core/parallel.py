@@ -5,11 +5,14 @@ and, lazily, a thread pool.  Large ``(n_symbols, N)`` batches are split
 into one shard per worker and transformed concurrently.  Each worker
 thread builds its own engine (plan, ROM, pre-rotation store, compiled
 tables, ``FixedPointContext``, ``ButterflyUnit``) on its first shard,
-so shards that run at the same time share no mutable state.  numpy
-releases the GIL inside the compiled column ops, so the shards overlap
-without copying any data between processes.  The compiled datapaths
-are deterministic element-wise per symbol, so sharded output is
-bit-identical to the serial path — asserted in ``tests/test_parallel.py``.
+so shards that run at the same time share no mutable state.  The batch's
+output is allocated once, up front, and each worker's blocked walk
+writes its shard's spectra straight into that output's row slice, so
+nothing is concatenated afterwards.  numpy releases the GIL inside the
+compiled column ops, so the shards overlap without copying any data
+between processes.  The compiled datapaths are deterministic
+element-wise per symbol, so sharded output is bit-identical to the
+serial path — asserted in ``tests/test_parallel.py``.
 The API is batch-only: the facade (:mod:`repro.engines`) sends a single
 symbol as a one-row ``transform_many`` batch.
 
@@ -21,7 +24,8 @@ Robustness rules (all covered by tests):
 * any pool failure (a worker thread that cannot start, an exception
   raised inside a shard, an executor that has already been shut down)
   opens a :class:`~repro.core.breaker.CircuitBreaker` and falls back to
-  the serial engine — results are always produced.  The first failure
+  the serial engine, which computes a fresh output (the shared one may
+  be partly written) — results are always produced.  The first failure
   of an episode emits a single :class:`RuntimeWarning` and the engine
   carries ``degraded=True`` while the breaker is open; the facade
   (:class:`repro.engines.Engine`) copies that marker onto every
@@ -154,17 +158,18 @@ class ShardedEngine:
                 max_workers=self.workers, thread_name_prefix="sharded",
             )
         pool = self._pool
-        shards = [
-            shard for shard in np.array_split(blocks, self.workers)
-            if len(shard)
-        ]
+        # One output up front; each shard fills its own row slice of it.
+        out = np.empty(blocks.shape, dtype=complex)
+        parts = min(self.workers, len(blocks))
+        shards = np.array_split(blocks, parts)
+        dests = np.array_split(out, parts)
         try:
             with telemetry.span(
                 "sharded.dispatch", workers=self.workers,
                 shards=len(shards), symbols=len(blocks),
             ):
                 run = partial(self._run_shard, telemetry.current_span())
-                results = list(pool.map(run, shards))
+                overflows = list(pool.map(run, shards, dests))
         except Exception as exc:
             # Thread start refused / a shard raised / executor already
             # shut down: never fail — degrade to the serial path until
@@ -172,19 +177,17 @@ class ShardedEngine:
             self._mark_broken(f"{type(exc).__name__}: {exc}")
             return self.engine.transform_many(blocks)
         self.breaker.record_success()
-        out = np.concatenate([result[0] for result in results])
         if self.fixed_point:
-            self.engine.fx.overflow_count += sum(
-                result[1] for result in results
-            )
+            self.engine.fx.overflow_count += sum(overflows)
         # Mirror the serial path's op accounting on the parent engine.
         self.engine.bu.op_count += len(blocks) * self.plan.total_but4
         return out
 
-    def _run_shard(self, parent, shard: np.ndarray):
-        """One shard on the calling pool thread's own engine.
+    def _run_shard(self, parent, shard: np.ndarray, dest: np.ndarray) -> int:
+        """One shard on the calling pool thread's own engine, written into
+        ``dest``, its row slice of the batch's output.
 
-        Returns ``(spectra, overflow delta)``; ``parent`` is the caller's
+        Returns the shard's overflow delta; ``parent`` is the caller's
         ``sharded.dispatch`` span, adopted so the shard span nests under it.
         """
         with telemetry.attach(parent), telemetry.span(
@@ -196,11 +199,10 @@ class ShardedEngine:
                     self.n_points, fixed_point=self.fixed_point,
                 )
             before = engine.fx.overflow_count if self.fixed_point else 0
-            out = engine.transform_many(shard)
-            overflow = (
+            engine.transform_many(shard, _out=dest)
+            return (
                 engine.fx.overflow_count - before if self.fixed_point else 0
             )
-        return out, overflow
 
     # Pool lifecycle -------------------------------------------------------
 

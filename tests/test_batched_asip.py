@@ -574,6 +574,49 @@ class TestRunFallback:
                               twin.memory.read_complex_vector(0, 4 * n))
 
 
+class TestWriteBack:
+    """A levelized pass writes back only the memory words the program
+    stores, as the interpreter does: a raw word the program only reads
+    keeps its exact value.  A batch leaves the last symbol's input in the
+    input region, as its per-symbol ``load_input`` calls would."""
+
+    RAW = {False: 7, True: 2 ** 40}
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["float", "q15"])
+    def test_run_keeps_a_raw_word_it_only_reads(self, fixed):
+        n, raw = 16, self.RAW[fixed]
+        program = generate_fft_program(n)
+        fast = FFTASIP(n, fixed_point=fixed)
+        twin = FFTASIP(n, fixed_point=fixed)
+        for seed in range(3):  # record from two entry states, then replay
+            x = random_blocks(1, n, seed=seed, scale=0.3)[0]
+            for machine in (fast, twin):
+                machine.load_input(x)
+                machine.memory.write_word(3, raw)
+            fast.run(program)
+            twin.run_interpreted(program)
+            for machine in (fast, twin):
+                word = machine.memory.read_word(3)
+                assert type(word) is int and word == raw
+            assert np.array_equal(fast.read_output(), twin.read_output()) \
+                or not fixed
+            assert_machines_equal(fast, twin, exact=fixed)
+        assert len(fast._records) == 2
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["float", "q15"])
+    def test_batch_leaves_the_last_input_staged(self, fixed):
+        n = 16
+        program = generate_fft_program(n)
+        batched = FFTASIP(n, fixed_point=fixed)
+        serial = FFTASIP(n, fixed_point=fixed)
+        for seed in range(3):
+            for machine in (batched, serial):
+                machine.memory.write_word(3, self.RAW[fixed])
+            run_both(batched, serial, program,
+                     random_blocks(4, n, seed=seed, scale=0.3))
+            assert batched.memory.read_word(3) == serial.memory.read_word(3)
+
+
 class TestBatchFallbacks:
     """run_batch must decline batching whenever exactness is at risk."""
 

@@ -226,12 +226,13 @@ class TestBatchTransform:
         )
 
     @pytest.mark.parametrize("precision, bound",
-                             [("float", 4.5), ("q15", 3.0)])
+                             [("float", 2.5), ("q15", 2.0)],
+                             ids=["float", "q15"])
     def test_warm_burst_traced_peak(self, precision, bound):
-        """The walk holds about one stage's state at a time.  A warm
-        256 x 1024 burst is 4 MB of input: 4.0x that in float (16.8 MB)
-        and 2.5x in Q1.15 measured.  Keeping every stage's state alive
-        reads 12.0x and 7.0x."""
+        """The walk fills one output a symbol block at a time.  A warm
+        256 x 1024 burst is 4 MB of input: the output is 1.0x of it, and
+        the peak reads 2.0x in float and 1.69x in Q1.15.  The whole-burst
+        walk reads 4.0x and 2.5-3.0x."""
         engine = repro.engine(1024, backend="compiled", precision=precision)
         blocks = random_vector(256 * 1024, scale=0.2).reshape(256, 1024)
         engine.transform_many(blocks)
@@ -242,6 +243,121 @@ class TestBatchTransform:
         finally:
             tracemalloc.stop()
         assert peak <= bound * blocks.nbytes
+
+
+class TestSymbolBlocks:
+    """The compiled walks run a batch in symbol blocks of
+    ``block_symbols`` rows into one output; every row must come out as
+    it would alone, whatever block it lands in."""
+
+    #: distinct rows a batch cycles through; no block size is a multiple
+    #: of it, so a row written to the wrong slot shows.
+    POOL = 7
+
+    @staticmethod
+    def batch_sizes(block):
+        return [1, block - 1, block, block + 1, 3 * block + 5]
+
+    def pool_rows(self, n):
+        rng = np.random.default_rng(n)
+        scales = np.linspace(0.05, 0.9, self.POOL)[:, None]
+        return scales * (rng.uniform(-1, 1, (self.POOL, n))
+                         + 1j * rng.uniform(-1, 1, (self.POOL, n)))
+
+    @pytest.mark.parametrize("fixed_point", [False, True],
+                             ids=["float", "q15"])
+    @pytest.mark.parametrize("n", [4, 64, 1024, 8192])
+    def test_every_row_equals_itself_alone(self, n, fixed_point):
+        alone = ArrayFFT(n, fixed_point=fixed_point)
+        if fixed_point:
+            alone.fx.scale_stages = False  # saturate, so overflows count
+        rows = self.pool_rows(n)
+        want, counts = [], []
+        for row in rows:
+            before = alone.fx.overflow_count if fixed_point else 0
+            want.append(alone.transform_many(row[None])[0])
+            counts.append((alone.fx.overflow_count - before)
+                          if fixed_point else 0)
+        want = np.array(want)
+        block = alone.compiled_engine().block_symbols
+        assert block >= 2
+        for symbols in self.batch_sizes(block):
+            engine = ArrayFFT(n, fixed_point=fixed_point)
+            if fixed_point:
+                engine.fx.scale_stages = False
+            which = np.arange(symbols) % self.POOL
+            got = engine.transform_many(rows[which])
+            assert got.shape == (symbols, n)
+            assert np.array_equal(got.view(np.uint64),
+                                  want[which].view(np.uint64))
+            assert engine.bu.op_count == symbols * engine.plan.total_but4
+            if fixed_point:
+                assert engine.fx.overflow_count == sum(
+                    counts[k] for k in which)
+        if fixed_point:
+            assert sum(counts) > 0
+
+    @pytest.mark.parametrize("precision", ["float", "q15"])
+    def test_sharded_uneven_split_equals_compiled(self, precision):
+        """129 symbols over 2 workers: shards of 65 and 64 rows, each
+        filling its slice of the one output in blocks of 64."""
+        n, symbols = 1024, 129
+        rng = np.random.default_rng(129)
+        blocks = 0.9 * (rng.uniform(-1, 1, (symbols, n))
+                        + 1j * rng.uniform(-1, 1, (symbols, n)))
+        with repro.engine(n, backend="compiled",
+                          precision=precision) as serial, \
+                repro.engine(n, backend="sharded", precision=precision,
+                             workers=2) as sharded:
+            assert serial.impl.fft.compiled_engine().block_symbols == 64
+            want = serial.transform_many(blocks)
+            got = sharded.transform_many(blocks)
+            assert sharded.impl.sharded._pool is not None  # ran pooled
+            assert not got.degraded
+        assert np.array_equal(got.spectrum.view(np.uint64),
+                              want.spectrum.view(np.uint64))
+        assert got.overflow_count == want.overflow_count
+        parent = sharded.impl.sharded.engine
+        assert parent.bu.op_count == serial.impl.fft.bu.op_count
+
+    def test_nan_in_last_block_raises_before_any_block(self):
+        n = 1024
+        engine = ArrayFFT(n, fixed_point=True)
+        engine.fx.scale_stages = False
+        block = engine.compiled_engine().block_symbols
+        blocks = 0.9 * np.exp(2j * np.pi * np.random.default_rng(3).random(
+            ((3 * block + 5), n)))
+        engine.transform_many(blocks[:block])
+        counters = (engine.fx.overflow_count, engine.bu.op_count)
+        assert counters[0] > 0
+        blocks[-1, -1] = complex(np.nan, 0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            engine.transform_many(blocks)
+        assert (engine.fx.overflow_count, engine.bu.op_count) == counters
+
+    @pytest.mark.parametrize("fixed_point", [False, True],
+                             ids=["float", "q15"])
+    def test_observe_fires_once_per_stage_per_block(self, fixed_point):
+        n = 1024
+        fft = ArrayFFT(n, fixed_point=fixed_point)
+        eng = fft.compiled_engine()
+        block = eng.block_symbols
+        blocks = random_vector(n * (2 * block + 1), scale=0.3).reshape(-1, n)
+        seen = []
+
+        def observe(phase, stage, state):
+            rows = state[0] if isinstance(state, tuple) else state
+            seen.append((phase, stage, len(rows)))
+
+        walk = (eng._transform_many_fixed if fixed_point
+                else eng._transform_many_float)
+        out = walk(blocks, observe)
+        steps = ([("epoch0", s) for s in range(len(eng.epoch0))]
+                 + [("prerotate", 0)]
+                 + [("epoch1", s) for s in range(len(eng.epoch1))])
+        assert seen == [step + (rows,) for rows in (block, block, 1)
+                        for step in steps]
+        assert np.array_equal(out, fft.transform_many(blocks))
 
 
 class TestLookupMany:

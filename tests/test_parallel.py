@@ -2,6 +2,7 @@
 
 import threading
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -158,6 +159,30 @@ class TestShardedEngine:
         assert engine.degraded_reason == "first failure"
         assert np.array_equal(got, ArrayFFT(n).transform_many(blocks))
         engine.close()
+
+    @pytest.mark.parametrize("precision", ["float", "q15"])
+    def test_warm_burst_fills_one_output(self, precision):
+        """Each shard writes into its slice of one output.  A warm
+        1024 x 1024 burst (16 MB of input) at 2 workers peaks at 1.50x
+        its input in float: the output plus both workers' block state.
+        Concatenating per-shard outputs reads 2.0x, as would a second
+        full-size copy of any kind; the whole-burst walk reads 4.0-5.0x.  At
+        256 x 1024 the two block states alone reach the output's size, so
+        a concatenation would not raise the peak there."""
+        import repro
+
+        blocks = random_blocks(1024, 1024, seed=11, scale=0.2)
+        with repro.engine(1024, backend="sharded", precision=precision,
+                          workers=2) as engine:
+            engine.transform_many(blocks)
+            tracemalloc.start()
+            try:
+                engine.transform_many(blocks)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert engine.impl.sharded._pool is not None  # ran pooled
+        assert peak <= 1.75 * blocks.nbytes
 
     def test_shape_validated(self):
         engine = ShardedEngine(64, workers=1)
@@ -326,10 +351,10 @@ class TestPoolSelfHealing:
         want = ArrayFFT(n).transform_many(blocks)
         real_transform_many = ArrayFFT.transform_many
 
-        def explode_off_main_thread(fft, shard):
+        def explode_off_main_thread(fft, shard, **destination):
             if threading.current_thread() is not threading.main_thread():
                 raise RuntimeError("shard exploded")
-            return real_transform_many(fft, shard)
+            return real_transform_many(fft, shard, **destination)
 
         engine = ShardedEngine(n, workers=2, min_parallel_symbols=8)
         engine.breaker.backoff_initial = 0.05
